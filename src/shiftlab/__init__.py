@@ -36,6 +36,7 @@ from .configs import (
     AdmissibleMetric,
     Configuration,
     DEFAULT_RADIUS,
+    Indicator,
     Lattice,
     config_distance,
     constant_config,

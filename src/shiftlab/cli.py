@@ -6,7 +6,6 @@ built-in defaults; the fully resolved configuration is embedded in every
 JSON report so runs are reproducible from their own output.  Traces are
 CSV, reports are JSON; both are written atomically.  Exit codes: 0 for
 success / all checks passed, 2 for a failed check, 1 for usage errors.
-LAB_THREADS caps the worker pool used for independent items.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import tempfile
 from fractions import Fraction
 from random import Random
 from typing import Callable, Sequence
@@ -161,10 +160,29 @@ def _jsonable(v):
 
 
 def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write through a unique temp file beside the target, then rename it
+    over the target; the temp file is removed on any error.
+
+    There is no fsync: a report can be rebuilt from the configuration it
+    embeds, and an fsync can stall for tens of milliseconds.
+    """
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".", suffix=".tmp"
+    )
+    try:
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -183,23 +201,6 @@ def _report(command: str, config: dict, body: dict) -> str:
     }
     doc.update(body)
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _threads() -> int:
-    raw = os.environ.get("LAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"LAB_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
-
-
-def _map_items(fn: Callable, items: Sequence):
-    workers = _threads()
-    if workers == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _dist_json(dist: PatternDistribution) -> dict:
@@ -222,7 +223,7 @@ def _cmd_density(args) -> int:
     cfg["n-list"] = n_list
     F = make_box_folner(x.dim, cfg["kind"])
     sym = cfg["symbol"]
-    trace = upper_density(lambda g: x.value(g) == sym, F, n_list)
+    trace = upper_density(x.indicator(sym), F, n_list)
     _emit(trace.to_csv(), args.out)
     return 0
 
@@ -445,7 +446,7 @@ def _cmd_glue_check(args) -> int:
             "passed": bool(subadditive),
         }
 
-    items = _map_items(run, instances)
+    items = [run(it) for it in instances]
     passed = all(it["passed"] for it in items)
     _emit(_report("glue-check", cfg, {"items": items, "passed": passed}), args.out)
     return 0 if passed else 2
@@ -480,7 +481,7 @@ def _cmd_nowy_check(args) -> int:
             "passed": rep.passed,
         }
 
-    items = _map_items(run, pairs)
+    items = [run(it) for it in pairs]
     passed = all(it["passed"] for it in items)
     _emit(_report("nowy-check", cfg, {"items": items, "passed": passed}), args.out)
     return 0 if passed else 2
@@ -527,7 +528,7 @@ def _cmd_triangle_check(args) -> int:
             "passed": rep.passed,
         }
 
-    items = _map_items(run, instances)
+    items = [run(it) for it in instances]
     passed = all(it["passed"] for it in items)
     _emit(_report("triangle-check", cfg, {"items": items, "passed": passed}), args.out)
     return 0 if passed else 2
@@ -623,7 +624,7 @@ def _cmd_convergence(args) -> int:
     # visible-point density along growing centered boxes
     v = visible_points_config()
     Fc = make_box_folner(2, "centered")
-    dens = upper_density(lambda g: v.value(g) == 1, Fc, [100, 300, 1000])
+    dens = upper_density(v.indicator(1), Fc, [100, 300, 1000])
     target = 6 / math.pi**2
     errors = [abs(float(r.value) - target) for r in dens.rows]
     dens_pass = all(a > b for a, b in zip(errors, errors[1:]))

@@ -2,9 +2,12 @@
 
 A configuration is a total map Z^d -> alphabet described by a finite rule:
 a constant, a periodic table over a finite-index sublattice, a predicate,
-or a finite patch over another configuration.  The metric machinery at the
-bottom implements summable translation weights with certified tail bounds,
-so truncated distances come back as exact [lo, hi] Fraction intervals.
+or a finite patch over another configuration.  A binary configuration also
+reads out in bulk over a 1-D or 2-D box as bit-packed rows
+(`Configuration.rows`), which the estimators count with XOR and
+`int.bit_count`.  The metric machinery at the bottom implements summable
+translation weights with certified tail bounds, so truncated distances come
+back as exact [lo, hi] Fraction intervals.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidDimensionError
 from .groups import FiniteSubset, Point, compose, sup_norm
@@ -154,14 +157,79 @@ class Lattice:
         return f"Lattice({[list(r) for r in self.basis]})"
 
 
+# a bulk rule maps the inclusive corners (lo, hi) of a box to its rows
+RowsRule = Callable[[Point, Point], list[int]]
+
+# bulk readers split a window into tiles of at most this many sites, so the
+# rows they hold stay small however large the window is
+TILE_SITES = 1 << 20
+
+
+def rows_available(window: FiniteSubset, *configs: "Configuration") -> bool:
+    """Can the configurations be read as bulk rows over this window?
+
+    That needs a 1-D or 2-D box of the configurations' dimension and a
+    binary alphabet; everything else is evaluated site by site.
+    """
+    return window.is_box and window.dim <= 2 and all(
+        c.dim == window.dim and c.alphabet.size == 2 for c in configs
+    )
+
+
+def box_tiles(box: FiniteSubset) -> Iterator[FiniteSubset]:
+    """Sub-boxes of at most TILE_SITES sites that partition a 1-D or 2-D box."""
+    lo, hi = box.bounds
+    if box.dim == 1:
+        for a in range(lo[0], hi[0] + 1, TILE_SITES):
+            yield FiniteSubset.box((a,), (min(a + TILE_SITES - 1, hi[0]),))
+        return
+    cols = min(hi[1] - lo[1] + 1, TILE_SITES)
+    band = TILE_SITES // cols
+    for a in range(lo[0], hi[0] + 1, band):
+        for b in range(lo[1], hi[1] + 1, cols):
+            yield FiniteSubset.box(
+                (a, b), (min(a + band - 1, hi[0]), min(b + cols - 1, hi[1]))
+            )
+
+
+def row_bits(row: int, width: int) -> str:
+    """The row as '0'/'1' characters, bit 0 first."""
+    return format(row, "b").zfill(width)[::-1]
+
+
+def _pack(bits: Iterable[int]) -> int:
+    """Row whose bit j is set when the j-th item is."""
+    text = "".join("1" if b else "0" for b in bits)
+    return int(text[::-1], 2) if text else 0
+
+
+def _tile(period: str, start: int, width: int) -> int:
+    """Row whose bit j is period[(start + j) % len(period)]."""
+    m = len(period)
+    k = start % m
+    text = (period[k:] + period[:k]) * (width // m + 1)
+    return int(text[:width][::-1], 2)
+
+
+def _grid(lo: Point, hi: Point) -> tuple[int, int, int, int]:
+    """(first row coordinate, row count, first column, width) of a 1-D or
+    2-D box; a 1-D box is a single row at coordinate 0."""
+    if len(lo) == 1:
+        return 0, 1, lo[0], hi[0] - lo[0] + 1
+    return lo[0], hi[0] - lo[0] + 1, lo[1], hi[1] - lo[1] + 1
+
+
 class Configuration:
     """A point of the shift space: a total rule Z^dim -> alphabet.
 
     `period_lattice` is an optional promise that the rule is invariant
-    under translation by that sublattice; exact-orbit tooling relies on it.
+    under translation by that sublattice; exact-orbit tooling relies on it,
+    and `PeriodicOrbitMeasure` checks it.  `rows` is an optional bulk rule
+    that must agree with `rule` on every site; constructors that know their
+    structure supply one.
     """
 
-    __slots__ = ("dim", "alphabet", "kind", "period_lattice", "_rule")
+    __slots__ = ("dim", "alphabet", "kind", "period_lattice", "_rule", "_rows")
 
     def __init__(
         self,
@@ -171,6 +239,7 @@ class Configuration:
         *,
         kind: str = "rule",
         period_lattice: Lattice | None = None,
+        rows: RowsRule | None = None,
     ):
         if dim < 1:
             raise InvalidDimensionError(f"dimension must be >= 1, got {dim}")
@@ -179,19 +248,96 @@ class Configuration:
         self.kind = kind
         self.period_lattice = period_lattice
         self._rule = rule
+        self._rows = rows
 
     def value(self, g: Point) -> int:
         return self._rule(g)
+
+    def rows(self, box: FiniteSubset) -> list[int]:
+        """Bit-packed rows of a binary configuration over a 1-D or 2-D box.
+
+        In 2-D, bit j of row i is the site (lo_0 + i, lo_1 + j); in 1-D the
+        single row's bit j is the site lo_0 + j.  Without a bulk rule the
+        rows are built from `value`, one call per site.
+        """
+        if not rows_available(box, self):
+            raise ValueError(
+                "bulk rows need a binary configuration and a 1-D or 2-D box of its dimension"
+            )
+        lo, hi = box.bounds
+        if self._rows is not None:
+            return self._rows(lo, hi)
+        val = self.value
+        if self.dim == 1:
+            return [_pack(val((c,)) for c in range(lo[0], hi[0] + 1))]
+        cols = range(lo[1], hi[1] + 1)
+        return [_pack(val((a, b)) for b in cols) for a in range(lo[0], hi[0] + 1)]
+
+    def indicator(self, symbol: int) -> "Indicator":
+        """The membership rule g -> [x(g) == symbol], countable in bulk."""
+        return Indicator(self, symbol)
 
     def __repr__(self) -> str:
         return f"Configuration(kind={self.kind!r}, dim={self.dim}, |A|={self.alphabet.size})"
 
 
+class Indicator:
+    """Membership rule g -> [config(g) == symbol].
+
+    It is an ordinary callable; `upper_density` recognizes it and counts
+    the set bits of the configuration's rows instead of calling it.
+    """
+
+    __slots__ = ("config", "symbol")
+
+    def __init__(self, config: Configuration, symbol: int):
+        self.config = config
+        self.symbol = symbol
+
+    def __call__(self, g: Point) -> bool:
+        return self.config.value(g) == self.symbol
+
+
 def constant_config(dim: int, symbol: int, alphabet: int = 2) -> Configuration:
     a = Alphabet(alphabet)
     a.check(symbol)
+
+    def rows(lo: Point, hi: Point) -> list[int]:
+        _, height, _, width = _grid(lo, hi)
+        return [((1 << width) - 1) * symbol] * height
+
     return Configuration(dim, a, lambda g: symbol, kind=f"constant:{symbol}",
-                         period_lattice=Lattice.diagonal(1, dim=dim))
+                         period_lattice=Lattice.diagonal(1, dim=dim), rows=rows)
+
+
+def _tiled_rows(moduli: tuple[int, ...], table: Mapping[Point, int]) -> RowsRule:
+    """Bulk rule of a periodic table with diagonal moduli (1-D or 2-D): one
+    period string per row residue, tiled along the row."""
+    m_row = moduli[0] if len(moduli) == 2 else 1
+    m_col = moduli[-1]
+    periods: dict[int, str] = {}
+
+    def period(r: int) -> str:
+        text = periods.get(r)
+        if text is None:
+            # (r, c)[-dim:] is the table key; a 1-D table is the single row 0
+            keys = ((r, c)[-len(moduli):] for c in range(m_col))
+            text = periods[r] = "".join("1" if table[k] else "0" for k in keys)
+        return text
+
+    def rows(lo: Point, hi: Point) -> list[int]:
+        a0, height, c0, width = _grid(lo, hi)
+        tiled: dict[int, int] = {}
+        out = []
+        for a in range(a0, a0 + height):
+            r = a % m_row
+            row = tiled.get(r)
+            if row is None:
+                row = tiled[r] = _tile(period(r), c0, width)
+            out.append(row)
+        return out
+
+    return rows
 
 
 def periodic_config(lattice: Lattice, table: Mapping[Point, int], alphabet: int = 2) -> Configuration:
@@ -211,16 +357,18 @@ def periodic_config(lattice: Lattice, table: Mapping[Point, int], alphabet: int 
     if len(canon) != len(domain):
         raise ValueError("table has entries outside the fundamental domain")
     moduli = lattice.moduli
+    bulk = _tiled_rows(moduli, canon) if moduli is not None and len(moduli) <= 2 else None
     if moduli is not None and len(moduli) == 1:
         m = moduli[0]
         row = tuple(canon[(i,)] for i in range(m))
         return Configuration(1, a, lambda g: row[g[0] % m], kind="periodic",
-                             period_lattice=lattice)
+                             period_lattice=lattice, rows=bulk)
     if moduli is not None:
         table_c = dict(canon)
         def rule(g: Point, _m=moduli, _t=table_c) -> int:
             return _t[tuple(c % m for c, m in zip(g, _m))]
-        return Configuration(lattice.dim, a, rule, kind="periodic", period_lattice=lattice)
+        return Configuration(lattice.dim, a, rule, kind="periodic", period_lattice=lattice,
+                             rows=bulk)
     table_c = dict(canon)
     return Configuration(lattice.dim, a, lambda g: table_c[lattice.reduce(g)],
                          kind="periodic", period_lattice=lattice)
@@ -242,10 +390,15 @@ def predicate_config(
     name: str = "predicate",
     alphabet: int = 2,
     period_lattice: Lattice | None = None,
+    rows: RowsRule | None = None,
 ) -> Configuration:
-    """Indicator configuration: 1 where the predicate holds."""
+    """Indicator configuration: 1 where the predicate holds.
+
+    `rows`, when given, must be the predicate's bulk rule; the declared
+    period lattice is never used to derive one.
+    """
     return Configuration(dim, alphabet, lambda g: int(bool(predicate(g))),
-                         kind=name, period_lattice=period_lattice)
+                         kind=name, period_lattice=period_lattice, rows=rows)
 
 
 def patched_config(base: Configuration, patch: Mapping[Point, int]) -> Configuration:
@@ -256,7 +409,18 @@ def patched_config(base: Configuration, patch: Mapping[Point, int]) -> Configura
     def rule(g: Point) -> int:
         hit = fixed.get(g)
         return base.value(g) if hit is None else hit
-    return Configuration(base.dim, base.alphabet, rule, kind=f"patched:{base.kind}")
+
+    def rows(lo: Point, hi: Point) -> list[int]:
+        out = base.rows(FiniteSubset.box(lo, hi))
+        a0, _, c0, _ = _grid(lo, hi)
+        for g, v in fixed.items():
+            if all(a <= c <= b for c, a, b in zip(g, lo, hi)):
+                i = g[0] - a0 if len(g) == 2 else 0
+                bit = 1 << (g[-1] - c0)
+                out[i] = out[i] | bit if v else out[i] & ~bit
+        return out
+
+    return Configuration(base.dim, base.alphabet, rule, kind=f"patched:{base.kind}", rows=rows)
 
 
 def shift(g: Point, x: Configuration) -> Configuration:
@@ -321,11 +485,16 @@ class AdmissibleMetric:
     tail_bound(R) must dominate the total weight outside the closed sup-norm
     ball of radius R; it may be slack (the default family declares 2^-R
     although its exact tail is 2^-(R+1)).
+
+    shell_weight, when given, declares the metric radial: weight(g) equals
+    shell_weight(sup_norm(g)) for every g.  Estimators then sum shell
+    counts from a summed-area table instead of one weight per site.
     """
 
     dim: int
     weight: Callable[[Point], Fraction]
     tail_bound: Callable[[int], Fraction]
+    shell_weight: Callable[[int], Fraction] | None = None
 
     def ball_weights(self, radius: int) -> tuple[tuple[Point, Fraction], ...]:
         return _ball_weights(self, radius)
@@ -360,7 +529,9 @@ def default_metric(dim: int) -> AdmissibleMetric:
             raise ValueError(f"radius must be >= 0, got {radius}")
         return Fraction(1, 2**radius)
 
-    return AdmissibleMetric(dim=dim, weight=weight, tail_bound=tail_bound)
+    return AdmissibleMetric(
+        dim=dim, weight=weight, tail_bound=tail_bound, shell_weight=shell_weight
+    )
 
 
 def config_distance(

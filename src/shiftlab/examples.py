@@ -12,7 +12,14 @@ from math import gcd
 from random import Random
 from typing import Callable, Mapping, Sequence
 
-from .configs import Configuration, Lattice, constant_config, predicate_config, word_config
+from .configs import (
+    Configuration,
+    Lattice,
+    RowsRule,
+    constant_config,
+    predicate_config,
+    word_config,
+)
 from .errors import StageExhaustedError
 from .groups import FiniteSubset, Point
 from .measures import empirical_measure
@@ -24,18 +31,81 @@ PRIMES: tuple[int, ...] = (
 )
 
 
+def _prime_divisors(n: int) -> list[int]:
+    """Distinct prime divisors of n >= 1, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _multiples_row(p: int, start: int, width: int) -> int:
+    """Row whose bit j is set when p divides start + j."""
+    first = (-start) % p
+    if first >= width:
+        return 0
+    count = (width - 1 - first) // p + 1
+    if count == 1:
+        return 1 << first
+    # count ones spaced p apart: (2^(count p) - 1) / (2^p - 1)
+    return ((1 << (count * p)) - 1) // ((1 << p) - 1) << first
+
+
+def _coprime_sieve(primes: tuple[int, ...] | None) -> RowsRule:
+    """Bulk rows of 'no prime of `primes` divides both coordinates'; None
+    stands for every prime, i.e. gcd(m, n) = 1.
+
+    Row m starts full and loses the multiples of each listed prime that
+    divides m.  Every prime divides 0, so for None row 0 is its own case:
+    gcd(0, n) = |n| is 1 only at n = +-1.
+    """
+    def rows(lo: Point, hi: Point) -> list[int]:
+        (m0, n0), (m1, n1) = lo, hi
+        width = n1 - n0 + 1
+        full = (1 << width) - 1
+        cleared: dict[int, int] = {}
+        out = []
+        for m in range(m0, m1 + 1):
+            if primes is not None:
+                divisors = [p for p in primes if m % p == 0]
+            elif m == 0:
+                out.append(sum(1 << (n - n0) for n in (-1, 1) if n0 <= n <= n1))
+                continue
+            else:
+                divisors = _prime_divisors(abs(m))
+            row = full
+            for p in divisors:
+                mask = cleared.get(p)
+                if mask is None:
+                    mask = cleared[p] = full & ~_multiples_row(p, n0, width)
+                row &= mask
+            out.append(row)
+        return out
+
+    return rows
+
+
 def visible_points_config() -> Configuration:
     """Indicator of the planar points visible from the origin.
 
     v(m, n) = 1 iff gcd(m, n) = 1.  gcd(0, 0) is 0, so the origin itself
-    is not visible.
+    is not visible.  Bulk rows come from a divisibility sieve.
     """
-    return predicate_config(2, lambda g: gcd(g[0], g[1]) == 1, name="visible")
+    return predicate_config(2, lambda g: gcd(g[0], g[1]) == 1, name="visible",
+                            rows=_coprime_sieve(None))
 
 
 def prime_approx_config(n: int) -> Configuration:
     """Periodic approximant: 0 exactly where one of the first n primes
-    divides both coordinates.  Periodic under (p_1 ... p_n) Z^2."""
+    divides both coordinates.  Periodic under (p_1 ... p_n) Z^2; bulk rows
+    come from the same sieve as the visible points, not from the period."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > len(PRIMES):
@@ -52,6 +122,7 @@ def prime_approx_config(n: int) -> Configuration:
         rule,
         name=f"prime-approx:{n}",
         period_lattice=Lattice.diagonal(period, dim=2),
+        rows=_coprime_sieve(ps),
     )
 
 

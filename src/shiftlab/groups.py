@@ -89,6 +89,13 @@ class FiniteSubset:
     def is_box(self) -> bool:
         return self._points is None
 
+    @property
+    def bounds(self) -> tuple[Point, Point]:
+        """Inclusive (lo, hi) corners of a box."""
+        if not self.is_box:
+            raise ValueError("bounds of a set that is not a box")
+        return self._lo, self._hi
+
     def __len__(self) -> int:
         if self.is_box:
             n = 1

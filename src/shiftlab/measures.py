@@ -11,12 +11,19 @@ to orbit marginals at literal distance 0.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .configs import AdmissibleMetric, Configuration, default_metric
+from .configs import (
+    AdmissibleMetric,
+    Configuration,
+    box_tiles,
+    default_metric,
+    row_bits,
+    rows_available,
+)
 from .errors import IncompatibleWindowsError
 from .groups import FiniteSubset, FolnerSequence, Point, compose
 
@@ -150,17 +157,45 @@ class MeasureSet:
 def empirical_measure(
     x: Configuration, window_set: FiniteSubset, W: FiniteSubset
 ) -> PatternDistribution:
-    """Pattern frequencies of { (f.x)|_W : f in window_set }, exact."""
+    """Pattern frequencies of { (f.x)|_W : f in window_set }, exact.
+
+    For box sets and a binary x, patterns are read from bulk rows as
+    strings of W's rows and decoded once per distinct pattern.
+    """
     if len(window_set) == 0 or len(W) == 0:
         raise ValueError("empirical measure needs non-empty sets")
+    total = len(window_set)
+    if rows_available(window_set, x) and rows_available(W, x):
+        counts = _box_pattern_counts(x, window_set, W)
+        return PatternDistribution(
+            W, {tuple(map(int, key)): Fraction(c, total) for key, c in counts.items()}
+        )
     sites = W.sorted_points()
     xv = x.value
     counts: dict[Pattern, int] = {}
     for f in window_set:
         pat = tuple(xv(compose(w, f)) for w in sites)
         counts[pat] = counts.get(pat, 0) + 1
-    total = len(window_set)
     return PatternDistribution(W, {p: Fraction(c, total) for p, c in counts.items()})
+
+
+def _box_pattern_counts(x: Configuration, window_set: FiniteSubset, W: FiniteSubset) -> Counter:
+    """Counts of W-patterns over a box, keyed by the pattern as a '0'/'1'
+    string in W's site order (W's rows, each left to right)."""
+    wlo, whi = W.bounds
+    w_rows = whi[0] - wlo[0] + 1 if x.dim == 2 else 1
+    w_cols = whi[-1] - wlo[-1] + 1
+    counts: Counter = Counter()
+    for tile in box_tiles(window_set):
+        lo, hi = tile.bounds
+        f_rows = hi[0] - lo[0] + 1 if x.dim == 2 else 1
+        f_cols = hi[-1] - lo[-1] + 1
+        width = f_cols + w_cols - 1
+        bits = [row_bits(r, width) for r in x.rows(tile.minkowski(W))]
+        for i in range(f_rows):
+            band = bits[i : i + w_rows]
+            counts.update("".join(s[j : j + w_cols] for s in band) for j in range(f_cols))
+    return counts
 
 
 def pattern_metric(

@@ -5,6 +5,12 @@ threshold variant D', and the plain mismatch-density dbar.  Every limsup
 quantity is replaced by a finite-n trace whose summary is the max over
 the last half of the evaluated indices; truncation error enters as an
 exact [lo, hi] interval, never as a hidden float tolerance.
+
+On box windows over binary configurations the estimators read bulk rows
+(`Configuration.rows`): mismatches are XORed rows counted with
+`int.bit_count`, and radial metrics sum shell counts from a summed-area
+table over one integer denominator.  Other inputs take the per-site loops,
+which remain the reference the bulk path must match exactly.
 """
 
 from __future__ import annotations
@@ -14,14 +20,20 @@ import io
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate
+from math import ceil, lcm
+from operator import add, sub
 from typing import Callable, Sequence
 
 from .configs import (
     DEFAULT_RADIUS,
     AdmissibleMetric,
     Configuration,
+    Indicator,
+    box_tiles,
     default_metric,
+    row_bits,
+    rows_available,
 )
 from .errors import InvalidDimensionError
 from .groups import FiniteSubset, FolnerSequence, Point, compose
@@ -73,14 +85,34 @@ def _checked_n_list(n_list: Sequence[int]) -> list[int]:
     return ns
 
 
+def _ones(x: Configuration, box: FiniteSubset) -> int:
+    return sum(row.bit_count() for tile in box_tiles(box) for row in x.rows(tile))
+
+
+def _mismatches(x: Configuration, z: Configuration, box: FiniteSubset) -> int:
+    return sum(
+        (a ^ b).bit_count()
+        for tile in box_tiles(box)
+        for a, b in zip(x.rows(tile), z.rows(tile))
+    )
+
+
 def upper_density(
     rule: Callable[[Point], bool], F: FolnerSequence, n_list: Sequence[int]
 ) -> EstimateTrace:
-    """Exact |A cap F_n| / |F_n| for the membership rule, per n."""
+    """Exact |A cap F_n| / |F_n| for the membership rule, per n.
+
+    A `Configuration.indicator` rule on box windows is counted from bulk
+    rows; any other rule is called once per site.
+    """
     rows = []
     for n in _checked_n_list(n_list):
         window = F.set_at(n)
-        hits = sum(1 for g in window if rule(g))
+        if isinstance(rule, Indicator) and rows_available(window, rule.config):
+            ones = _ones(rule.config, window)
+            hits = {1: ones, 0: len(window) - ones}.get(rule.symbol, 0)
+        else:
+            hits = sum(1 for g in window if rule(g))
         val = Fraction(hits, len(window))
         rows.append(TraceRow(n, val, val, val))
     return EstimateTrace(rows)
@@ -120,6 +152,68 @@ def _site_lower_sums(
     return out
 
 
+def _box_lower_sums(
+    x: Configuration,
+    z: Configuration,
+    window: FiniteSubset,
+    shell_weight: Callable[[int], Fraction],
+    radius: int,
+) -> tuple[list[int], int]:
+    """The same lower bounds for a box window and a radial metric, as
+    integer numerators over one denominator, in window order.
+
+    With C_r(g) the mismatch count in the sup-norm box of radius r around
+    g, the lower sum is sum_r w_r (C_r - C_{r-1}) = sum_r (w_r - w_{r+1}) C_r
+    (w_{radius+1} = 0), and every C_r is four lookups in a summed-area
+    table of the mismatch rows over window + ball.
+    """
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+    shells = [Fraction(shell_weight(r)) for r in range(radius + 1)]
+    den = lcm(*(w.denominator for w in shells))
+    nums = [w.numerator * (den // w.denominator) for w in shells] + [0]
+    coef = [nums[r] - nums[r + 1] for r in range(radius + 1)]
+    lo, hi = window.bounds
+    big = FiniteSubset.box(tuple(c - radius for c in lo), tuple(c + radius for c in hi))
+    width = hi[-1] - lo[-1] + 1 + 2 * radius
+    # table[i][j]: mismatches in rows < i and columns < j of the big box
+    table = [[0] * (width + 1)]
+    for a, b in zip(x.rows(big), z.rows(big)):
+        prefix = accumulate(map(int, row_bits(a ^ b, width)), initial=0)
+        table.append(list(map(add, table[-1], prefix)))
+    two_d = x.dim == 2
+    base = radius if two_d else 0
+    height = hi[0] - lo[0] + 1 if two_d else 1
+    cols = hi[-1] - lo[-1] + 1
+    out: list[int] = []
+    for i in range(base, base + height):
+        acc = [0] * cols
+        for r, c in enumerate(coef):
+            dr = r if two_d else 0
+            strip = list(map(sub, table[i + dr + 1], table[i - dr]))
+            counts = map(sub, strip[radius + r + 1 : radius + r + 1 + cols],
+                         strip[radius - r : radius - r + cols])
+            acc = [s + c * k for s, k in zip(acc, counts)]
+        out.extend(acc)
+    return out, den
+
+
+def _lower_sums(
+    x: Configuration,
+    z: Configuration,
+    window: FiniteSubset,
+    metric: AdmissibleMetric,
+    radius: int,
+) -> tuple[list[int], int]:
+    """Lower bounds d_lo(g x, g z) for g in window as integer numerators
+    over one common denominator: in bulk when possible, else per site."""
+    if metric.shell_weight is not None and rows_available(window, x, z):
+        return _box_lower_sums(x, z, window, metric.shell_weight, radius)
+    los = _site_lower_sums(x, z, window, metric, radius)
+    den = lcm(*(f.denominator for f in los))
+    return [f.numerator * (den // f.denominator) for f in los], den
+
+
 def _common_metric(x: Configuration, z: Configuration, metric: AdmissibleMetric | None) -> AdmissibleMetric:
     if x.dim != z.dim:
         raise InvalidDimensionError("configurations of different dimension")
@@ -145,15 +239,15 @@ def besicovitch_estimate(
     """
     metric = _common_metric(x, z, metric)
     window = F.set_at(n)
-    tail = metric.tail_bound(radius)
-    one = Fraction(1)
-    lo_total = Fraction(0)
-    hi_total = Fraction(0)
-    for lo_g in _site_lower_sums(x, z, window, metric, radius):
-        lo_total += lo_g
-        hi_total += min(lo_g + tail, one)
-    count = len(window)
-    return lo_total / count, hi_total / count
+    nums, den = _lower_sums(x, z, window, metric, radius)
+    tail = Fraction(metric.tail_bound(radius))
+    # hi_g = min(lo_g + tail, 1), over the denominator of lo_g and tail
+    hi_den = lcm(den, tail.denominator)
+    scale = hi_den // den
+    tail_num = tail.numerator * (hi_den // tail.denominator)
+    hi_total = sum(min(k * scale + tail_num, hi_den) for k in nums)
+    count = len(nums)
+    return Fraction(sum(nums), den * count), Fraction(hi_total, hi_den * count)
 
 
 def besicovitch_trace(
@@ -208,10 +302,12 @@ def besicovitch_prime_estimate(
     if grid[0] <= 0:
         raise ValueError("delta grid values must be positive")
     window = F.set_at(n)
-    los = sorted(_site_lower_sums(x, z, window, metric, radius))
-    count = len(los)
+    nums, den = _lower_sums(x, z, window, metric, radius)
+    nums.sort()
+    count = len(nums)
     for delta in grid:
-        dens = Fraction(count - bisect_left(los, delta), count)
+        # k / den >= delta exactly when the integer k >= ceil(delta * den)
+        dens = Fraction(count - bisect_left(nums, ceil(delta * den)), count)
         if dens < delta:
             return DPrimeEstimate(delta, False)
     return DPrimeEstimate(grid[-1], True)
@@ -222,6 +318,8 @@ def dbar_estimate(x: Configuration, z: Configuration, F: FolnerSequence, n: int)
     if x.dim != z.dim:
         raise InvalidDimensionError("configurations of different dimension")
     window = F.set_at(n)
+    if rows_available(window, x, z):
+        return Fraction(_mismatches(x, z, window), len(window))
     xv, zv = x.value, z.value
     bad = sum(1 for f in window if xv(f) != zv(f))
     return Fraction(bad, len(window))
@@ -254,6 +352,8 @@ def exact_mismatch_density(x: Configuration, z: Configuration) -> Fraction:
     else:
         axes = (lcm(la.index, lb.index),) * x.dim
     period_box = FiniteSubset.box((0,) * x.dim, tuple(m - 1 for m in axes))
+    if rows_available(period_box, x, z):
+        return Fraction(_mismatches(x, z, period_box), len(period_box))
     xv, zv = x.value, z.value
     bad = sum(1 for f in period_box if xv(f) != zv(f))
     return Fraction(bad, len(period_box))

@@ -1,0 +1,262 @@
+"""Bulk row layer: rows agree with the site rules, and every estimator that
+reads rows returns the same Fraction as its per-site path.
+
+The per-site path is reached by handing an estimator the same window as an
+explicit point set (not a box), or a metric without shell weights.
+"""
+
+import random
+import re
+from fractions import Fraction
+from math import lcm
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shiftlab import configs
+from shiftlab.configs import (
+    AdmissibleMetric,
+    Lattice,
+    box_tiles,
+    constant_config,
+    default_metric,
+    patched_config,
+    periodic_config,
+    predicate_config,
+    rows_available,
+)
+from shiftlab.examples import random_config, resolve_example_name
+from shiftlab.groups import FiniteSubset, custom_folner, make_box_folner
+from shiftlab.measures import empirical_measure
+from shiftlab.metrics import (
+    besicovitch_estimate,
+    besicovitch_prime_estimate,
+    dbar_estimate,
+    exact_mismatch_density,
+    upper_density,
+)
+from shiftlab.transport import PeriodicOrbitMeasure
+
+NAMES = {
+    1: [f"rf-sub:{k}" for k in range(1, 7)] + ["constant", "periodic", "random", "patched"],
+    2: ["visible"] + [f"prime-approx:{n}" for n in range(1, 6)]
+    + ["constant", "periodic", "random", "patched"],
+}
+# periodic names whose joint period box is small enough for a per-site count
+PERIODIC = {
+    1: [f"rf-sub:{k}" for k in range(1, 6)] + ["constant", "periodic"],
+    2: [f"prime-approx:{n}" for n in range(1, 4)] + ["constant", "periodic"],
+}
+
+
+def make(name, dim, seed):
+    rng = random.Random(seed)
+    if name == "constant":
+        return constant_config(dim, rng.randint(0, 1))
+    if name == "periodic":
+        lat = Lattice.diagonal(tuple(rng.randint(1, 5) for _ in range(dim)))
+        return periodic_config(lat, {p: rng.randint(0, 1) for p in lat.fundamental_domain()})
+    if name == "random":
+        return random_config(dim, seed)
+    if name == "patched":
+        base = make(rng.choice(NAMES[dim][:-1]), dim, seed + 1)
+        patch = {
+            tuple(rng.randint(-12, 12) for _ in range(dim)): rng.randint(0, 1)
+            for _ in range(rng.randint(1, 20))
+        }
+        return patched_config(base, patch)
+    return resolve_example_name(name)
+
+
+@st.composite
+def pairs(draw, names=NAMES):
+    dim = draw(st.sampled_from((1, 2)))
+    x = make(draw(st.sampled_from(names[dim])), dim, draw(st.integers(0, 2**16)))
+    z = make(draw(st.sampled_from(names[dim])), dim, draw(st.integers(0, 2**16)))
+    return dim, x, z
+
+
+@st.composite
+def windows(draw, dim, side):
+    """(F, n) with F_n a box of either Folner kind, or an arbitrary box that
+    may sit at negative coordinates; sides are at most `side`."""
+    kind = draw(st.sampled_from(("boxes", "centered", "offset")))
+    if kind == "offset":
+        lo = tuple(draw(st.integers(-15, 15)) for _ in range(dim))
+        hi = tuple(a + draw(st.integers(0, side - 1)) for a in lo)
+        return custom_folner([FiniteSubset.box(lo, hi)]), 1
+    top = (side - 1) // 2 if kind == "centered" else side - 1
+    return make_box_folner(dim, kind), draw(st.integers(1, max(1, top)))
+
+
+def per_site(F, n):
+    """The same window as an explicit point set, which the bulk layer skips."""
+    return custom_folner([FiniteSubset(F.set_at(n).points())])
+
+
+def site_rows(x, box):
+    lo, hi = box.bounds
+    if box.dim == 1:
+        return [sum(x.value((c,)) << j for j, c in enumerate(range(lo[0], hi[0] + 1)))]
+    return [
+        sum(x.value((a, b)) << j for j, b in enumerate(range(lo[1], hi[1] + 1)))
+        for a in range(lo[0], hi[0] + 1)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_rows_match_site_rule(data):
+    dim, x, _ = data.draw(pairs())
+    F, n = data.draw(windows(dim, 70 if dim == 1 else 30))
+    box = F.set_at(n)
+    assert x.rows(box) == site_rows(x, box)
+
+
+@pytest.mark.parametrize("name", ["visible"] + [f"prime-approx:{n}" for n in range(1, 6)])
+def test_sieve_rows_across_the_axes(name):
+    x = resolve_example_name(name)
+    for box in (FiniteSubset.box((-7, -9), (7, 9)), FiniteSubset.box((0, 0), (0, 40)),
+                FiniteSubset.box((-40, 0), (40, 0))):
+        assert x.rows(box) == site_rows(x, box)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_dbar_matches_per_site(data):
+    dim, x, z = data.draw(pairs())
+    F, n = data.draw(windows(dim, 200 if dim == 1 else 30))
+    assert rows_available(F.set_at(n), x, z)
+    assert dbar_estimate(x, z, F, n) == dbar_estimate(x, z, per_site(F, n), 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), symbol=st.integers(0, 2))
+def test_indicator_density_matches_per_site(data, symbol):
+    dim, x, _ = data.draw(pairs())
+    F, n = data.draw(windows(dim, 200 if dim == 1 else 30))
+    bulk = upper_density(x.indicator(symbol), F, [n]).rows[0].value
+    sites = upper_density(lambda g: x.value(g) == symbol, F, [n]).rows[0].value
+    assert bulk == sites
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_exact_mismatch_density_matches_per_site(data):
+    dim, x, z = data.draw(pairs(PERIODIC))
+    axes = tuple(lcm(a, b) for a, b in zip(x.period_lattice.moduli, z.period_lattice.moduli))
+    box = FiniteSubset.box((0,) * dim, tuple(m - 1 for m in axes))
+    bad = sum(1 for g in box if x.value(g) != z.value(g))
+    assert exact_mismatch_density(x, z) == Fraction(bad, len(box))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), radius=st.integers(0, 12))
+def test_besicovitch_estimates_match_per_site(data, radius):
+    dim, x, z = data.draw(pairs())
+    F, n = data.draw(windows(dim, 60 if dim == 1 else 7))
+    ref = per_site(F, n)
+    metric = default_metric(dim)
+    plain = AdmissibleMetric(dim, metric.weight, metric.tail_bound)  # no shell weights
+    got = besicovitch_estimate(x, z, F, n, radius=radius)
+    assert got == besicovitch_estimate(x, z, ref, 1, radius=radius)
+    assert got == besicovitch_estimate(x, z, F, n, plain, radius)
+    dp = besicovitch_prime_estimate(x, z, F, n, radius=radius)
+    assert dp == besicovitch_prime_estimate(x, z, ref, 1, radius=radius)
+    assert dp == besicovitch_prime_estimate(x, z, F, n, plain, radius)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_empirical_measure_matches_per_site(data):
+    dim, x, _ = data.draw(pairs())
+    F, n = data.draw(windows(dim, 120 if dim == 1 else 20))
+    side = 5 if dim == 1 else 3
+    wlo = tuple(data.draw(st.integers(-2, 2)) for _ in range(dim))
+    W = FiniteSubset.box(wlo, tuple(a + data.draw(st.integers(0, side - 1)) for a in wlo))
+    window = F.set_at(n)
+    assert empirical_measure(x, window, W) == empirical_measure(
+        x, FiniteSubset(window.points()), W
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), tile=st.integers(1, 40))
+def test_tile_seams_change_no_count(data, tile):
+    dim, x, z = data.draw(pairs())
+    F, n = data.draw(windows(dim, 90 if dim == 1 else 15))
+    window = F.set_at(n)
+    W = FiniteSubset.box((0,) * dim, (1,) * dim)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(configs, "TILE_SITES", tile)
+        assert len(list(box_tiles(window))) > 1 or len(window) <= tile
+        got = (dbar_estimate(x, z, F, n), upper_density(x.indicator(1), F, [n]).rows[0].value,
+               empirical_measure(x, window, W))
+    ref = per_site(F, n)
+    assert got == (dbar_estimate(x, z, ref, 1),
+                   upper_density(lambda g: x.value(g) == 1, F, [n]).rows[0].value,
+                   empirical_measure(x, FiniteSubset(window.points()), W))
+
+
+def test_tiles_partition_large_boxes():
+    for box in (FiniteSubset.box((-3, -5), (2500, 1200)),
+                FiniteSubset.box((0, -7), (2, 3_000_000)),
+                FiniteSubset.box((-7,), (3_000_000,))):
+        tiles = list(box_tiles(box))
+        assert len(tiles) > 1 and sum(len(t) for t in tiles) == len(box)
+        assert all(box.contains_set(t) for t in tiles)
+        assert all(a.intersection_size(b) == 0 for i, a in enumerate(tiles) for b in tiles[:i])
+
+
+def test_rows_refuse_what_they_cannot_pack():
+    x = constant_config(2, 1)
+    with pytest.raises(ValueError):
+        x.rows(FiniteSubset([(0, 0), (2, 2)]))
+    with pytest.raises(ValueError):
+        x.rows(FiniteSubset.box((0,), (3,)))
+    with pytest.raises(ValueError):
+        constant_config(2, 1, alphabet=3).rows(FiniteSubset.box((0, 0), (1, 1)))
+    with pytest.raises(ValueError):
+        constant_config(3, 1).rows(FiniteSubset.box((0, 0, 0), (1, 1, 1)))
+
+
+# --- the periodicity check of PeriodicOrbitMeasure --------------------------
+
+def test_orbit_check_runs_on_large_diagonal_lattices():
+    x = resolve_example_name("prime-approx:5")
+    orbit = PeriodicOrbitMeasure.from_config(x)
+    assert orbit.lattice.index == 2310**2
+
+
+@pytest.mark.parametrize("site", [(3, 4), (0, 5), (5, 0)])
+def test_orbit_check_rejects_a_broken_period(site):
+    x = resolve_example_name("prime-approx:2")
+    broken = patched_config(x, {site: 1 - x.value(site)})
+    with pytest.raises(ValueError, match="not periodic"):
+        PeriodicOrbitMeasure(broken, Lattice.diagonal(6, dim=2))
+
+
+@pytest.mark.parametrize("axis, gen", [(0, "(6, 0)"), (1, "(0, 6)")])
+def test_orbit_check_rejects_a_period_broken_along_one_axis(axis, gen):
+    stripes = predicate_config(
+        2, lambda g: g[axis] % 5 == 0, period_lattice=Lattice.diagonal(6, dim=2)
+    )
+    with pytest.raises(ValueError, match=f"generator {re.escape(gen)}"):
+        PeriodicOrbitMeasure.from_config(stripes)
+
+
+def test_orbit_check_rejects_false_period_of_large_index():
+    x = predicate_config(
+        2, lambda g: (g[0] + g[1]) % 7 == 0, period_lattice=Lattice.diagonal(317, dim=2)
+    )
+    assert x.period_lattice.index > 100_000
+    with pytest.raises(ValueError, match="not periodic"):
+        PeriodicOrbitMeasure.from_config(x)
+
+
+def test_orbit_check_refuses_large_non_diagonal_lattices():
+    lat = Lattice([[317, 1], [0, 317]])
+    x = predicate_config(2, lambda g: True, period_lattice=lat)
+    with pytest.raises(ValueError, match="cannot check"):
+        PeriodicOrbitMeasure.from_config(x)

@@ -1,12 +1,13 @@
 """Command-line runner: subcommands, config files, report files, exit codes."""
 
 import json
+import os
 import shutil
 import subprocess
 
 import pytest
 
-from shiftlab.cli import main
+from shiftlab.cli import _atomic_write, main
 
 
 def run(capsys, *argv):
@@ -179,12 +180,33 @@ def test_out_writes_file_atomically(tmp_path, capsys):
     assert list(tmp_path.glob("*.tmp")) == []
 
 
-def test_reports_are_byte_deterministic(tmp_path, capsys, monkeypatch):
+def test_failed_write_leaves_no_temp_file(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.mkdir()
+    code, _, err = run(
+        capsys, "transport", "--x", "rf-sub:1", "--z", "rf-sub:2", "--out", str(target)
+    )
+    assert code == 1 and "error" in err
+    assert list(tmp_path.iterdir()) == [target]
+    with pytest.raises(UnicodeEncodeError):
+        _atomic_write(str(tmp_path / "report.json"), "\ud800")
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_written_report_gets_the_default_file_mode(tmp_path):
+    umask = os.umask(0o022)
+    try:
+        _atomic_write(str(tmp_path / "r.json"), "{}\n")
+    finally:
+        os.umask(umask)
+    assert (tmp_path / "r.json").stat().st_mode & 0o777 == 0o644
+
+
+def test_reports_are_byte_deterministic(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     argv = ["glue-check", "--trials", "4", "--seed", "9"]
     assert main(argv + ["--out", str(a)]) == 0
-    monkeypatch.setenv("LAB_THREADS", "4")
     assert main(argv + ["--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
