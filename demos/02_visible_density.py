@@ -10,7 +10,7 @@ v = visible_points_config()
 F = make_box_folner(2, kind="centered")
 target = 6 / math.pi**2
 
-trace = upper_density(lambda g: v.value(g) == 1, F, [50, 100, 200, 400])
+trace = upper_density(v.indicator(1), F, [50, 100, 200, 400])
 print(f"analytic target 6/pi^2 = {target:.6f}\n")
 print("n      density     error")
 for row in trace.rows:

@@ -68,7 +68,6 @@ from .measures import (
     GenericityReport,
     MeasureSet,
     PatternDistribution,
-    PROKHOROV_RESOLUTION,
     empirical_measure,
     genericity_check,
     hausdorff_prokhorov,

@@ -203,10 +203,6 @@ def _report(command: str, config: dict, body: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _dist_json(dist: PatternDistribution) -> dict:
-    return json.loads(dist.to_json())
-
-
 # --- subcommand implementations -------------------------------------------
 
 
@@ -297,7 +293,7 @@ def _cmd_empirical(args) -> int:
     F = make_box_folner(x.dim, cfg["kind"])
     W = FiniteSubset.box((0,) * x.dim, (cfg["window"] - 1,) * x.dim)
     dist = empirical_measure(x, F.set_at(cfg["N"]), W)
-    _emit(_report("empirical", cfg, {"distribution": _dist_json(dist)}), args.out)
+    _emit(_report("empirical", cfg, {"distribution": dist.to_dict()}), args.out)
     return 0
 
 
@@ -334,7 +330,7 @@ def _cmd_omega(args) -> int:
     reps = omega_hat_approx(x, F, cfg["n-list"], W, cfg["merge-tol"])
     _emit(
         _report("omega", cfg, {
-            "representatives": [_dist_json(m) for m in reps.members],
+            "representatives": [m.to_dict() for m in reps.members],
             "count": len(reps.members),
         }),
         args.out,
@@ -364,7 +360,7 @@ def _cmd_transport(args) -> int:
         _report("transport", cfg, {
             "value": _frac(res.value),
             "certified": certified,
-            "coupling": json.loads(res.coupling.to_json()),
+            "coupling": res.coupling.to_dict(),
         }),
         args.out,
     )

@@ -427,12 +427,16 @@ def shift(g: Point, x: Configuration) -> Configuration:
     """Left shift action: (g.x)(h) = x(h + g)."""
     if len(g) != x.dim:
         raise InvalidDimensionError("shift by point of wrong dimension")
+    def rows(lo: Point, hi: Point) -> list[int]:
+        return x.rows(FiniteSubset.box(compose(lo, g), compose(hi, g)))
+
     return Configuration(
         x.dim,
         x.alphabet,
         lambda h: x.value(compose(h, g)),
         kind=x.kind,
         period_lattice=x.period_lattice,
+        rows=rows,
     )
 
 
@@ -534,6 +538,20 @@ def default_metric(dim: int) -> AdmissibleMetric:
     )
 
 
+def common_metric(
+    x: Configuration, z: Configuration, metric: AdmissibleMetric | None
+) -> AdmissibleMetric:
+    """The metric to compare x and z with (the default one when None),
+    after checking that x, z and the metric share one dimension."""
+    if x.dim != z.dim:
+        raise InvalidDimensionError("configurations of different dimension")
+    if metric is None:
+        metric = default_metric(x.dim)
+    if metric.dim != x.dim:
+        raise InvalidDimensionError("metric dimension does not match configurations")
+    return metric
+
+
 def config_distance(
     x: Configuration,
     z: Configuration,
@@ -545,12 +563,7 @@ def config_distance(
     lo sums weights of observed mismatches within the ball; hi adds the
     declared tail bound, clamped at the metric's total mass ceiling 1.
     """
-    if x.dim != z.dim:
-        raise InvalidDimensionError("configurations of different dimension")
-    if metric is None:
-        metric = default_metric(x.dim)
-    if metric.dim != x.dim:
-        raise InvalidDimensionError("metric dimension does not match configurations")
+    metric = common_metric(x, z, metric)
     lo = Fraction(0)
     for p, w in metric.ball_weights(radius):
         if x.value(p) != z.value(p):

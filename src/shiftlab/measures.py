@@ -1,11 +1,11 @@
 """Empirical pattern measures and Prokhorov-style comparisons.
 
 A PatternDistribution is an exact rational probability vector over the
-patterns of a fixed finite window.  Prokhorov distances are computed by
-exact Strassen feasibility tests (maximum bipartite flow in Fraction
-arithmetic) wrapped in a dyadic binary search; the exact-zero case is
-decided without any search, so period-aligned empirical measures compare
-to orbit marginals at literal distance 0.
+patterns of a fixed finite window.  Prokhorov distances are exact: by
+Strassen's theorem the coupled mass (a maximum bipartite flow in Fraction
+arithmetic) changes only at the pairwise pattern distances, so a binary
+search over those finitely many levels returns the infimum itself, not
+an approximation to it.  Equal distributions compare at literal distance 0.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ from .groups import FiniteSubset, FolnerSequence, Point, compose
 
 Pattern = tuple[int, ...]
 PatternCost = Callable[[Pattern, Pattern], Fraction]
-
-PROKHOROV_RESOLUTION = Fraction(1, 10**6)
-
 
 class PatternDistribution:
     """Probability distribution over patterns of one finite window.
@@ -107,16 +104,17 @@ class PatternDistribution:
         keys = set(self.weights) | set(other.weights)
         return sum((abs(self.mass(k) - other.mass(k)) for k in keys), Fraction(0)) / 2
 
+    def to_dict(self) -> dict:
+        return {
+            "window": [list(p) for p in self.sites],
+            "weights": [
+                [list(pat), w.numerator, w.denominator]
+                for pat, w in sorted(self.weights.items())
+            ],
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "window": [list(p) for p in self.sites],
-                "weights": [
-                    [list(pat), w.numerator, w.denominator]
-                    for pat, w in sorted(self.weights.items())
-                ],
-            }
-        )
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "PatternDistribution":
@@ -255,28 +253,23 @@ def _max_flow(capacity: dict[int, dict[int, Fraction]], source: int, sink: int) 
         flow += bottleneck
 
 
-def _strassen_feasible(
-    mu: PatternDistribution,
-    nu: PatternDistribution,
-    dist: PatternCost,
+def _coupled_mass(
+    a: Sequence[Fraction],
+    b: Sequence[Fraction],
+    d: Sequence[Sequence[Fraction]],
     eps: Fraction,
-) -> bool:
-    """Exact test of: exists coupling shipping mass >= 1 - eps across pairs
-    at distance <= eps (Strassen's condition for the Prokhorov metric)."""
-    left = mu.support()
-    right = nu.support()
-    source, sink = 0, 1
-    capacity: dict[int, dict[int, Fraction]] = {source: {}, sink: {}}
-    for i, p in enumerate(left):
-        capacity[source][2 + i] = mu.weights[p]
-    for j, q in enumerate(right):
-        capacity.setdefault(2 + len(left) + j, {})[sink] = nu.weights[q]
-    for i, p in enumerate(left):
-        row = capacity.setdefault(2 + i, {})
-        for j, q in enumerate(right):
-            if dist(p, q) <= eps:
-                row[2 + len(left) + j] = Fraction(1)
-    return _max_flow(capacity, source, sink) >= 1 - eps
+) -> Fraction:
+    """Largest mass a coupling of the weight vectors a and b can put on the
+    pairs (i, j) with d[i][j] <= eps (a maximum bipartite flow)."""
+    source, sink, m = 0, 1, len(a)
+    capacity: dict[int, dict[int, Fraction]] = {
+        source: {2 + i: w for i, w in enumerate(a)}, sink: {}
+    }
+    for j, w in enumerate(b):
+        capacity[2 + m + j] = {sink: w}
+    for i, row in enumerate(d):
+        capacity[2 + i] = {2 + m + j: Fraction(1) for j, dij in enumerate(row) if dij <= eps}
+    return _max_flow(capacity, source, sink)
 
 
 def _resolve_cost(
@@ -299,27 +292,42 @@ def prokhorov_distance(
     metric: AdmissibleMetric | None = None,
     *,
     dist_fn: PatternCost | None = None,
-    resolution: Fraction = PROKHOROV_RESOLUTION,
 ) -> Fraction:
-    """Smallest feasible Prokhorov epsilon, to the given resolution.
+    """Exact Prokhorov distance: the least eps in [0, 1] such that some
+    coupling puts mass >= 1 - eps on pairs at distance <= eps.
 
     The default pattern metric is the truncated admissible metric on the
-    common window; pass dist_fn to override.  Exact zero is decided by a
-    single feasibility test, so equal distributions return Fraction(0); the
-    general case binary-searches dyadic rationals and returns a certified
-    FEASIBLE epsilon within `resolution` of the infimum.
+    common window; pass dist_fn to override.  The coupled mass M(eps) is a
+    step function that moves only at the pairwise distances, so a binary
+    search over those levels (and 0) finds the first feasible level k; the
+    infimum is then min(level k, 1 - M(level k-1)), attained either way,
+    with level k read as 1 when no level is feasible.
     """
     dist = _resolve_cost(mu, nu, metric, dist_fn)
-    if _strassen_feasible(mu, nu, dist, Fraction(0)):
-        return Fraction(0)
-    lo, hi = Fraction(0), Fraction(1)
-    while hi - lo > resolution:
-        mid = (lo + hi) / 2
-        if _strassen_feasible(mu, nu, dist, mid):
+    left, right = mu.support(), nu.support()
+    a = [mu.weights[p] for p in left]
+    b = [nu.weights[q] for q in right]
+    d = [[dist(p, q) for q in right] for p in left]
+    levels = [Fraction(0)] + sorted({x for row in d for x in row if 0 < x < 1})
+    mass: dict[int, Fraction] = {}
+
+    def coupled(k: int) -> Fraction:
+        if k not in mass:
+            mass[k] = _coupled_mass(a, b, d, levels[k])
+        return mass[k]
+
+    # feasibility, levels[k] >= 1 - M(levels[k]), is monotone in k
+    lo, hi = 0, len(levels)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if levels[mid] >= 1 - coupled(mid):
             hi = mid
         else:
-            lo = mid
-    return hi
+            lo = mid + 1
+    best = levels[lo] if lo < len(levels) else Fraction(1)
+    if lo > 0:
+        best = min(best, 1 - coupled(lo - 1))
+    return best
 
 
 def hausdorff_prokhorov(
@@ -328,7 +336,6 @@ def hausdorff_prokhorov(
     metric: AdmissibleMetric | None = None,
     *,
     dist_fn: PatternCost | None = None,
-    resolution: Fraction = PROKHOROV_RESOLUTION,
 ) -> Fraction:
     """max(sup_s inf_t, sup_t inf_s) of pairwise Prokhorov distances."""
     s_members = list(S.members if isinstance(S, MeasureSet) else S)
@@ -336,10 +343,7 @@ def hausdorff_prokhorov(
     if not s_members or not t_members:
         raise ValueError("Hausdorff distance of an empty measure set")
     table = [
-        [
-            prokhorov_distance(s, t, metric, dist_fn=dist_fn, resolution=resolution)
-            for t in t_members
-        ]
+        [prokhorov_distance(s, t, metric, dist_fn=dist_fn) for t in t_members]
         for s in s_members
     ]
     forward = max(min(row) for row in table)

@@ -20,6 +20,7 @@ import io
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import ceil, lcm
 from operator import add, sub
@@ -30,8 +31,9 @@ from .configs import (
     AdmissibleMetric,
     Configuration,
     Indicator,
+    Lattice,
     box_tiles,
-    default_metric,
+    common_metric,
     row_bits,
     rows_available,
 )
@@ -214,16 +216,6 @@ def _lower_sums(
     return [f.numerator * (den // f.denominator) for f in los], den
 
 
-def _common_metric(x: Configuration, z: Configuration, metric: AdmissibleMetric | None) -> AdmissibleMetric:
-    if x.dim != z.dim:
-        raise InvalidDimensionError("configurations of different dimension")
-    if metric is None:
-        metric = default_metric(x.dim)
-    if metric.dim != x.dim:
-        raise InvalidDimensionError("metric dimension does not match configurations")
-    return metric
-
-
 def besicovitch_estimate(
     x: Configuration,
     z: Configuration,
@@ -237,7 +229,7 @@ def besicovitch_estimate(
     Summands are exact rationals, so the reduction order is immaterial and
     per-g terms could be evaluated in parallel without changing the result.
     """
-    metric = _common_metric(x, z, metric)
+    metric = common_metric(x, z, metric)
     window = F.set_at(n)
     nums, den = _lower_sums(x, z, window, metric, radius)
     tail = Fraction(metric.tail_bound(radius))
@@ -272,6 +264,7 @@ class DPrimeEstimate:
     saturated: bool
 
 
+@lru_cache(maxsize=1)
 def default_delta_grid() -> tuple[Fraction, ...]:
     """{1.0001} followed by {k/200}, descending."""
     return (Fraction(10001, 10000),) + tuple(Fraction(k, 200) for k in range(200, 0, -1))
@@ -293,7 +286,7 @@ def besicovitch_prime_estimate(
     is well defined; when no grid value is feasible the grid maximum comes
     back with saturated=True.
     """
-    metric = _common_metric(x, z, metric)
+    metric = common_metric(x, z, metric)
     if delta_grid is None:
         delta_grid = default_delta_grid()
     grid = sorted(Fraction(d) for d in delta_grid)
@@ -313,16 +306,19 @@ def besicovitch_prime_estimate(
     return DPrimeEstimate(grid[-1], True)
 
 
+def mismatch_density(x: Configuration, z: Configuration, window: FiniteSubset) -> Fraction:
+    """Exact |{f in window : x(f) != z(f)}| / |window|."""
+    if rows_available(window, x, z):
+        return Fraction(_mismatches(x, z, window), len(window))
+    xv, zv = x.value, z.value
+    return Fraction(sum(1 for f in window if xv(f) != zv(f)), len(window))
+
+
 def dbar_estimate(x: Configuration, z: Configuration, F: FolnerSequence, n: int) -> Fraction:
     """Exact mismatch density |{f in F_n : x(f) != z(f)}| / |F_n|."""
     if x.dim != z.dim:
         raise InvalidDimensionError("configurations of different dimension")
-    window = F.set_at(n)
-    if rows_available(window, x, z):
-        return Fraction(_mismatches(x, z, window), len(window))
-    xv, zv = x.value, z.value
-    bad = sum(1 for f in window if xv(f) != zv(f))
-    return Fraction(bad, len(window))
+    return mismatch_density(x, z, F.set_at(n))
 
 
 def dbar_trace(
@@ -335,25 +331,25 @@ def dbar_trace(
     return EstimateTrace(rows)
 
 
-def exact_mismatch_density(x: Configuration, z: Configuration) -> Fraction:
-    """Exact dbar limit for two periodic configurations.
+def joint_period_box(la: Lattice, lb: Lattice) -> FiniteSubset:
+    """A box [0, M_1) x ... x [0, M_d) that is a full period of both lattices.
 
-    Averages mismatches over one joint period: M Z^d is a common sublattice
-    of both period lattices when M is the lcm of their indices, so the box
-    [0, M)^d is a full joint period.
+    With diagonal bases M_i is the lcm of the two moduli on axis i;
+    otherwise every M_i is the lcm M of the indices, since M Z^d is a
+    common sublattice of both.
     """
+    if la.moduli is not None and lb.moduli is not None:
+        axes = tuple(lcm(a, b) for a, b in zip(la.moduli, lb.moduli))
+    else:
+        axes = (lcm(la.index, lb.index),) * la.dim
+    return FiniteSubset.box((0,) * la.dim, tuple(m - 1 for m in axes))
+
+
+def exact_mismatch_density(x: Configuration, z: Configuration) -> Fraction:
+    """Exact dbar limit for two periodic configurations: the mismatch
+    density over one joint period box of their declared lattices."""
     if x.dim != z.dim:
         raise InvalidDimensionError("configurations of different dimension")
     if x.period_lattice is None or z.period_lattice is None:
         raise ValueError("exact density needs two periodic configurations")
-    la, lb = x.period_lattice, z.period_lattice
-    if la.moduli is not None and lb.moduli is not None:
-        axes = tuple(lcm(a, b) for a, b in zip(la.moduli, lb.moduli))
-    else:
-        axes = (lcm(la.index, lb.index),) * x.dim
-    period_box = FiniteSubset.box((0,) * x.dim, tuple(m - 1 for m in axes))
-    if rows_available(period_box, x, z):
-        return Fraction(_mismatches(x, z, period_box), len(period_box))
-    xv, zv = x.value, z.value
-    bad = sum(1 for f in period_box if xv(f) != zv(f))
-    return Fraction(bad, len(period_box))
+    return mismatch_density(x, z, joint_period_box(x.period_lattice, z.period_lattice))

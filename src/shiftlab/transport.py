@@ -21,7 +21,14 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Mapping, Sequence
 
-from .configs import AdmissibleMetric, Configuration, Lattice, default_metric, rows_available
+from .configs import (
+    AdmissibleMetric,
+    Configuration,
+    Lattice,
+    default_metric,
+    rows_available,
+    shift,
+)
 from .errors import (
     IncompatibleMiddleError,
     IncompatibleWindowsError,
@@ -30,7 +37,7 @@ from .errors import (
 )
 from .groups import FiniteSubset, FolnerSequence, Point, compose
 from .measures import PatternDistribution, empirical_measure, pattern_metric
-from .metrics import dbar_estimate
+from .metrics import dbar_estimate, joint_period_box, mismatch_density
 
 Pattern = tuple[int, ...]
 CostFn = Callable[[Pattern, Pattern], Fraction]
@@ -75,16 +82,17 @@ class Coupling:
             Fraction(0),
         )
 
+    def to_dict(self) -> dict:
+        return {
+            "window": [list(s) for s in self.left.sites],
+            "pairs": [
+                [list(p), list(q), w.numerator, w.denominator]
+                for (p, q), w in sorted(self.weights.items())
+            ],
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "window": [list(s) for s in self.left.sites],
-                "pairs": [
-                    [list(p), list(q), w.numerator, w.denominator]
-                    for (p, q), w in sorted(self.weights.items())
-                ],
-            }
-        )
+        return json.dumps(self.to_dict())
 
     def __repr__(self) -> str:
         return f"Coupling({len(self.weights)} atoms)"
@@ -501,18 +509,7 @@ class PeriodicOrbitMeasure:
         return [self.block_marginal(W) for W in windows]
 
 
-def _joint_period_axes(a: PeriodicOrbitMeasure, b: PeriodicOrbitMeasure) -> tuple[int, ...]:
-    la, lb = a.lattice, b.lattice
-    if la.moduli is not None and lb.moduli is not None:
-        return tuple(lcm(p, q) for p, q in zip(la.moduli, lb.moduli))
-    return (lcm(la.index, lb.index),) * la.dim
-
-
-def periodic_rho_oracle(
-    a: PeriodicOrbitMeasure,
-    b: PeriodicOrbitMeasure,
-    cost_kind: str = "hamming-per-site",
-) -> Fraction:
+def periodic_rho_oracle(a: PeriodicOrbitMeasure, b: PeriodicOrbitMeasure) -> Fraction:
     """Exact joining infimum for two periodic orbit measures.
 
     Every ergodic joining of two periodic systems is the uniform orbit
@@ -520,29 +517,16 @@ def periodic_rho_oracle(
     frequency over one joint period, taken over all shifts in a joint
     fundamental domain, is the exact value.
     """
-    if cost_kind != "hamming-per-site":
-        raise ValueError(f"unsupported cost kind {cost_kind!r}")
     if a.lattice.dim != b.lattice.dim:
         raise InvalidDimensionError("orbit measures in different dimensions")
-    axes = _joint_period_axes(a, b)
-    box = FiniteSubset.box((0,) * len(axes), tuple(m - 1 for m in axes))
-    size = len(box)
-    if size * size > 10**8:
-        raise ValueError(f"joint period {size} too large for shift enumeration")
-    xv = a.config.value
-    zv = b.config.value
-    xs = {p: xv(p) for p in box}
-    # z values are needed on box + box; evaluate once
-    big = FiniteSubset.box((0,) * len(axes), tuple(2 * m - 2 for m in axes))
-    zs = {p: zv(p) for p in big}
-    best: Fraction | None = None
+    box = joint_period_box(a.lattice, b.lattice)
+    if len(box) ** 2 > 10**8:
+        raise ValueError(f"joint period {len(box)} too large for shift enumeration")
+    best = Fraction(1)
     for s in box:
-        bad = sum(1 for p in box if xs[p] != zs[compose(p, s)])
-        val = Fraction(bad, size)
-        if best is None or val < best:
-            best = val
-            if best == 0:
-                break
+        best = min(best, mismatch_density(a.config, shift(s, b.config), box))
+        if best == 0:
+            break
     return best
 
 

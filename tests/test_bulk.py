@@ -25,6 +25,7 @@ from shiftlab.configs import (
     periodic_config,
     predicate_config,
     rows_available,
+    shift,
 )
 from shiftlab.examples import random_config, resolve_example_name
 from shiftlab.groups import FiniteSubset, custom_folner, make_box_folner
@@ -36,7 +37,7 @@ from shiftlab.metrics import (
     exact_mismatch_density,
     upper_density,
 )
-from shiftlab.transport import PeriodicOrbitMeasure
+from shiftlab.transport import PeriodicOrbitMeasure, periodic_rho_oracle
 
 NAMES = {
     1: [f"rf-sub:{k}" for k in range(1, 7)] + ["constant", "periodic", "random", "patched"],
@@ -112,6 +113,8 @@ def test_rows_match_site_rule(data):
     F, n = data.draw(windows(dim, 70 if dim == 1 else 30))
     box = F.set_at(n)
     assert x.rows(box) == site_rows(x, box)
+    y = shift(tuple(data.draw(st.integers(-20, 20)) for _ in range(dim)), x)
+    assert y.rows(box) == site_rows(y, box)
 
 
 @pytest.mark.parametrize("name", ["visible"] + [f"prime-approx:{n}" for n in range(1, 6)])
@@ -149,6 +152,25 @@ def test_exact_mismatch_density_matches_per_site(data):
     box = FiniteSubset.box((0,) * dim, tuple(m - 1 for m in axes))
     bad = sum(1 for g in box if x.value(g) != z.value(g))
     assert exact_mismatch_density(x, z) == Fraction(bad, len(box))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_periodic_oracle_matches_per_site_minimum(data):
+    names = {1: ["rf-sub:1", "rf-sub:2", "rf-sub:3", "rf-sub:4", "constant", "periodic"],
+             2: ["prime-approx:1", "prime-approx:2", "constant", "periodic"]}
+    dim, x, z = data.draw(pairs(names))
+    # an offset copy keeps the best relative shift away from 0
+    z = shift(tuple(data.draw(st.integers(-20, 20)) for _ in range(dim)), z)
+    axes = tuple(lcm(a, b) for a, b in zip(x.period_lattice.moduli, z.period_lattice.moduli))
+    box = FiniteSubset.box((0,) * dim, tuple(m - 1 for m in axes))
+    xs = {g: x.value(g) for g in box}
+    best = min(
+        sum(1 for g in box if xs[g] != z.value(tuple(a + b for a, b in zip(g, s))))
+        for s in box
+    )
+    oa, oz = PeriodicOrbitMeasure.from_config(x), PeriodicOrbitMeasure.from_config(z)
+    assert periodic_rho_oracle(oa, oz) == Fraction(best, len(box))
 
 
 @settings(max_examples=60, deadline=None)

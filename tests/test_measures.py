@@ -1,5 +1,6 @@
 """Empirical pattern distributions, Prokhorov distances, genericity checks."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,11 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab.configs import constant_config, predicate_config, shift, word_config
+from shiftlab.configs import (
+    constant_config,
+    default_metric,
+    predicate_config,
+    shift,
+    word_config,
+)
 from shiftlab.errors import IncompatibleWindowsError
 from shiftlab.groups import FiniteSubset, make_box_folner
 from shiftlab.measures import (
-    PROKHOROV_RESOLUTION,
     MeasureSet,
     PatternDistribution,
     empirical_measure,
@@ -114,14 +120,14 @@ def test_prokhorov_of_diracs_matches_pattern_distance():
     nu = PatternDistribution(W0, {(1,): ONE})
     quarter = lambda p, q: Fraction(0) if p == q else Fraction(1, 4)
     val = prokhorov_distance(mu, nu, dist_fn=quarter)
-    assert abs(val - Fraction(1, 4)) <= PROKHOROV_RESOLUTION
+    assert val == Fraction(1, 4)
 
 
 def test_prokhorov_mass_split_example():
     mu = PatternDistribution(W0, {(0,): ONE})
     nu = PatternDistribution(W0, {(0,): Fraction(9, 10), (1,): Fraction(1, 10)})
     val = prokhorov_distance(mu, nu, dist_fn=flat_cost)
-    assert abs(val - Fraction(1, 10)) <= PROKHOROV_RESOLUTION
+    assert val == Fraction(1, 10)
 
 
 def test_prokhorov_rejects_window_mismatch():
@@ -142,7 +148,6 @@ def _random_distribution(rng, window, patterns):
 def test_prokhorov_symmetry_triangle_and_tv_bound():
     rng = random.Random(99)
     patterns = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    two_res = 2 * PROKHOROV_RESOLUTION
     for _ in range(8):
         mu = _random_distribution(rng, W2, patterns)
         nu = _random_distribution(rng, W2, patterns)
@@ -152,7 +157,7 @@ def test_prokhorov_symmetry_triangle_and_tv_bound():
         assert d_mn <= mu.tv_distance(nu)
         d_me = prokhorov_distance(mu, eta)
         d_en = prokhorov_distance(eta, nu)
-        assert d_mn <= d_me + d_en + two_res
+        assert d_mn <= d_me + d_en
 
 
 def test_prokhorov_shift_consistency_bound():
@@ -165,6 +170,60 @@ def test_prokhorov_shift_consistency_bound():
             emp_shift = empirical_measure(shift(g, x), Fn, W0)
             bound = Fraction(Fn.sym_diff_size(Fn.translate(g)), len(Fn))
             assert prokhorov_distance(emp, emp_shift) <= bound
+
+
+def _feasible(mu, nu, dist, eps):
+    """Strassen's condition by subsets: mu(A) <= nu(A^eps) + eps for every
+    set A of mu's support, A^eps the patterns of nu within eps of A."""
+    left, right = mu.support(), nu.support()
+    for k in range(1, len(left) + 1):
+        for A in itertools.combinations(left, k):
+            near = [q for q in right if any(dist(p, q) <= eps for p in A)]
+            if sum(mu.weights[p] for p in A) > sum(nu.weights[q] for q in near) + eps:
+                return False
+    return True
+
+
+@st.composite
+def prokhorov_cases(draw):
+    """Two distributions on a window of 1-3 sites and a pattern distance:
+    the default metric, or a symmetric table with values up to 3/2."""
+    width = draw(st.integers(1, 3))
+    W = FiniteSubset.box((0,), (width - 1,))
+    patterns = list(itertools.product((0, 1), repeat=width))
+
+    def draw_distribution():
+        support = draw(st.lists(st.sampled_from(patterns), min_size=1, unique=True))
+        den = draw(st.integers(2, 101))
+        cuts = sorted(draw(st.lists(st.integers(0, den), min_size=len(support) - 1,
+                                    max_size=len(support) - 1)))
+        parts = [b - a for a, b in zip([0] + cuts, cuts + [den])]
+        weights = {p: Fraction(c, den) for p, c in zip(support, parts) if c}
+        return PatternDistribution(W, weights)
+
+    mu, nu = draw_distribution(), draw_distribution()
+    if draw(st.booleans()):
+        return mu, nu, pattern_metric(W, default_metric(1))
+    table = {
+        (p, q): Fraction(draw(st.integers(1, 30)), 20)
+        for i, p in enumerate(patterns) for q in patterns[i + 1:]
+    }
+    return mu, nu, lambda p, q: Fraction(0) if p == q else table[min(p, q), max(p, q)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=prokhorov_cases())
+def test_prokhorov_is_the_least_feasible_epsilon(case):
+    mu, nu, dist = case
+    r = prokhorov_distance(mu, nu, dist_fn=dist)
+    assert 0 <= r <= 1
+    assert r == prokhorov_distance(nu, mu, dist_fn=dist)
+    assert _feasible(mu, nu, dist, r)
+    below = {dist(p, q) for p in mu.support() for q in nu.support()}
+    below = {d for d in below if 0 <= d < r}
+    if r > 0:
+        below.add(r - Fraction(1, 2**60))
+    assert not any(_feasible(mu, nu, dist, eps) for eps in below)
 
 
 # --- hausdorff_prokhorov ----------------------------------------------------
@@ -238,12 +297,10 @@ def test_genericity_fails_for_wrong_target():
     target = PatternDistribution(W0, {(0,): HALF, (1,): HALF})
     report = genericity_check(x, F1, target, W0, [3, 7, 11], Fraction(1, 4))
     assert not report.passed
-    assert abs(report.final_distance - HALF) <= PROKHOROV_RESOLUTION
+    assert report.final_distance == HALF
 
 
 def test_pattern_metric_truncated_weights():
-    from shiftlab.configs import default_metric
-
     metric_fn = pattern_metric(W2, default_metric(1))
     # mismatches at sites 0 and 1 weigh 1/2 and 1/8 under the default family
     assert metric_fn((0, 0), (1, 0)) == HALF
