@@ -2,10 +2,11 @@
 
 A PatternDistribution is an exact rational probability vector over the
 patterns of a fixed finite window.  Prokhorov distances are exact: by
-Strassen's theorem the coupled mass (a maximum bipartite flow in Fraction
-arithmetic) changes only at the pairwise pattern distances, so a binary
-search over those finitely many levels returns the infimum itself, not
-an approximation to it.  Equal distributions compare at literal distance 0.
+Strassen's theorem the coupled mass (a maximum bipartite flow, run in
+integers at the common denominator of the masses) changes only at the
+pairwise pattern distances, so a binary search over those finitely many
+levels returns the infimum itself, not an approximation to it.  Equal
+distributions compare at literal distance 0.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .configs import (
@@ -218,14 +220,14 @@ def pattern_metric(
     return dist
 
 
-def _max_flow(capacity: dict[int, dict[int, Fraction]], source: int, sink: int) -> Fraction:
-    """Edmonds-Karp on a small graph with Fraction capacities."""
-    residual: dict[int, dict[int, Fraction]] = {}
+def _max_flow(capacity: dict[int, dict[int, int]], source: int, sink: int) -> int:
+    """Edmonds-Karp on a small graph with integer capacities."""
+    residual: dict[int, dict[int, int]] = {}
     for u, edges in capacity.items():
         for v, c in edges.items():
-            residual.setdefault(u, {})[v] = residual.get(u, {}).get(v, Fraction(0)) + c
-            residual.setdefault(v, {}).setdefault(u, Fraction(0))
-    flow = Fraction(0)
+            residual.setdefault(u, {})[v] = residual.get(u, {}).get(v, 0) + c
+            residual.setdefault(v, {}).setdefault(u, 0)
+    flow = 0
     while True:
         parent = {source: None}
         queue = deque([source])
@@ -260,16 +262,18 @@ def _coupled_mass(
     eps: Fraction,
 ) -> Fraction:
     """Largest mass a coupling of the weight vectors a and b can put on the
-    pairs (i, j) with d[i][j] <= eps (a maximum bipartite flow)."""
+    pairs (i, j) with d[i][j] <= eps (a maximum bipartite flow, run in
+    integers at the common denominator L of the weights)."""
+    L = lcm(*(w.denominator for w in (*a, *b)))
     source, sink, m = 0, 1, len(a)
-    capacity: dict[int, dict[int, Fraction]] = {
-        source: {2 + i: w for i, w in enumerate(a)}, sink: {}
+    capacity: dict[int, dict[int, int]] = {
+        source: {2 + i: int(w * L) for i, w in enumerate(a)}, sink: {}
     }
     for j, w in enumerate(b):
-        capacity[2 + m + j] = {sink: w}
+        capacity[2 + m + j] = {sink: int(w * L)}
     for i, row in enumerate(d):
-        capacity[2 + i] = {2 + m + j: Fraction(1) for j, dij in enumerate(row) if dij <= eps}
-    return _max_flow(capacity, source, sink)
+        capacity[2 + i] = {2 + m + j: L for j, dij in enumerate(row) if dij <= eps}
+    return Fraction(_max_flow(capacity, source, sink), L)
 
 
 def _resolve_cost(

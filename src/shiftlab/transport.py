@@ -3,17 +3,18 @@ pseudometric machinery built on it.
 
 The solver is a transportation simplex in Fraction arithmetic: northwest
 corner start, tree duals, Bland-rule pivoting, and a complementary
-slackness certificate checked on every solve.  A brute-force oracle
-enumerates integer contingency tables at a common denominator (the
-transportation polytope has integral vertices there, so the enumeration
-is exhaustive for the optimum).  The general joining infimum is computed
-only two honest ways: a monotone lower-bound chain from finite windows
-and an exact shift-enumeration oracle for periodic orbit measures.
+slackness certificate checked on every solve.  An independent oracle
+searches every integer contingency table at the common mass denominator
+(the transportation polytope has integral vertices there, so the search
+is exhaustive for the optimum) by branch and bound in integers, cutting a
+branch only on admissible row and column lower bounds.  The general
+joining infimum is computed only two honest ways: a monotone lower-bound
+chain from finite windows and an exact shift-enumeration oracle for
+periodic orbit measures.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections import defaultdict, deque
 from dataclasses import dataclass
@@ -252,7 +253,7 @@ def min_cost_transport(
     cols = nu.support()
     a = [mu.weights[p] for p in rows]
     b = [nu.weights[q] for q in cols]
-    C = [[Fraction(cost_fn(p, q)) for q in cols] for p in rows]
+    C = [[cost_fn(p, q) for q in cols] for p in rows]
     if any(c < 0 for row in C for c in row):
         raise ValueError("costs must be nonnegative")
     m, n = len(rows), len(cols)
@@ -317,14 +318,16 @@ def verify_transport_certificate(
     cost_fn = _as_cost_fn(cost)
     mu, nu = result.coupling.left, result.coupling.right
     u, v = result.row_potentials, result.col_potentials
-    for p in mu.support():
-        for q in nu.support():
-            if u[p] + v[q] > Fraction(cost_fn(p, q)):
-                return False
-    for (p, q), w in result.coupling.weights.items():
-        if w > 0 and u[p] + v[q] != Fraction(cost_fn(p, q)):
+    # every cost once, recomputed from `cost`, never taken from the solver
+    table = {(p, q): cost_fn(p, q) for p in mu.support() for q in nu.support()}
+    for (p, q), c in table.items():
+        if u[p] + v[q] > c:
             return False
-    primal = result.coupling.cost(cost_fn)
+    weights = result.coupling.weights
+    for (p, q), w in weights.items():
+        if w > 0 and u[p] + v[q] != table[(p, q)]:
+            return False
+    primal = sum((w * table[pq] for pq, w in weights.items()), Fraction(0))
     dual = sum((u[p] * w for p, w in mu.weights.items()), Fraction(0)) + sum(
         (v[q] * w for q, w in nu.weights.items()), Fraction(0)
     )
@@ -336,58 +339,76 @@ def brute_force_min_cost(
     nu: PatternDistribution,
     cost: CostFn | Mapping[tuple[Pattern, Pattern], Fraction],
 ) -> Fraction:
-    """Exhaustive minimum over integer contingency tables.
+    """Exhaustive minimum over integer contingency tables, by branch and bound.
 
     At the common denominator D of all marginal masses the transportation
     polytope has integer-numerator vertices, so scanning integer tables
-    with the prescribed margins finds the exact optimum.  Exponential in
-    the support sizes; intended as an oracle for small instances.
+    with the prescribed margins finds the exact optimum.  Costs are scaled
+    to integers by the lcm E of their denominators and the search runs in
+    ints, returning best / (D E).  A branch is cut only when an admissible
+    lower bound on its completions reaches the incumbent: the larger of
+    the row bound (every unit left in rows i.. at its row's minimum cost)
+    and the column bound (every unit a column still needs at that column's
+    minimum over rows i..); inside a row, the mass left in the row at its
+    cheapest remaining cost plus the row bound of the later rows.  Rows try
+    their columns cheapest first and cells their largest mass first.  Uses
+    nothing from the simplex.  Exponential in the support sizes; intended
+    as an oracle for small instances.
     """
     if not mu.same_window(nu):
         raise IncompatibleWindowsError("transport across different windows")
     cost_fn = _as_cost_fn(cost)
-    rows = mu.support()
-    cols = nu.support()
-    D = 1
-    for w in list(mu.weights.values()) + list(nu.weights.values()):
-        D = lcm(D, w.denominator)
+    rows, cols = mu.support(), nu.support()
+    D = lcm(*(w.denominator for w in (*mu.weights.values(), *nu.weights.values())))
     r = [int(mu.weights[p] * D) for p in rows]
-    c = [int(nu.weights[q] * D) for q in cols]
-    C = [[Fraction(cost_fn(p, q)) for q in cols] for p in rows]
-    n = len(cols)
-    best: list[Fraction | None] = [None]
+    rem = [int(nu.weights[q] * D) for q in cols]
+    C = [[cost_fn(p, q) for q in cols] for p in rows]
+    E = lcm(*(x.denominator for row in C for x in row))
+    K = [[int(x * E) for x in row] for row in C]
+    m, n = len(rows), len(cols)
+    order = [sorted(range(n), key=row.__getitem__) for row in K]
+    # row_tail[i]: the row bound of rows i..; col_min[i][j]: min of column j over rows i..
+    row_tail = [0] * (m + 1)
+    for i in reversed(range(m)):
+        row_tail[i] = row_tail[i + 1] + r[i] * min(K[i])
+    col_min = K[:]
+    for i in reversed(range(m - 1)):
+        col_min[i] = list(map(min, K[i], col_min[i + 1]))
+    # strictly above the cost of every table
+    unset = best = sum(ri * max(row) for ri, row in zip(r, K)) + 1
 
-    def fill(i: int, rem_cols: tuple[int, ...], acc: Fraction) -> None:
-        if best[0] is not None and acc >= best[0]:
+    def fill(i: int, acc: int) -> None:
+        nonlocal best
+        if i == m:
+            if not any(rem):
+                best = acc
             return
-        if i == len(rows):
-            if all(x == 0 for x in rem_cols):
-                best[0] = acc
-            return
-        target = r[i]
+        need = sum(x * cm for x, cm in zip(rem, col_min[i]))
+        if acc + max(row_tail[i], need) < best:
+            place(i, 0, r[i], acc)
 
-        def comp(j: int, left: int, rem: tuple[int, ...], cur: Fraction) -> None:
-            if best[0] is not None and cur >= best[0]:
-                return
-            if j == n - 1:
-                if left <= rem[j]:
-                    new_rem = rem[:j] + (rem[j] - left,)
-                    fill(i + 1, new_rem, cur + left * C[i][j] / D)
-                return
-            for t in range(min(left, rem[j]) + 1):
-                comp(
-                    j + 1,
-                    left - t,
-                    rem[:j] + (rem[j] - t,) + rem[j + 1 :],
-                    cur + t * C[i][j] / D,
-                )
+    def place(i: int, k: int, left: int, acc: int) -> None:
+        j = order[i][k]
+        cij = K[i][j]
+        last = k + 1 == n
+        nxt = 0 if last else K[i][order[i][k + 1]]
+        tail = row_tail[i + 1]
+        for t in range(min(left, rem[j]), -1, -1):
+            rest, cur = left - t, acc + t * cij
+            # cutting here cuts every smaller t: cur + rest * nxt only grows
+            if rest and (last or cur + rest * nxt + tail >= best):
+                break
+            rem[j] -= t
+            if rest:
+                place(i, k + 1, rest, cur)
+            else:
+                fill(i + 1, cur)
+            rem[j] += t
 
-        comp(0, target, rem_cols, acc)
-
-    fill(0, tuple(c), Fraction(0))
-    if best[0] is None:
+    fill(0, 0)
+    if best == unset:
         raise AssertionError("no feasible table; marginals inconsistent")
-    return best[0]
+    return Fraction(best, D * E)
 
 
 def glue_couplings(pi12: Coupling, pi23: Coupling) -> Coupling:

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab.configs import Lattice, constant_config, periodic_config, shift, word_config
 from shiftlab.errors import (
@@ -135,6 +138,84 @@ def test_transport_matches_brute_force_on_seeded_instances():
         result = min_cost_transport(m1, m2, ham)
         assert result.value == brute_force_min_cost(m1, m2, ham)
         assert verify_transport_certificate(result, ham)
+
+
+def _tables(total, caps):
+    """Every split of `total` into len(caps) integer cells, cell j <= caps[j]."""
+    if len(caps) == 1:
+        if total <= caps[0]:
+            yield (total,)
+        return
+    for t in range(min(total, caps[0]) + 1):
+        for rest in _tables(total - t, caps[1:]):
+            yield (t,) + rest
+
+
+def _every_table_minimum(mu, nu, cost):
+    """Unpruned reference: the least cost over every integer table at the
+    common denominator, summed in Fractions."""
+    rows, cols = mu.support(), nu.support()
+    D = lcm(*(w.denominator for w in (*mu.weights.values(), *nu.weights.values())))
+    best = None
+
+    def fill(i, rem, acc):
+        nonlocal best
+        if i == len(rows):
+            if not any(rem):
+                best = acc if best is None else min(best, acc)
+            return
+        for cells in _tables(int(mu.weights[rows[i]] * D), rem):
+            step = sum(Fraction(t, D) * cost[(rows[i], q)] for t, q in zip(cells, cols))
+            fill(i + 1, [x - t for x, t in zip(rem, cells)], acc + step)
+
+    fill(0, [int(nu.weights[q] * D) for q in cols], Fraction(0))
+    return best
+
+
+@st.composite
+def _small_dist(draw, den):
+    size = draw(st.integers(1, min(4, den)))
+    symbols = draw(st.lists(st.integers(0, 5), min_size=size, max_size=size, unique=True))
+    cuts = sorted(draw(st.permutations(range(1, den)))[: size - 1])
+    masses = [b - a for a, b in zip([0] + cuts, cuts + [den])]
+    return dist(dict(zip(symbols, (Fraction(w, den) for w in masses))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_brute_force_equals_every_table_minimum(data):
+    # common denominators up to 12 keep the unpruned reference fast (at 30,
+    # the next test's instance, it enumerates for about 25 s)
+    den = data.draw(st.integers(1, 6))
+    den_nu = data.draw(st.sampled_from([d for d in range(1, 7) if lcm(den, d) <= 12]))
+    mu, nu = data.draw(_small_dist(den)), data.draw(_small_dist(den_nu))
+    # a few distinct values, so zeros and ties are common; some are negative
+    palette = data.draw(
+        st.lists(
+            st.builds(Fraction, st.integers(-3, 12), st.integers(1, 12)),
+            min_size=1,
+            max_size=5,
+        )
+    ) + [Fraction(0)]
+    cost = {
+        (p, q): data.draw(st.sampled_from(palette)) for p in mu.support() for q in nu.support()
+    }
+    expected = _every_table_minimum(mu, nu, cost)
+    assert brute_force_min_cost(mu, nu, cost) == expected
+    assert brute_force_min_cost(mu, nu, lambda p, q: cost[(p, q)]) == expected
+
+
+def test_brute_force_on_a_formerly_slow_four_by_four_instance():
+    # criterion 05's slowest instance for the earlier oracle (27 s): masses in
+    # sixths and in fifths, common denominator 30; with Hamming cost and with
+    # a seeded cost table in twelfths
+    mu = dist({2: Fraction(1, 6), 3: Fraction(1, 6), 4: Fraction(1, 3), 5: Fraction(1, 3)})
+    nu = dist({0: Fraction(1, 5), 2: Fraction(2, 5), 4: Fraction(1, 5), 5: Fraction(1, 5)})
+    rng = random.Random(210)
+    table = {(p, q): Fraction(rng.randint(0, 12), 12) for p in mu.support() for q in nu.support()}
+    for cost in (HAM0, table):
+        assert brute_force_min_cost(mu, nu, cost) == min_cost_transport(mu, nu, cost).value
+    assert brute_force_min_cost(mu, nu, HAM0) == Fraction(13, 30)
 
 
 # --- glue_couplings ---------------------------------------------------------
