@@ -1,11 +1,14 @@
 """Command-line experiment runner.
 
-Each subcommand resolves its parameters from (highest priority first)
-command-line flags, a flat key=value config file given with --config, and
-built-in defaults; the fully resolved configuration is embedded in every
-JSON report so runs are reproducible from their own output.  Traces are
-CSV, reports are JSON; both are written atomically.  Exit codes: 0 for
-success / all checks passed, 2 for a failed check, 1 for usage errors.
+Each subcommand's parameters are declared once, in `COMMANDS`; the parser
+adds one `--key` flag per parameter, and a flat key=value file given with
+--config may set the same keys (and `out`).  A value is taken from the flag,
+else from the file, else from the built-in default, and is cast and checked
+by `_resolve` whichever source it came from.  The resolved configuration is
+embedded in every JSON report so runs are reproducible from their own
+output.  Traces are CSV, reports are JSON; both are written atomically.
+Exit codes: 0 for success / all checks passed, 2 for a failed check, 1 for
+usage errors.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from random import Random
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import __version__
 from .configs import DEFAULT_RADIUS, default_metric
@@ -33,7 +36,7 @@ from .examples import (
     visible_points_config,
     prime_approx_config,
 )
-from .groups import BOX_KINDS, FiniteSubset, make_box_folner, temperedness_ratio
+from .groups import BOX_KINDS, box_set, make_box_folner, temperedness_ratio
 from .measures import (
     PatternDistribution,
     empirical_measure,
@@ -84,6 +87,15 @@ class _Required:
 REQUIRED = _Required()
 
 
+class Param(NamedTuple):
+    """A subcommand parameter: flag `--key` and config-file key `key`."""
+
+    key: str
+    cast: Callable[[str], object]
+    default: object
+    help: str | None = None
+
+
 def _load_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -98,25 +110,33 @@ def _load_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _resolve(args: argparse.Namespace, spec: Sequence[tuple[str, Callable, object]]) -> dict:
-    file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    known = {key for key, _, _ in spec}
+def _resolve(args: argparse.Namespace, params: Sequence[Param]) -> tuple[dict, str | None]:
+    """Return the cast configuration and the output path.
+
+    Flags win over the config file, which wins over the defaults; `out`
+    comes from the same two sources but is not part of the configuration.
+    """
+    file_cfg = _load_config_file(args.config) if args.config else {}
+    known = {p.key for p in params}
     for key in file_cfg:
         if key not in known and key != "out":
             raise ValueError(f"config file key {key!r} not recognized by this command")
     resolved: dict = {}
-    for key, cast, default in spec:
-        attr = key.replace("-", "_")
-        cli_val = getattr(args, attr, None)
-        if cli_val is not None:
-            resolved[key] = cli_val
-        elif key in file_cfg:
-            resolved[key] = cast(file_cfg[key])
+    for key, cast, default, _ in params:
+        text = getattr(args, key.replace("-", "_"))
+        if text is None:
+            text = file_cfg.get(key)
+        if text is not None:
+            try:
+                resolved[key] = cast(text)
+            except (ValueError, ZeroDivisionError) as e:
+                raise ValueError(f"{key}: {e}") from None
         elif default is REQUIRED:
             raise ValueError(f"missing required parameter --{key}")
         else:
             resolved[key] = default
-    return resolved
+    out = args.out if args.out is not None else file_cfg.get("out")
+    return resolved, out
 
 
 def _int_list(text: str) -> list[int]:
@@ -126,24 +146,33 @@ def _int_list(text: str) -> list[int]:
     return vals
 
 
+def _positive(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"must be >= 1, got {n}")
+    return n
+
+
 def _ladder(n: int) -> list[int]:
     out = sorted({max(1, n // 8), max(1, n // 4), max(1, n // 2), n})
     return out
 
 
-def _kind(text: str) -> str:
-    if text not in BOX_KINDS:
-        raise ValueError(f"kind must be one of {BOX_KINDS}, got {text!r}")
-    return text
+def _one_of(*choices: str) -> Callable[[str], str]:
+    def cast(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"must be one of {choices}, got {text!r}")
+        return text
+    return cast
 
 
 def _group(text: str) -> int:
     """Parse 'z:d' into the dimension d."""
     if not text.startswith("z:"):
-        raise ValueError(f"group must look like z:d, got {text!r}")
+        raise ValueError(f"must look like z:d, got {text!r}")
     dim = int(text.split(":", 1)[1])
     if dim < 1:
-        raise ValueError(f"group dimension must be >= 1, got {dim}")
+        raise ValueError(f"dimension must be >= 1, got {dim}")
     return dim
 
 
@@ -204,70 +233,39 @@ def _report(command: str, config: dict, body: dict) -> str:
 
 
 # --- subcommand implementations -------------------------------------------
+# Each takes the resolved configuration and the output path (None: stdout).
 
 
-def _cmd_density(args) -> int:
-    cfg = _resolve(args, [
-        ("set", str, REQUIRED),
-        ("N", int, 100),
-        ("kind", _kind, "boxes"),
-        ("n-list", _int_list, None),
-        ("symbol", int, 1),
-    ])
+def _cmd_density(cfg: dict, out: str | None) -> int:
     x = resolve_example_name(cfg["set"])
     n_list = cfg["n-list"] or _ladder(cfg["N"])
-    cfg["n-list"] = n_list
     F = make_box_folner(x.dim, cfg["kind"])
-    sym = cfg["symbol"]
-    trace = upper_density(x.indicator(sym), F, n_list)
-    _emit(trace.to_csv(), args.out)
+    trace = upper_density(x.indicator(cfg["symbol"]), F, n_list)
+    _emit(trace.to_csv(), out)
     return 0
 
 
-def _cmd_besicovitch(args) -> int:
-    cfg = _resolve(args, [
-        ("x", str, REQUIRED),
-        ("z", str, REQUIRED),
-        ("N", int, 100),
-        ("kind", _kind, "boxes"),
-        ("n-list", _int_list, None),
-        ("radius", int, DEFAULT_RADIUS),
-    ])
+def _cmd_besicovitch(cfg: dict, out: str | None) -> int:
     x = resolve_example_name(cfg["x"])
     z = resolve_example_name(cfg["z"])
     n_list = cfg["n-list"] or _ladder(cfg["N"])
     F = make_box_folner(x.dim, cfg["kind"])
     trace = besicovitch_trace(x, z, F, n_list, radius=cfg["radius"])
-    _emit(trace.to_csv(), args.out)
+    _emit(trace.to_csv(), out)
     return 0
 
 
-def _cmd_dbar(args) -> int:
-    cfg = _resolve(args, [
-        ("x", str, REQUIRED),
-        ("z", str, REQUIRED),
-        ("N", int, 100),
-        ("kind", _kind, "boxes"),
-        ("n-list", _int_list, None),
-    ])
+def _cmd_dbar(cfg: dict, out: str | None) -> int:
     x = resolve_example_name(cfg["x"])
     z = resolve_example_name(cfg["z"])
     n_list = cfg["n-list"] or _ladder(cfg["N"])
     F = make_box_folner(x.dim, cfg["kind"])
     trace = dbar_trace(x, z, F, n_list)
-    _emit(trace.to_csv(), args.out)
+    _emit(trace.to_csv(), out)
     return 0
 
 
-def _cmd_dprime(args) -> int:
-    cfg = _resolve(args, [
-        ("x", str, REQUIRED),
-        ("z", str, REQUIRED),
-        ("N", int, 500),
-        ("kind", _kind, "boxes"),
-        ("radius", int, DEFAULT_RADIUS),
-        ("grid-cap", Fraction, None),
-    ])
+def _cmd_dprime(cfg: dict, out: str | None) -> int:
     x = resolve_example_name(cfg["x"])
     z = resolve_example_name(cfg["z"])
     F = make_box_folner(x.dim, cfg["kind"])
@@ -275,82 +273,50 @@ def _cmd_dprime(args) -> int:
     if cfg["grid-cap"] is not None:
         grid = tuple(d for d in grid if d <= cfg["grid-cap"])
     est = besicovitch_prime_estimate(x, z, F, cfg["N"], radius=cfg["radius"], delta_grid=grid)
-    _emit(
-        _report("dprime", cfg, {"value": _frac(est.value), "saturated": est.saturated}),
-        args.out,
-    )
+    _emit(_report("dprime", cfg, {"value": _frac(est.value), "saturated": est.saturated}), out)
     return 0
 
 
-def _cmd_empirical(args) -> int:
-    cfg = _resolve(args, [
-        ("set", str, REQUIRED),
-        ("N", int, 100),
-        ("kind", _kind, "boxes"),
-        ("window", int, 1),
-    ])
+def _cmd_empirical(cfg: dict, out: str | None) -> int:
     x = resolve_example_name(cfg["set"])
     F = make_box_folner(x.dim, cfg["kind"])
-    W = FiniteSubset.box((0,) * x.dim, (cfg["window"] - 1,) * x.dim)
-    dist = empirical_measure(x, F.set_at(cfg["N"]), W)
-    _emit(_report("empirical", cfg, {"distribution": dist.to_dict()}), args.out)
+    dist = empirical_measure(x, F.set_at(cfg["N"]), box_set(x.dim, cfg["window"] - 1))
+    _emit(_report("empirical", cfg, {"distribution": dist.to_dict()}), out)
     return 0
 
 
-def _cmd_prokhorov(args) -> int:
-    cfg = _resolve(args, [
-        ("x", str, REQUIRED),
-        ("z", str, REQUIRED),
-        ("N", int, 100),
-        ("kind", _kind, "boxes"),
-        ("window", int, 1),
-    ])
+def _cmd_prokhorov(cfg: dict, out: str | None) -> int:
     x = resolve_example_name(cfg["x"])
     z = resolve_example_name(cfg["z"])
     F = make_box_folner(x.dim, cfg["kind"])
-    W = FiniteSubset.box((0,) * x.dim, (cfg["window"] - 1,) * x.dim)
+    W = box_set(x.dim, cfg["window"] - 1)
     mu = empirical_measure(x, F.set_at(cfg["N"]), W)
     nu = empirical_measure(z, F.set_at(cfg["N"]), W)
     d = prokhorov_distance(mu, nu)
-    _emit(_report("prokhorov", cfg, {"distance": _frac(d)}), args.out)
+    _emit(_report("prokhorov", cfg, {"distance": _frac(d)}), out)
     return 0
 
 
-def _cmd_omega(args) -> int:
-    cfg = _resolve(args, [
-        ("set", str, REQUIRED),
-        ("kind", _kind, "boxes"),
-        ("n-list", _int_list, [2**j for j in range(1, 13)]),
-        ("window", int, 1),
-        ("merge-tol", Fraction, Fraction(1, 10)),
-    ])
+def _cmd_omega(cfg: dict, out: str | None) -> int:
     x = resolve_example_name(cfg["set"])
     F = make_box_folner(x.dim, cfg["kind"])
-    W = FiniteSubset.box((0,) * x.dim, (cfg["window"] - 1,) * x.dim)
+    W = box_set(x.dim, cfg["window"] - 1)
     reps = omega_hat_approx(x, F, cfg["n-list"], W, cfg["merge-tol"])
     _emit(
         _report("omega", cfg, {
             "representatives": [m.to_dict() for m in reps.members],
             "count": len(reps.members),
         }),
-        args.out,
+        out,
     )
     return 0
 
 
-def _cmd_transport(args) -> int:
-    cfg = _resolve(args, [
-        ("x", str, REQUIRED),
-        ("z", str, REQUIRED),
-        ("N", int, 100),
-        ("kind", _kind, "boxes"),
-        ("window", int, 1),
-        ("cost", str, "hamming"),
-    ])
+def _cmd_transport(cfg: dict, out: str | None) -> int:
     x = resolve_example_name(cfg["x"])
     z = resolve_example_name(cfg["z"])
     F = make_box_folner(x.dim, cfg["kind"])
-    W = FiniteSubset.box((0,) * x.dim, (cfg["window"] - 1,) * x.dim)
+    W = box_set(x.dim, cfg["window"] - 1)
     mu = empirical_measure(x, F.set_at(cfg["N"]), W)
     nu = empirical_measure(z, F.set_at(cfg["N"]), W)
     cost = _cost_for(cfg["cost"], mu.sites)
@@ -362,7 +328,7 @@ def _cmd_transport(args) -> int:
             "certified": certified,
             "coupling": res.coupling.to_dict(),
         }),
-        args.out,
+        out,
     )
     return 0 if certified else 2
 
@@ -370,26 +336,16 @@ def _cmd_transport(args) -> int:
 def _cost_for(kind: str, sites):
     if kind == "hamming":
         return hamming_per_site_cost(sites)
-    if kind == "admissible":
-        return pattern_metric(sites, default_metric(len(sites[0])))
-    raise ValueError(f"cost must be hamming or admissible, got {kind!r}")
+    return pattern_metric(sites, default_metric(len(sites[0])))
 
 
-def _cmd_rho_chain(args) -> int:
-    cfg = _resolve(args, [
-        ("x", str, REQUIRED),
-        ("z", str, REQUIRED),
-        ("k-max", int, 3),
-        ("cost", str, "hamming"),
-    ])
+def _cmd_rho_chain(cfg: dict, out: str | None) -> int:
     x = resolve_example_name(cfg["x"])
     z = resolve_example_name(cfg["z"])
     oa = PeriodicOrbitMeasure.from_config(x)
     ob = PeriodicOrbitMeasure.from_config(z)
-    windows = [FiniteSubset.box((0,) * x.dim, (k - 1,) * x.dim) for k in range(1, cfg["k-max"] + 1)]
-    kind = {"hamming": "hamming-per-site", "admissible": "admissible"}.get(cfg["cost"])
-    if kind is None:
-        raise ValueError(f"cost must be hamming or admissible, got {cfg['cost']!r}")
+    windows = [box_set(x.dim, k - 1) for k in range(1, cfg["k-max"] + 1)]
+    kind = {"hamming": "hamming-per-site", "admissible": "admissible"}[cfg["cost"]]
     chain = rho_bar_lower(oa.marginal_family(windows), ob.marginal_family(windows), kind)
     body: dict = {"chain": [_frac(c) for c in chain]}
     passed = True
@@ -404,7 +360,7 @@ def _cmd_rho_chain(args) -> int:
             _frac(sum((metric.weight(p) for p in W), Fraction(0))) for W in windows
         ]
     body["passed"] = passed
-    _emit(_report("rho-chain", cfg, body), args.out)
+    _emit(_report("rho-chain", cfg, body), out)
     return 0 if passed else 2
 
 
@@ -416,11 +372,7 @@ def _rand_dist(rng: Random, sites, alphabet: int, dens: Sequence[int]) -> Patter
     return PatternDistribution(sites, weights)
 
 
-def _cmd_glue_check(args) -> int:
-    cfg = _resolve(args, [
-        ("seed", int, 0),
-        ("trials", int, 100),
-    ])
+def _cmd_glue_check(cfg: dict, out: str | None) -> int:
     rng = Random(cfg["seed"])
     sites = ((0,),)
     cost = hamming_per_site_cost(sites)
@@ -444,19 +396,11 @@ def _cmd_glue_check(args) -> int:
 
     items = [run(it) for it in instances]
     passed = all(it["passed"] for it in items)
-    _emit(_report("glue-check", cfg, {"items": items, "passed": passed}), args.out)
+    _emit(_report("glue-check", cfg, {"items": items, "passed": passed}), out)
     return 0 if passed else 2
 
 
-def _cmd_nowy_check(args) -> int:
-    cfg = _resolve(args, [
-        ("pairs", str, "random:20"),
-        ("seed", int, 7),
-        ("n", int, 10_000),
-        ("k-max", int, 3),
-        ("tol", Fraction, Fraction(1, 100)),
-        ("max-period", int, 12),
-    ])
+def _cmd_nowy_check(cfg: dict, out: str | None) -> int:
     if not cfg["pairs"].startswith("random:"):
         raise ValueError(f"pairs must look like random:COUNT, got {cfg['pairs']!r}")
     count = int(cfg["pairs"].split(":", 1)[1])
@@ -479,7 +423,7 @@ def _cmd_nowy_check(args) -> int:
 
     items = [run(it) for it in pairs]
     passed = all(it["passed"] for it in items)
-    _emit(_report("nowy-check", cfg, {"items": items, "passed": passed}), args.out)
+    _emit(_report("nowy-check", cfg, {"items": items, "passed": passed}), out)
     return 0 if passed else 2
 
 
@@ -496,12 +440,7 @@ def _triangle_metric(rng: Random, size: int) -> list[list[Fraction]]:
     return d
 
 
-def _cmd_triangle_check(args) -> int:
-    cfg = _resolve(args, [
-        ("seed", int, 0),
-        ("trials", int, 100),
-        ("support", int, 5),
-    ])
+def _cmd_triangle_check(cfg: dict, out: str | None) -> int:
     if not 2 <= cfg["support"] <= 8:
         raise ValueError("support size must be in 2..8")
     rng = Random(cfg["seed"])
@@ -526,19 +465,14 @@ def _cmd_triangle_check(args) -> int:
 
     items = [run(it) for it in instances]
     passed = all(it["passed"] for it in items)
-    _emit(_report("triangle-check", cfg, {"items": items, "passed": passed}), args.out)
+    _emit(_report("triangle-check", cfg, {"items": items, "passed": passed}), out)
     return 0 if passed else 2
 
 
-def _cmd_tempered(args) -> int:
-    cfg = _resolve(args, [
-        ("group", _group, 1),
-        ("kind", _kind, "boxes"),
-        ("n", int, 100),
-        ("c", Fraction, Fraction(2)),
-    ])
-    dim = cfg["group"]
-    F = make_box_folner(dim, cfg["kind"])
+def _cmd_tempered(cfg: dict, out: str | None) -> int:
+    if cfg["n"] < 2:
+        raise ValueError(f"n must be >= 2 so that some ratio is checked, got {cfg['n']}")
+    F = make_box_folner(cfg["group"], cfg["kind"])
     ratios = [temperedness_ratio(F, j) for j in range(1, cfg["n"])]
     worst = max(ratios)
     passed = worst <= cfg["c"]
@@ -548,15 +482,12 @@ def _cmd_tempered(args) -> int:
             "max_ratio": _frac(worst),
             "passed": passed,
         }),
-        args.out,
+        out,
     )
     return 0 if passed else 2
 
 
-def _cmd_examples(args) -> int:
-    cfg = _resolve(args, [
-        ("name", str, None),
-    ])
+def _cmd_examples(cfg: dict, out: str | None) -> int:
     if cfg["name"] is None:
         body = {
             "families": [
@@ -567,7 +498,7 @@ def _cmd_examples(args) -> int:
                  "description": "substitution stage k, defaults r_k = 2^k + 1, k <= 6"},
             ]
         }
-        _emit(_report("examples", cfg, body), args.out)
+        _emit(_report("examples", cfg, body), out)
         return 0
     x = resolve_example_name(cfg["name"])
     info: dict = {
@@ -581,39 +512,27 @@ def _cmd_examples(args) -> int:
         info["period_index"] = x.period_lattice.index
         if x.period_lattice.moduli is not None:
             info["period_moduli"] = list(x.period_lattice.moduli)
-    sample_box = FiniteSubset.box((0,) * x.dim, (min(9, 20 // x.dim),) * x.dim)
+    sample_box = box_set(x.dim, min(9, 20 // x.dim))
     info["sample"] = [[list(g), x.value(g)] for g in sample_box.sorted_points()[:24]]
-    _emit(_report("examples", cfg, {"example": info}), args.out)
+    _emit(_report("examples", cfg, {"example": info}), out)
     return 0
 
 
-def _cmd_entropy(args) -> int:
-    cfg = _resolve(args, [
-        ("set", str, REQUIRED),
-        ("N", int, 1000),
-        ("kind", _kind, "boxes"),
-        ("sizes", _int_list, [1, 2, 3]),
-    ])
+def _cmd_entropy(cfg: dict, out: str | None) -> int:
     x = resolve_example_name(cfg["set"])
     F = make_box_folner(x.dim, cfg["kind"])
     values = block_entropy(x, F.set_at(cfg["N"]), cfg["sizes"])
-    _emit(
-        _report("entropy", cfg, {"bits_per_site": [[k, v] for k, v in values]}),
-        args.out,
-    )
+    _emit(_report("entropy", cfg, {"bits_per_site": [[k, v] for k, v in values]}), out)
     return 0
 
 
-def _cmd_convergence(args) -> int:
-    cfg = _resolve(args, [
-        ("N", int, 600),
-        ("n-max", int, 5),
-        ("stages", int, 6),
-        ("entropy-sizes", _int_list, [1, 2, 3, 4, 5, 6]),
-        ("slack", Fraction, Fraction(5, 1000)),
-    ])
+def _cmd_convergence(cfg: dict, out: str | None) -> int:
     if not 1 <= cfg["n-max"] <= len(PRIME_SQUARE_TAILS):
         raise ValueError(f"n-max must be in 1..{len(PRIME_SQUARE_TAILS)}")
+    st = SubstitutionStage()
+    stages = cfg["stages"]
+    if not 2 <= stages <= st.stages:
+        raise ValueError(f"stages must be in 2..{st.stages}, got {stages}")
     body: dict = {}
     all_pass = True
 
@@ -655,8 +574,6 @@ def _cmd_convergence(args) -> int:
     }
 
     # substitution stages are a Cauchy sequence in dbar, exactly
-    st = SubstitutionStage()
-    stages = min(cfg["stages"], st.stages)
     xs = [rf_substitution(st, k) for k in range(1, stages + 1)]
     cauchy_ok = True
     steps = []
@@ -686,7 +603,7 @@ def _cmd_convergence(args) -> int:
     x3 = rf_substitution(st, 3)
     period = st.modulus(3)
     ent_n = period * max(1, 2000 // period) - 1
-    ent = block_entropy(x3, FiniteSubset.box((0,), (ent_n,)), cfg["entropy-sizes"])
+    ent = block_entropy(x3, box_set(1, ent_n), cfg["entropy-sizes"])
     ent_pass = all(b <= a + 1e-12 for (_, a), (_, b) in zip(ent, ent[1:])) and all(
         h <= math.log2(period) / k + 1e-12 for k, h in ent
     )
@@ -699,16 +616,97 @@ def _cmd_convergence(args) -> int:
     }
 
     body["passed"] = bool(all_pass)
-    _emit(_report("convergence", cfg, body), args.out)
+    _emit(_report("convergence", cfg, body), out)
     return 0 if all_pass else 2
 
 
+# --- parameter tables ------------------------------------------------------
+# Parameters shared by several subcommands are declared once, so that their
+# cast and default agree everywhere.  Defaults are shared by every run in a
+# process, so they are immutable.
+
+_X = Param("x", str, REQUIRED, "example name")
+_Z = Param("z", str, REQUIRED, "example name")
+_SET = Param("set", str, REQUIRED, "example name")
+_N = Param("N", int, 100, "window index (the largest one, for traces)")
+_KIND = Param("kind", _one_of(*BOX_KINDS), "boxes", "boxes or centered")
+_N_LIST = Param("n-list", _int_list, None, "explicit window indices")
+_WINDOW = Param("window", _positive, 1, "box window side")
+_RADIUS = Param("radius", int, DEFAULT_RADIUS, "truncation radius")
+_COST = Param("cost", _one_of("hamming", "admissible"), "hamming", "hamming or admissible")
+_K_MAX = Param("k-max", int, 3, "largest marginal window side")
+_TRIALS = Param("trials", _positive, 100, "number of random instances")
+
+# (name, handler, help, parameters), in the order of the parser's listing
+COMMANDS: list[tuple[str, Callable[[dict, str | None], int], str, list[Param]]] = [
+    ("density", _cmd_density, "symbol density along a box Folner sequence (CSV)", [
+        _SET, _N, _KIND, _N_LIST,
+        Param("symbol", int, 1, "symbol whose density is measured"),
+    ]),
+    ("besicovitch", _cmd_besicovitch, "Besicovitch distance trace for two examples (CSV)",
+     [_X, _Z, _N, _KIND, _N_LIST, _RADIUS]),
+    ("dbar", _cmd_dbar, "mismatch-density trace for two examples (CSV)",
+     [_X, _Z, _N, _KIND, _N_LIST]),
+    ("dprime", _cmd_dprime, "density-threshold distance estimate (JSON)", [
+        _X, _Z,
+        Param("N", int, 500, "window index"),
+        _KIND, _RADIUS,
+        Param("grid-cap", Fraction, None, "drop grid deltas above this"),
+    ]),
+    ("empirical", _cmd_empirical, "empirical pattern distribution (JSON)",
+     [_SET, _N, _KIND, _WINDOW]),
+    ("prokhorov", _cmd_prokhorov, "Prokhorov distance of two empirical measures (JSON)",
+     [_X, _Z, _N, _KIND, _WINDOW]),
+    ("omega", _cmd_omega, "cluster representatives of empirical measures (JSON)", [
+        _SET, _KIND,
+        Param("n-list", _int_list, tuple(2**j for j in range(1, 13)), "window indices"),
+        _WINDOW,
+        Param("merge-tol", Fraction, Fraction(1, 10), "Prokhorov radius of a cluster"),
+    ]),
+    ("transport", _cmd_transport, "optimal transport between two empirical measures (JSON)",
+     [_X, _Z, _N, _KIND, _WINDOW, _COST]),
+    ("rho-chain", _cmd_rho_chain, "lower-bound chain for the joining infimum (JSON)",
+     [_X, _Z, _K_MAX, _COST]),
+    ("glue-check", _cmd_glue_check, "random gluing subadditivity checks (JSON)",
+     [Param("seed", int, 0), _TRIALS]),
+    ("nowy-check", _cmd_nowy_check, "dbar dominates the joining infimum on random pairs (JSON)", [
+        Param("pairs", str, "random:20", "random:COUNT"),
+        Param("seed", int, 7),
+        Param("n", int, 10_000, "window index for the dbar estimate"),
+        _K_MAX,
+        Param("tol", Fraction, Fraction(1, 100), "allowed shortfall of dbar below the oracle"),
+        Param("max-period", int, 12),
+    ]),
+    ("triangle-check", _cmd_triangle_check, "transport triangle inequality on random triples (JSON)", [
+        Param("seed", int, 0),
+        _TRIALS,
+        Param("support", int, 5, "support size, 2..8"),
+    ]),
+    ("tempered", _cmd_tempered, "temperedness ratios of a box Folner sequence (JSON)", [
+        Param("group", _group, 1, "z:d"),
+        _KIND,
+        Param("n", int, 100, "check the ratios for j = 1..n-1"),
+        Param("c", Fraction, Fraction(2), "tempering constant"),
+    ]),
+    ("examples", _cmd_examples, "list example families or inspect one (JSON)",
+     [Param("name", str, None, "example name to inspect")]),
+    ("entropy", _cmd_entropy, "block entropy in bits per site (JSON)", [
+        _SET,
+        Param("N", int, 1000, "window index"),
+        _KIND,
+        Param("sizes", _int_list, (1, 2, 3), "block sides"),
+    ]),
+    ("convergence", _cmd_convergence, "end-to-end example pipelines (JSON)", [
+        Param("N", int, 600, "window index for dbar estimates"),
+        Param("n-max", int, 5, "largest approximant stage"),
+        Param("stages", int, 6, "substitution stages"),
+        Param("entropy-sizes", _int_list, (1, 2, 3, 4, 5, 6), "block sides"),
+        Param("slack", Fraction, Fraction(5, 1000), "monotonicity slack"),
+    ]),
+]
+
+
 # --- parser ----------------------------------------------------------------
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value parameter file")
-    p.add_argument("--out", help="output path (default: stdout)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -719,113 +717,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"shiftlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name, fn, help_text, flags):
+    for name, handler, help_text, params in COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        for flag, kwargs in flags:
-            p.add_argument(flag, **kwargs)
-        p.set_defaults(func=fn)
-        return p
-
-    cmd("density", _cmd_density, "symbol density along a box Folner sequence (CSV)", [
-        ("--set", {"help": "example name"}),
-        ("--N", {"type": int, "help": "largest window index"}),
-        ("--kind", {"type": _kind, "help": "boxes or centered"}),
-        ("--n-list", {"type": _int_list, "help": "explicit window indices"}),
-        ("--symbol", {"type": int, "help": "symbol whose density is measured"}),
-    ])
-    cmd("besicovitch", _cmd_besicovitch, "Besicovitch distance trace for two examples (CSV)", [
-        ("--x", {"help": "example name"}),
-        ("--z", {"help": "example name"}),
-        ("--N", {"type": int}),
-        ("--kind", {"type": _kind}),
-        ("--n-list", {"type": _int_list}),
-        ("--radius", {"type": int, "help": "truncation radius"}),
-    ])
-    cmd("dbar", _cmd_dbar, "mismatch-density trace for two examples (CSV)", [
-        ("--x", {}), ("--z", {}),
-        ("--N", {"type": int}),
-        ("--kind", {"type": _kind}),
-        ("--n-list", {"type": _int_list}),
-    ])
-    cmd("dprime", _cmd_dprime, "density-threshold distance estimate (JSON)", [
-        ("--x", {}), ("--z", {}),
-        ("--N", {"type": int}),
-        ("--kind", {"type": _kind}),
-        ("--radius", {"type": int}),
-        ("--grid-cap", {"type": Fraction, "help": "drop grid deltas above this"}),
-    ])
-    cmd("empirical", _cmd_empirical, "empirical pattern distribution (JSON)", [
-        ("--set", {}),
-        ("--N", {"type": int}),
-        ("--kind", {"type": _kind}),
-        ("--window", {"type": int, "help": "box window side"}),
-    ])
-    cmd("prokhorov", _cmd_prokhorov, "Prokhorov distance of two empirical measures (JSON)", [
-        ("--x", {}), ("--z", {}),
-        ("--N", {"type": int}),
-        ("--kind", {"type": _kind}),
-        ("--window", {"type": int}),
-    ])
-    cmd("omega", _cmd_omega, "cluster representatives of empirical measures (JSON)", [
-        ("--set", {}),
-        ("--kind", {"type": _kind}),
-        ("--n-list", {"type": _int_list}),
-        ("--window", {"type": int}),
-        ("--merge-tol", {"type": Fraction}),
-    ])
-    cmd("transport", _cmd_transport, "optimal transport between two empirical measures (JSON)", [
-        ("--x", {}), ("--z", {}),
-        ("--N", {"type": int}),
-        ("--kind", {"type": _kind}),
-        ("--window", {"type": int}),
-        ("--cost", {"help": "hamming or admissible"}),
-    ])
-    cmd("rho-chain", _cmd_rho_chain, "lower-bound chain for the joining infimum (JSON)", [
-        ("--x", {}), ("--z", {}),
-        ("--k-max", {"type": int}),
-        ("--cost", {"help": "hamming or admissible"}),
-    ])
-    cmd("glue-check", _cmd_glue_check, "random gluing subadditivity checks (JSON)", [
-        ("--seed", {"type": int}),
-        ("--trials", {"type": int}),
-    ])
-    cmd("nowy-check", _cmd_nowy_check, "dbar dominates the joining infimum on random pairs (JSON)", [
-        ("--pairs", {"help": "random:COUNT"}),
-        ("--seed", {"type": int}),
-        ("--n", {"type": int, "help": "window index for the dbar estimate"}),
-        ("--k-max", {"type": int}),
-        ("--tol", {"type": Fraction}),
-        ("--max-period", {"type": int}),
-    ])
-    cmd("triangle-check", _cmd_triangle_check, "transport triangle inequality on random triples (JSON)", [
-        ("--seed", {"type": int}),
-        ("--trials", {"type": int}),
-        ("--support", {"type": int}),
-    ])
-    cmd("tempered", _cmd_tempered, "temperedness ratios of a box Folner sequence (JSON)", [
-        ("--group", {"type": _group, "help": "z:d"}),
-        ("--kind", {"type": _kind}),
-        ("--n", {"type": int}),
-        ("--c", {"type": Fraction, "help": "tempering constant"}),
-    ])
-    cmd("examples", _cmd_examples, "list example families or inspect one (JSON)", [
-        ("--name", {"help": "example name to inspect"}),
-    ])
-    cmd("entropy", _cmd_entropy, "block entropy in bits per site (JSON)", [
-        ("--set", {}),
-        ("--N", {"type": int}),
-        ("--kind", {"type": _kind}),
-        ("--sizes", {"type": _int_list}),
-    ])
-    cmd("convergence", _cmd_convergence, "end-to-end example pipelines (JSON)", [
-        ("--N", {"type": int, "help": "window index for dbar estimates"}),
-        ("--n-max", {"type": int, "help": "largest approximant stage"}),
-        ("--stages", {"type": int, "help": "substitution stages"}),
-        ("--entropy-sizes", {"type": _int_list}),
-        ("--slack", {"type": Fraction, "help": "monotonicity slack"}),
-    ])
+        p.add_argument("--config", help="flat key=value parameter file")
+        p.add_argument("--out", help="output path (default: stdout)")
+        for param in params:
+            p.add_argument(f"--{param.key}", help=param.help)
+        p.set_defaults(func=handler, params=params)
     return parser
 
 
@@ -837,7 +735,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         # argparse exits 2 on usage problems; 0 passes through (e.g. --help)
         return 0 if e.code in (0, None) else 1
     try:
-        return args.func(args)
+        cfg, out = _resolve(args, args.params)
+        return args.func(cfg, out)
     except (ValueError, StageExhaustedError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

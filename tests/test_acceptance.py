@@ -40,7 +40,6 @@ FC2 = make_box_folner(2, kind="centered")
 DENSITY_TOL = 0.01          # criterion 1: |density - 6/pi^2|
 TAIL_SLACK = 0.01           # criterion 2: finite-size allowance over the tail bound
 MONOTONE_SLACK = Fraction(1, 200)   # criterion 2: 5e-3 nonincrease slack
-DIRAC_TOL = Fraction(1, 10**6)      # criterion 9: Prokhorov search resolution
 ORACLE_TOL = Fraction(1, 100)       # criterion 7: dbar >= oracle - 1e-2
 
 # Prime-square tail sums over ALL primes beyond the n-th, to ten places.
@@ -250,9 +249,9 @@ def test_criterion_09_dirac_prokhorov_matches_pattern_distance():
             nu = PatternDistribution(W, {q: Fraction(1)})
             expected = min(metric_fn(p, q), Fraction(1))
             got = prokhorov_distance(mu, nu)
-            assert abs(got - expected) <= DIRAC_TOL
+            assert got == expected
 
-    _record(9, "50 seeded Dirac pairs: Prokhorov equals pattern distance within 1e-6", body)
+    _record(9, "50 seeded Dirac pairs: Prokhorov equals pattern distance exactly", body)
 
 
 def test_criterion_10_entropy_evidence():

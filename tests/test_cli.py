@@ -230,6 +230,59 @@ def test_config_file_supplies_defaults_and_cli_wins(tmp_path, capsys):
     assert [ln.split(",")[0] for ln in out.strip().splitlines()[1:]] == ["29"]
 
 
+def test_config_file_out_is_honoured_and_the_flag_wins(tmp_path, capsys):
+    argv = ["glue-check", "--trials", "2", "--seed", "3"]
+    expected = run(capsys, *argv)[1]
+    from_file = tmp_path / "from-file.json"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"trials = 2\nseed = 3\nout = {from_file}\n")
+    code, out, _ = run(capsys, "glue-check", "--config", str(cfg))
+    assert code == 0 and out == ""
+    # out is not part of the embedded configuration
+    assert from_file.read_text() == expected
+    from_file.unlink()
+    from_flag = tmp_path / "from-flag.json"
+    code, out, _ = run(capsys, "glue-check", "--config", str(cfg), "--out", str(from_flag))
+    assert code == 0 and out == ""
+    assert from_flag.read_text() == expected
+    assert not from_file.exists()
+
+
+@pytest.mark.parametrize("argv, cfg_text", [
+    (["omega", "--set", "rf-sub:3", "--n-list", "8,64,512", "--merge-tol", "0.05"],
+     "set = rf-sub:3\nn-list = 8,64,512\nmerge-tol = 0.05\n"),
+    (["dprime", "--x", "rf-sub:1", "--z", "rf-sub:2", "--N", "99", "--grid-cap", "1/4"],
+     "x = rf-sub:1\nz = rf-sub:2\nN = 99\ngrid-cap = 1/4\n"),
+])
+def test_flags_and_config_file_give_the_same_report(tmp_path, capsys, argv, cfg_text):
+    from_flags = run_json(capsys, *argv)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_text)
+    code, out, err = run(capsys, argv[0], "--config", str(cfg))
+    assert code == 0, err
+    assert out == json.dumps(from_flags, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("kind", "diagonal"), ("N", "abc"), ("n-list", ","), ("window", "0"),
+])
+def test_bad_values_fail_alike_from_flag_and_file(tmp_path, capsys, key, value):
+    base = ["empirical", "--set", "visible"] if key != "n-list" else ["density", "--set", "visible"]
+    code, out, flag_err = run(capsys, *base, f"--{key}", value)
+    assert code == 1 and out == ""
+    assert flag_err.startswith(f"error: {key}: ")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    code, out, file_err = run(capsys, *base, "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert file_err == flag_err
+
+
+def test_fraction_with_zero_denominator_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "dprime", "--x", "rf-sub:1", "--z", "rf-sub:2", "--grid-cap", "1/0")
+    assert code == 1 and err.startswith("error: grid-cap: ")
+
+
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("x = rf-sub:1\nbogus = 3\n")
@@ -252,6 +305,18 @@ def test_usage_errors_exit_one(capsys):
     assert run(capsys, "density", "--set", "not-a-family")[0] == 1
     assert run(capsys, "density", "--set", "visible", "--N", "abc")[0] == 1
     assert run(capsys, "tempered", "--group", "q:1")[0] == 1
+    # checks that would check nothing
+    assert run(capsys, "glue-check", "--trials", "0")[0] == 1
+    assert run(capsys, "triangle-check", "--trials", "0")[0] == 1
+    for stages in ("0", "1", "9"):
+        assert run(capsys, "convergence", "--stages", stages)[0] == 1
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_tempered_refuses_fewer_than_two_windows(capsys, n):
+    code, out, err = run(capsys, "tempered", "--n", n)
+    assert code == 1 and out == ""
+    assert err == f"error: n must be >= 2 so that some ratio is checked, got {n}\n"
 
 
 def test_help_and_version_exit_zero(capsys):
