@@ -372,32 +372,29 @@ def _rand_dist(rng: Random, sites, alphabet: int, dens: Sequence[int]) -> Patter
     return PatternDistribution(sites, weights)
 
 
+def _items_report(command: str, cfg: dict, items: list[dict], out: str | None) -> int:
+    """Emit the report of a seeded check; exit 2 unless every item passed."""
+    passed = all(it["passed"] for it in items)
+    _emit(_report(command, cfg, {"items": items, "passed": passed}), out)
+    return 0 if passed else 2
+
+
 def _cmd_glue_check(cfg: dict, out: str | None) -> int:
     rng = Random(cfg["seed"])
     sites = ((0,),)
     cost = hamming_per_site_cost(sites)
-    instances = [
-        tuple(_rand_dist(rng, sites, 4, (2, 3, 4, 5, 6, 8, 12)) for _ in range(3))
-        for _ in range(cfg["trials"])
-    ]
-
-    def run(triple) -> dict:
-        mu, eta, nu = triple
+    items = []
+    for _ in range(cfg["trials"]):
+        mu, eta, nu = (_rand_dist(rng, sites, 4, (2, 3, 4, 5, 6, 8, 12)) for _ in range(3))
         r12 = min_cost_transport(mu, eta, cost)
         r23 = min_cost_transport(eta, nu, cost)
-        glued = glue_couplings(r12.coupling, r23.coupling)
-        subadditive = glued.cost(cost) <= r12.value + r23.value
-        # Coupling construction re-validated the marginals exactly
-        return {
-            "glued_cost": _frac(glued.cost(cost)),
-            "bound": _frac(r12.value + r23.value),
-            "passed": bool(subadditive),
-        }
-
-    items = [run(it) for it in instances]
-    passed = all(it["passed"] for it in items)
-    _emit(_report("glue-check", cfg, {"items": items, "passed": passed}), out)
-    return 0 if passed else 2
+        # Coupling construction re-validates the glued marginals exactly
+        glued_cost = glue_couplings(r12.coupling, r23.coupling).cost(cost)
+        bound = r12.value + r23.value
+        items.append(
+            {"glued_cost": _frac(glued_cost), "bound": _frac(bound), "passed": glued_cost <= bound}
+        )
+    return _items_report("glue-check", cfg, items, out)
 
 
 def _cmd_nowy_check(cfg: dict, out: str | None) -> int:
@@ -407,24 +404,19 @@ def _cmd_nowy_check(cfg: dict, out: str | None) -> int:
     if count < 1:
         raise ValueError("pair count must be >= 1")
     rng = Random(cfg["seed"])
-    pairs = [random_periodic_pair(rng, cfg["max-period"]) for _ in range(count)]
     F = make_box_folner(1)
-
-    def run(pair) -> dict:
-        x, z = pair
+    items = []
+    for _ in range(count):
+        x, z = random_periodic_pair(rng, cfg["max-period"])
         rep = check_db_ge_rho(x, z, F, cfg["n"], cfg["k-max"], cfg["tol"])
-        return {
+        items.append({
             "periods": [x.period_lattice.index, z.period_lattice.index],
             "dbar": _frac(rep.dbar),
             "oracle": _frac(rep.oracle),
             "chain": [_frac(c) for c in rep.chain],
             "passed": rep.passed,
-        }
-
-    items = [run(it) for it in pairs]
-    passed = all(it["passed"] for it in items)
-    _emit(_report("nowy-check", cfg, {"items": items, "passed": passed}), out)
-    return 0 if passed else 2
+        })
+    return _items_report("nowy-check", cfg, items, out)
 
 
 def _triangle_metric(rng: Random, size: int) -> list[list[Fraction]]:
@@ -446,27 +438,19 @@ def _cmd_triangle_check(cfg: dict, out: str | None) -> int:
     rng = Random(cfg["seed"])
     sites = ((0,),)
     size = cfg["support"]
-    instances = []
+    items = []
     for _ in range(cfg["trials"]):
         table = _triangle_metric(rng, size)
-        triple = tuple(_rand_dist(rng, sites, size, (2, 3, 4, 6, 12)) for _ in range(3))
-        instances.append((table, triple))
-
-    def run(inst) -> dict:
-        table, (mu, eta, nu) = inst
+        mu, eta, nu = (_rand_dist(rng, sites, size, (2, 3, 4, 6, 12)) for _ in range(3))
         rep = rho_triangle_check(mu, eta, nu, lambda p, q: table[p[0]][q[0]])
-        return {
+        items.append({
             "d12": _frac(rep.d12),
             "d23": _frac(rep.d23),
             "d13": _frac(rep.d13),
             "glued_cost": _frac(rep.glued_cost),
             "passed": rep.passed,
-        }
-
-    items = [run(it) for it in instances]
-    passed = all(it["passed"] for it in items)
-    _emit(_report("triangle-check", cfg, {"items": items, "passed": passed}), out)
-    return 0 if passed else 2
+        })
+    return _items_report("triangle-check", cfg, items, out)
 
 
 def _cmd_tempered(cfg: dict, out: str | None) -> int:

@@ -2,17 +2,18 @@
 
 A configuration is a total map Z^d -> alphabet described by a finite rule:
 a constant, a periodic table over a finite-index sublattice, a predicate,
-or a finite patch over another configuration.  A binary configuration also
-reads out in bulk over a 1-D or 2-D box as bit-packed rows
-(`Configuration.rows`), which the estimators count with XOR and
-`int.bit_count`.  The metric machinery at the bottom implements summable
-translation weights with certified tail bounds, so truncated distances come
-back as exact [lo, hi] Fraction intervals.
+or a finite patch over another configuration.  A sublattice keeps a
+lower-triangular integer basis of itself, so its fundamental domain is
+always the box of that basis's diagonal and reduction into it needs no
+fractions.  A binary configuration also reads out in bulk over a 1-D or
+2-D box as bit-packed rows (`Configuration.rows`), which the estimators
+count with XOR and `int.bit_count`.  The metric machinery at the bottom
+implements summable translation weights with certified tail bounds, so
+truncated distances come back as exact [lo, hi] Fraction intervals.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -43,58 +44,60 @@ class Alphabet:
         return s
 
 
-def _gauss_invert(rows: tuple[tuple[int, ...], ...]):
-    """Exact inverse and determinant of an integer matrix via Fraction Gauss.
+def _triangular(rows: tuple[tuple[int, ...], ...]) -> list[list[int]] | None:
+    """Columns of a lower-triangular basis of the lattice that the columns
+    of `rows` span, with a positive diagonal; None when they are dependent.
 
-    Returns (inverse as tuple-of-tuples of Fractions, det as Fraction).
+    Integer column operations keep the lattice: Euclid along row i leaves
+    the gcd of the row in column i and zeros in the columns after it.
     """
     d = len(rows)
-    a = [[Fraction(rows[i][j]) for j in range(d)] + [Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    det = Fraction(1)
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if a[r][col] != 0), None)
-        if pivot is None:
-            return None, Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(d):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return tuple(tuple(row[d:]) for row in a), det
+    cols = [[rows[i][j] for i in range(d)] for j in range(d)]
+    for i in range(d):
+        while True:
+            live = [j for j in range(i, d) if cols[j][i]]
+            if not live:
+                return None
+            j = min(live, key=lambda c: abs(cols[c][i]))
+            cols[i], cols[j] = cols[j], cols[i]
+            if len(live) == 1:
+                break
+            for k in range(i + 1, d):
+                q = cols[k][i] // cols[i][i]
+                cols[k] = [a - q * b for a, b in zip(cols[k], cols[i])]
+        if cols[i][i] < 0:
+            cols[i] = [-a for a in cols[i]]
+    return cols
 
 
 class Lattice:
     """Finite-index sublattice of Z^d spanned by integer basis columns.
 
-    basis[i][j] is the i-th coordinate of the j-th generator.  The index in
-    Z^d equals |det basis| and must be finite (nonzero determinant).
+    basis[i][j] is the i-th coordinate of the j-th generator.  The lattice
+    also keeps a lower-triangular basis of itself with positive diagonal
+    h_0..h_{d-1}: its index is the product of the h_i (the determinant must
+    be nonzero), and the box prod_i [0, h_i) holds exactly one point of
+    every coset, so reduction and membership need only integers.
     """
 
-    __slots__ = ("dim", "basis", "index", "_inv", "_moduli")
+    __slots__ = ("dim", "basis", "index", "moduli", "_tri")
 
     def __init__(self, basis: Sequence[Sequence[int]]):
         rows = tuple(tuple(int(c) for c in row) for row in basis)
         d = len(rows)
         if d < 1 or any(len(r) != d for r in rows):
             raise InvalidDimensionError("basis must be a square matrix")
-        inv, det = _gauss_invert(rows)
-        if det == 0:
+        tri = _triangular(rows)
+        if tri is None:
             raise ValueError("basis is singular; the sublattice must have finite index")
+        diag = tuple(tri[i][i] for i in range(d))
         self.dim = d
         self.basis = rows
-        self.index = abs(int(det))
-        self._inv = inv
-        moduli = None
-        if all(rows[i][j] == 0 for i in range(d) for j in range(d) if i != j):
-            diag = tuple(rows[i][i] for i in range(d))
-            if all(m > 0 for m in diag):
-                moduli = diag
-        self._moduli = moduli
+        self.index = math.prod(diag)
+        # per-axis moduli when the lattice is the product of the h_i Z, else None
+        product = all(tri[j][i] == 0 for j in range(d) for i in range(j + 1, d))
+        self.moduli = diag if product else None
+        self._tri = tuple(tuple(c) for c in tri)
 
     @classmethod
     def diagonal(cls, moduli: Sequence[int] | int, dim: int | None = None) -> "Lattice":
@@ -109,51 +112,31 @@ class Lattice:
         d = len(moduli)
         return cls([[moduli[i] if i == j else 0 for j in range(d)] for i in range(d)])
 
-    @property
-    def moduli(self) -> tuple[int, ...] | None:
-        """Per-axis moduli when the basis is diagonal, else None."""
-        return self._moduli
-
-    def coords(self, p: Point) -> tuple[Fraction, ...]:
+    def reduce(self, p: Point) -> Point:
+        """Canonical representative of p + L: the point of the box
+        prod_i [0, h_i) in its coset, by substitution down the triangular
+        basis."""
         if len(p) != self.dim:
             raise InvalidDimensionError("point of wrong dimension")
-        return tuple(
-            sum(self._inv[i][j] * p[j] for j in range(self.dim)) for i in range(self.dim)
-        )
+        r = list(p)
+        for i, col in enumerate(self._tri):
+            q = r[i] // col[i]
+            if q:
+                for k in range(i, self.dim):
+                    r[k] -= q * col[k]
+        return tuple(r)
 
     def contains(self, p: Point) -> bool:
-        if self._moduli is not None:
-            return len(p) == self.dim and all(c % m == 0 for c, m in zip(p, self._moduli))
-        return all(c.denominator == 1 for c in self.coords(p))
-
-    def reduce(self, p: Point) -> Point:
-        """Canonical representative of p + L (basis coordinates in [0,1))."""
-        if self._moduli is not None:
-            if len(p) != self.dim:
-                raise InvalidDimensionError("point of wrong dimension")
-            return tuple(c % m for c, m in zip(p, self._moduli))
-        floors = [math.floor(c) for c in self.coords(p)]
-        return tuple(
-            p[i] - sum(self.basis[i][j] * floors[j] for j in range(self.dim))
-            for i in range(self.dim)
-        )
+        return not any(self.reduce(p))
 
     def fundamental_domain(self) -> FiniteSubset:
-        """One representative per coset of L in Z^d (index-many points)."""
-        if self._moduli is not None:
-            return FiniteSubset.box((0,) * self.dim, tuple(m - 1 for m in self._moduli))
-        seen: dict[Point, None] = {}
-        ranges = [range(self.index) for _ in range(self.dim)]
-        for p in itertools.product(*ranges):
-            r = self.reduce(p)
-            seen.setdefault(r, None)
-        if len(seen) != self.index:
-            raise AssertionError("fundamental domain enumeration mismatch")
-        return FiniteSubset(seen.keys())
+        """The box prod_i [0, h_i): one representative per coset of L."""
+        hi = tuple(col[i] - 1 for i, col in enumerate(self._tri))
+        return FiniteSubset.box((0,) * self.dim, hi)
 
     def __repr__(self) -> str:
-        if self._moduli is not None:
-            return f"Lattice.diagonal({list(self._moduli)})"
+        if self.moduli is not None:
+            return f"Lattice.diagonal({list(self.moduli)})"
         return f"Lattice({[list(r) for r in self.basis]})"
 
 

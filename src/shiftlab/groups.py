@@ -310,21 +310,29 @@ def folner_defect(F: FiniteSubset, g: Point, side: str = "left") -> Fraction:
     return Fraction(moved.sym_diff_size(F), len(F))
 
 
-def _union_profile(F: FolnerSequence, chosen: Sequence[int], m: int) -> int:
-    """|union_{k in chosen} F_k^{-1} F_m| with a running union."""
-    target = F.set_at(m)
+def _union_size(sets: Iterable[FiniteSubset], target: FiniteSubset) -> int:
+    """|union_{S in sets} S^{-1} target| with a running union (sets non-empty)."""
     acc: FiniteSubset | None = None
-    for k in chosen:
-        piece = F.set_at(k).invert().minkowski(target)
+    for s in sets:
+        piece = s.invert().minkowski(target)
         acc = piece if acc is None else acc.union(piece)
     return len(acc)
+
+
+def _tempering_constant(C: float | Fraction) -> Fraction:
+    """C as an exact Fraction (a float is read to denominator 10^9); it must exceed 1."""
+    C = Fraction(C).limit_denominator(10**9) if isinstance(C, float) else Fraction(C)
+    if C <= 1:
+        raise InvalidConstantError(f"tempering constant must exceed 1, got {C}")
+    return C
 
 
 def temperedness_ratio(F: FolnerSequence, n: int) -> Fraction:
     """|union_{k<=n} F_k^{-1} F_{n+1}| / |F_{n+1}|."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return Fraction(_union_profile(F, range(1, n + 1), n + 1), len(F.set_at(n + 1)))
+    target = F.set_at(n + 1)
+    return Fraction(_union_size((F.set_at(k) for k in range(1, n + 1)), target), len(target))
 
 
 def tempered_subsequence(F: FolnerSequence, C: float | Fraction, horizon: int) -> list[int]:
@@ -335,29 +343,20 @@ def tempered_subsequence(F: FolnerSequence, C: float | Fraction, horizon: int) -
     admissible selection rule; any subsequence passing `check_tempered`
     with the same C is equally valid.
     """
-    C = Fraction(C).limit_denominator(10**9) if isinstance(C, float) else Fraction(C)
-    if C <= 1:
-        raise InvalidConstantError(f"tempering constant must exceed 1, got {C}")
+    C = _tempering_constant(C)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     chosen = [1]
     for m in range(2, horizon + 1):
-        if _union_profile(F, chosen, m) <= C * len(F.set_at(m)):
+        target = F.set_at(m)
+        if _union_size((F.set_at(k) for k in chosen), target) <= C * len(target):
             chosen.append(m)
     return chosen
 
 
 def check_tempered(sets: Sequence[FiniteSubset], C: float | Fraction) -> bool:
     """Does the explicit list satisfy the C-tempered condition at every step?"""
-    C = Fraction(C).limit_denominator(10**9) if isinstance(C, float) else Fraction(C)
-    if C <= 1:
-        raise InvalidConstantError(f"tempering constant must exceed 1, got {C}")
-    for j in range(1, len(sets)):
-        target = sets[j]
-        acc: FiniteSubset | None = None
-        for prev in sets[:j]:
-            piece = prev.invert().minkowski(target)
-            acc = piece if acc is None else acc.union(piece)
-        if len(acc) > C * len(target):
-            return False
-    return True
+    C = _tempering_constant(C)
+    return all(
+        _union_size(sets[:j], sets[j]) <= C * len(sets[j]) for j in range(1, len(sets))
+    )

@@ -26,7 +26,7 @@ from .configs import (
     row_bits,
     rows_available,
 )
-from .errors import IncompatibleWindowsError
+from .errors import IncompatibleWindowsError, InvalidDimensionError
 from .groups import FiniteSubset, FolnerSequence, Point, compose
 
 Pattern = tuple[int, ...]
@@ -202,12 +202,15 @@ def pattern_metric(
     window: FiniteSubset | Sequence[Point], metric: AdmissibleMetric
 ) -> PatternCost:
     """Truncated admissible metric on patterns: sum of site weights over
-    mismatched positions.  Strictly below 1 since the window is finite."""
+    mismatched positions.  Strictly below 1 since the window is finite.
+    The metric must have the window's dimension."""
     sites = (
         window.sorted_points()
         if isinstance(window, FiniteSubset)
         else tuple(sorted(tuple(p) for p in window))
     )
+    if any(len(s) != metric.dim for s in sites):
+        raise InvalidDimensionError("metric dimension does not match the window")
     site_weights = tuple(metric.weight(s) for s in sites)
 
     def dist(p: Pattern, q: Pattern) -> Fraction:

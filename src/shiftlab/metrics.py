@@ -334,9 +334,9 @@ def dbar_trace(
 def joint_period_box(la: Lattice, lb: Lattice) -> FiniteSubset:
     """A box [0, M_1) x ... x [0, M_d) that is a full period of both lattices.
 
-    With diagonal bases M_i is the lcm of the two moduli on axis i;
-    otherwise every M_i is the lcm M of the indices, since M Z^d is a
-    common sublattice of both.
+    When both lattices are products of m_i Z (`Lattice.moduli` is set), M_i
+    is the lcm of the two moduli on axis i; otherwise every M_i is the lcm
+    M of the indices, since M Z^d is a common sublattice of both.
     """
     if la.moduli is not None and lb.moduli is not None:
         axes = tuple(lcm(a, b) for a, b in zip(la.moduli, lb.moduli))

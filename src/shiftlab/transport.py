@@ -455,10 +455,10 @@ def pair_empirical_joining(
     return Coupling(mu, nu, weights)
 
 
-# the per-site periodicity check runs up to this lattice index; the row
-# check of binary configurations under diagonal lattices (1-D or 2-D) reads
-# 2^dim fundamental domains of rows and runs up to the larger limit.  Beyond
-# its limit a lattice is refused, never left unchecked.
+# the per-site periodicity check runs up to this lattice index; binary 1-D
+# and 2-D configurations are checked on bulk rows of the fundamental domain
+# and its translates, up to the larger limit.  Beyond its limit a lattice is
+# refused, never left unchecked.
 PERIOD_CHECK_SITES = 100_000
 PERIOD_ROW_CHECK_SITES = 1 << 25
 
@@ -474,47 +474,22 @@ class PeriodicOrbitMeasure:
         if self.config.dim != self.lattice.dim:
             raise InvalidDimensionError("config and lattice dimension differ")
         # spot-check periodicity on the fundamental domain, one generator at a time
-        index, moduli = self.lattice.index, self.lattice.moduli
-        two_periods = None
-        if moduli is not None:
-            two_periods = FiniteSubset.box((0,) * len(moduli), tuple(2 * m - 1 for m in moduli))
-        row_check = two_periods is not None and rows_available(two_periods, self.config)
-        limit = PERIOD_ROW_CHECK_SITES if row_check else PERIOD_CHECK_SITES
+        domain = self.lattice.fundamental_domain()
+        index = self.lattice.index
+        limit = (
+            PERIOD_ROW_CHECK_SITES if rows_available(domain, self.config) else PERIOD_CHECK_SITES
+        )
         if index > limit:
             raise ValueError(
                 f"cannot check periodicity under {self.lattice}: index {index} exceeds {limit}"
             )
-        if row_check:
-            self._check_rows(self.config.rows(two_periods), moduli)
-            return
-        val = self.config.value
-        domain = self.lattice.fundamental_domain()
-        for j in range(self.lattice.dim):
-            gen = tuple(self.lattice.basis[i][j] for i in range(self.lattice.dim))
-            bad = next((p for p in domain if val(p) != val(compose(p, gen))), None)
-            if bad is not None:
+        for gen in zip(*self.lattice.basis):
+            moved = mismatch_density(self.config, shift(gen, self.config), domain)
+            if moved:
                 raise ValueError(
-                    f"config not periodic under the lattice: site {bad}, generator {gen}"
+                    f"config not periodic under the lattice: generator {gen} "
+                    f"changes {moved} of the sites of the fundamental domain"
                 )
-
-    @staticmethod
-    def _check_rows(rows: list[int], moduli: tuple[int, ...]) -> None:
-        """The same check on the rows of two periods per axis: row i against
-        row i + m_0, and the low m_1 bits of each row against its high ones."""
-        dim = len(moduli)
-        m_col = moduli[-1]
-        low = (1 << m_col) - 1
-        for i in range(moduli[0] if dim == 2 else 1):
-            tests = [((0,) * (dim - 1) + (m_col,), (rows[i] ^ (rows[i] >> m_col)) & low)]
-            if dim == 2:
-                tests.append(((moduli[0], 0), rows[i] ^ rows[i + moduli[0]]))
-            for gen, diff in tests:
-                if diff:
-                    j = (diff & -diff).bit_length() - 1
-                    site = (i, j)[-dim:]  # a 1-D box is the single row 0
-                    raise ValueError(
-                        f"config not periodic under the lattice: site {site}, generator {gen}"
-                    )
 
     @classmethod
     def from_config(cls, x: Configuration) -> "PeriodicOrbitMeasure":

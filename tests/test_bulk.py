@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from shiftlab import configs
 from shiftlab.configs import (
     AdmissibleMetric,
+    Configuration,
     Lattice,
     box_tiles,
     constant_config,
@@ -277,8 +278,25 @@ def test_orbit_check_rejects_false_period_of_large_index():
         PeriodicOrbitMeasure.from_config(x)
 
 
+def test_orbit_check_runs_on_large_non_diagonal_lattices():
+    # columns (100, 0), (50, 101): the triangular basis has diagonal (50, 202)
+    lat = Lattice([[100, 50], [0, 101]])
+    assert lat.index == 10_100 and lat.moduli is None
+    rng = random.Random(7)
+    x = periodic_config(lat, {p: rng.randint(0, 1) for p in lat.fundamental_domain()})
+    PeriodicOrbitMeasure.from_config(x)
+    broken = patched_config(x, {(0, 0): 1 - x.value((0, 0))})
+    with pytest.raises(ValueError, match="not periodic"):
+        PeriodicOrbitMeasure(broken, lat)
+
+
 def test_orbit_check_refuses_large_non_diagonal_lattices():
-    lat = Lattice([[317, 1], [0, 317]])
-    x = predicate_config(2, lambda g: True, period_lattice=lat)
+    # beyond the row limit: index 5793^2 > 2^25
+    x = predicate_config(2, lambda g: True, period_lattice=Lattice([[5793, 1], [0, 5793]]))
     with pytest.raises(ValueError, match="cannot check"):
         PeriodicOrbitMeasure.from_config(x)
+    # beyond the per-site limit: three symbols cannot be read as rows
+    lat = Lattice([[317, 1], [0, 317]])
+    y = Configuration(2, 3, lambda g: 0, period_lattice=lat)
+    with pytest.raises(ValueError, match="cannot check"):
+        PeriodicOrbitMeasure.from_config(y)

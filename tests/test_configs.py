@@ -62,12 +62,56 @@ def test_lattice_diagonal_and_reduce():
 
 def test_lattice_general_basis():
     lat = Lattice([(2, 1), (0, 3)])
-    assert lat.index == 6
+    assert lat.index == 6 and lat.moduli is None
     # generators are the columns of the basis matrix
     assert lat.contains((2, 0)) and lat.contains((1, 3))
-    assert len(lat.fundamental_domain()) == 6
+    assert lat.fundamental_domain() == FiniteSubset.box((0, 0), (0, 5))
+    assert lat.reduce((1, 0)) == (0, 3)
     with pytest.raises(ValueError):
         Lattice([(1, 0), (2, 0)])
+
+
+def test_lattice_reports_moduli_of_any_product_basis():
+    assert Lattice([[2, 2], [0, 3]]).moduli == (2, 3)
+    assert Lattice([[-2, 0], [0, 3]]).moduli == (2, 3)
+    assert Lattice([[0, 3], [2, 0]]).moduli == (3, 2)
+
+
+def _det(rows):
+    """Determinant by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+@st.composite
+def nonsingular_bases(draw):
+    d = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-6, 6), min_size=d, max_size=d)
+    return draw(st.lists(row, min_size=d, max_size=d).filter(lambda m: _det(m) != 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=nonsingular_bases(), data=st.data())
+def test_lattice_box_is_a_transversal(rows, data):
+    lat = Lattice(rows)
+    d = len(rows)
+    assert lat.index == abs(_det(rows))
+    domain = lat.fundamental_domain()
+    assert domain.is_box and len(domain) == lat.index
+    if lat.index <= 500:
+        assert all(lat.reduce(q) == q for q in domain)
+    p = data.draw(st.tuples(*[st.integers(-40, 40)] * d))
+    r = lat.reduce(p)
+    assert r in domain and lat.reduce(r) == r
+    for gen in zip(*rows):
+        assert lat.contains(gen)
+        assert lat.reduce(compose(p, gen)) == r
+        assert lat.reduce(tuple(a - b for a, b in zip(p, gen))) == r
+    assert lat.contains(p) == (r == (0,) * d)
 
 
 def test_periodic_config_depends_only_on_coset():

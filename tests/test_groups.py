@@ -151,6 +151,9 @@ def test_check_tempered_agrees_with_selection():
     chosen = tempered_subsequence(F1, C, 10)
     assert check_tempered([F1.set_at(k) for k in chosen], C)
     assert not check_tempered([F1.set_at(k) for k in range(1, 11)], C)
+    # a float constant is read as the same Fraction; short lists hold vacuously
+    assert tempered_subsequence(F1, 1.2, 10) == chosen
+    assert check_tempered([], C) and check_tempered([F1.set_at(3)], C)
 
 
 def test_custom_folner_indexing_and_singleton_ratio():

@@ -15,7 +15,8 @@ from shiftlab.configs import (
     shift,
     word_config,
 )
-from shiftlab.errors import IncompatibleWindowsError
+from shiftlab.errors import IncompatibleWindowsError, InvalidDimensionError
+from shiftlab.examples import resolve_example_name
 from shiftlab.groups import FiniteSubset, make_box_folner
 from shiftlab.measures import (
     MeasureSet,
@@ -27,6 +28,7 @@ from shiftlab.measures import (
     pattern_metric,
     prokhorov_distance,
 )
+from shiftlab.transport import rho_bar_lower
 
 F1 = make_box_folner(1)
 W0 = FiniteSubset.box((0,), (0,))
@@ -135,6 +137,23 @@ def test_prokhorov_rejects_window_mismatch():
     nu = PatternDistribution(W2, {(0, 0): ONE})
     with pytest.raises(IncompatibleWindowsError):
         prokhorov_distance(mu, nu)
+
+
+def test_metric_of_the_wrong_dimension_is_refused():
+    F = make_box_folner(2)
+    W = FiniteSubset.box((0, 0), (1, 1))
+    mu, nu = (
+        empirical_measure(resolve_example_name(name), F.set_at(30), W)
+        for name in ("prime-approx:1", "prime-approx:2")
+    )
+    assert prokhorov_distance(mu, nu) == prokhorov_distance(mu, nu, default_metric(2))
+    assert prokhorov_distance(mu, nu) == Fraction(85, 961)
+    with pytest.raises(InvalidDimensionError):
+        prokhorov_distance(mu, nu, default_metric(1))
+    with pytest.raises(InvalidDimensionError):
+        rho_bar_lower([mu], [nu], "admissible", default_metric(1))
+    with pytest.raises(InvalidDimensionError):
+        pattern_metric(W, default_metric(3))
 
 
 def _random_distribution(rng, window, patterns):
