@@ -129,6 +129,24 @@ class Lattice:
     def contains(self, p: Point) -> bool:
         return not any(self.reduce(p))
 
+    def order(self, p: Point) -> int:
+        """Least n >= 1 with n p in the lattice: the order of p + L in Z^d / L.
+
+        Down the triangular basis, n must first make coordinate i a multiple
+        of h_i (a factor h_i / gcd(h_i, r_i)); subtracting that multiple of
+        the i-th column zeroes coordinate i and leaves the later ones.
+        """
+        if len(p) != self.dim:
+            raise InvalidDimensionError("point of wrong dimension")
+        r = list(p)
+        n = 1
+        for i, col in enumerate(self._tri):
+            step = col[i] // math.gcd(col[i], r[i])
+            q = r[i] * step // col[i]
+            r = [step * a - q * b for a, b in zip(r, col)]
+            n *= step
+        return n
+
     def fundamental_domain(self) -> FiniteSubset:
         """The box prod_i [0, h_i): one representative per coset of L."""
         hi = tuple(col[i] - 1 for i, col in enumerate(self._tri))

@@ -276,17 +276,36 @@ def _mix64(v: int) -> int:
 
 def random_config(dim: int, seed: int, alphabet: int = 2) -> Configuration:
     """Deterministic point-addressable noise: each site's symbol is a
-    splitmix64 hash of (seed, site).  Same seed, same configuration."""
+    splitmix64 hash of (seed, site).  Same seed, same configuration.
+
+    The hash folds in the seed, then one coordinate at a time, so a binary
+    configuration of dimension 1 or 2 also has a bulk rows rule: the hash
+    of the seed (and in 2-D of the row coordinate) is shared by the whole
+    row, and each site costs one splitmix64 step.
+    """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
+    start = _mix64(seed & _MASK)
 
     def rule(g: Point) -> int:
-        h = _mix64(seed & _MASK)
+        h = start
         for c in g:
             h = _mix64(h ^ (c & _MASK))
         return h % alphabet
 
-    return Configuration(dim, alphabet, rule, kind=f"random:{seed}")
+    def rows(lo: Point, hi: Point) -> list[int]:
+        # bit j is column lo + j, as in `configs._pack`; the text is built
+        # from the last column down, so no reversal is needed
+        cols = range(hi[-1], lo[-1] - 1, -1)
+        heads = [start] if dim == 1 else [_mix64(start ^ (a & _MASK))
+                                          for a in range(lo[0], hi[0] + 1)]
+        return [int("".join(["01"[_mix64(h ^ (c & _MASK)) & 1] for c in cols]), 2)
+                for h in heads]
+
+    # the packed low bit is the symbol only for two symbols, and `heads`
+    # covers one row coordinate at most
+    bulk = rows if alphabet == 2 and dim <= 2 else None
+    return Configuration(dim, alphabet, rule, kind=f"random:{seed}", rows=bulk)
 
 
 def random_periodic_pair(

@@ -334,14 +334,12 @@ def dbar_trace(
 def joint_period_box(la: Lattice, lb: Lattice) -> FiniteSubset:
     """A box [0, M_1) x ... x [0, M_d) that is a full period of both lattices.
 
-    When both lattices are products of m_i Z (`Lattice.moduli` is set), M_i
-    is the lcm of the two moduli on axis i; otherwise every M_i is the lcm
-    M of the indices, since M Z^d is a common sublattice of both.
+    M_i is the lcm of the orders of the unit vector e_i in Z^d / la and
+    Z^d / lb, so M_i e_i lies in both lattices and the box tiles Z^d by a
+    common sublattice.  For product lattices the orders are the moduli.
     """
-    if la.moduli is not None and lb.moduli is not None:
-        axes = tuple(lcm(a, b) for a, b in zip(la.moduli, lb.moduli))
-    else:
-        axes = (lcm(la.index, lb.index),) * la.dim
+    units = [tuple(int(i == j) for j in range(la.dim)) for i in range(la.dim)]
+    axes = [lcm(la.order(e), lb.order(e)) for e in units]
     return FiniteSubset.box((0,) * la.dim, tuple(m - 1 for m in axes))
 
 

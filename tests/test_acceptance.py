@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 
+from shiftlab import cli
 from shiftlab.configs import Lattice, periodic_config, word_config
 from shiftlab.examples import (
     PRIMES,
@@ -97,6 +98,41 @@ def test_criterion_02_approximant_convergence():
             assert b <= a + MONOTONE_SLACK
 
     _record(2, "dbar(v, x^(n)) at N=600 under prime-square tails + 0.01, nonincreasing", body)
+
+
+def _bernoulli(m):
+    """B_0 .. B_m as Fractions, by sum_{k<=j} C(j+1, k) B_k = 0 for j >= 1."""
+    B = [Fraction(1)]
+    for j in range(1, m + 1):
+        B.append(-sum(math.comb(j + 1, k) * B[k] for k in range(j)) / (j + 1))
+    return B
+
+
+def _mobius(k):
+    out, p = 1, 2
+    while p * p <= k:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if k > 1 else out
+
+
+def test_prime_square_tails_match_the_prime_zeta_value():
+    # P(2) = sum_p p^-2 = sum_k mu(k)/k log zeta(2k), with
+    # zeta(2k) = |B_2k| (2 pi)^2k / (2 (2k)!); the terms fall like 4^-k / k
+    K = 30
+    B = _bernoulli(2 * K)
+    zeta = [float(abs(B[2 * k])) * (2 * math.pi) ** (2 * k) / (2 * math.factorial(2 * k))
+            for k in range(1, K + 1)]
+    assert abs(zeta[0] - math.pi**2 / 6) < 1e-15
+    p2 = sum(_mobius(k) / k * math.log(z) for k, z in enumerate(zeta, start=1))
+    tails = [p2 - sum(1 / p**2 for p in PRIMES[:n]) for n in range(1, 6)]
+    for table in (PRIME_SQUARE_TAILS, cli.PRIME_SQUARE_TAILS):
+        assert len(table) == len(tails)
+        assert all(abs(a - b) < 1e-10 for a, b in zip(table, tails))
 
 
 def test_criterion_03_exact_stage_distances():

@@ -7,6 +7,7 @@ explicit point set (not a box), or a metric without shell weights.
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -220,6 +221,103 @@ def test_tile_seams_change_no_count(data, tile):
     assert got == (dbar_estimate(x, z, ref, 1),
                    upper_density(lambda g: x.value(g) == 1, F, [n]).rows[0].value,
                    empirical_measure(x, FiniteSubset(window.points()), W))
+
+
+def test_every_binary_name_reads_rows_without_site_calls():
+    """A constructor that drops its rows rule would fall back to one
+    `value` call per site; here any such call fails."""
+    def site_read(self, g):
+        raise AssertionError(f"{self.kind} read site by site")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Configuration, "value", site_read)
+        for dim, names in NAMES.items():
+            box = FiniteSubset.box((-5,) * dim, (6,) * dim)
+            for name in names:
+                for seed in range(4):
+                    x = make(name, dim, seed)
+                    assert len(x.rows(box)) == (12 if dim == 2 else 1)
+
+
+# --- random_config against a splitmix64 written here ------------------------
+
+def _splitmix64(v):
+    v = (v + 0x9E3779B97F4A7C15) % 2**64
+    v = ((v ^ (v >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    v = ((v ^ (v >> 27)) * 0x94D049BB133111EB) % 2**64
+    return v ^ (v >> 31)
+
+
+def hashed(seed, g, alphabet=2):
+    """random_config's symbol: splitmix64 folded over the seed, then each
+    coordinate, all taken mod 2^64."""
+    h = _splitmix64(seed % 2**64)
+    for c in g:
+        h = _splitmix64(h ^ (c % 2**64))
+    return h % alphabet
+
+
+def hashed_rows(seed, box):
+    lo, hi = box.bounds
+    heads = [()] if box.dim == 1 else [(a,) for a in range(lo[0], hi[0] + 1)]
+    cols = range(lo[-1], hi[-1] + 1)
+    return [sum(hashed(seed, (*a, c)) << j for j, c in enumerate(cols)) for a in heads]
+
+
+# near 0, below 0, and where c mod 2^64 wraps: at +-2^63 and beyond +-2^64
+CORNERS = (0, -37, 2**63 - 9, -(2**63) - 9, 2**64 - 9, -(2**64) - 9, 5 * 2**64 + 3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(dim=st.sampled_from((1, 2)), seed=st.integers(-(2**70), 2**70), data=st.data())
+def test_random_rows_match_an_independent_hash(dim, seed, data):
+    lo = tuple(data.draw(st.sampled_from(CORNERS)) + data.draw(st.integers(-10, 10))
+               for _ in range(dim))
+    hi = tuple(a + data.draw(st.integers(0, 60 if dim == 1 else 15)) for a in lo)
+    box = FiniteSubset.box(lo, hi)
+    assert random_config(dim, seed).rows(box) == hashed_rows(seed, box)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from((1, 2)), seeds=st.tuples(st.integers(0, 2**40), st.integers(0, 2**40)),
+       tile=st.integers(1, 30), data=st.data())
+def test_random_counts_across_tile_seams_match_an_independent_hash(dim, seeds, tile, data):
+    lo = tuple(data.draw(st.sampled_from(CORNERS)) for _ in range(dim))
+    hi = tuple(a + data.draw(st.integers(0, 80 if dim == 1 else 12)) for a in lo)
+    box = FiniteSubset.box(lo, hi)
+    F = custom_folner([box])
+    x, z = (random_config(dim, s) for s in seeds)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(configs, "TILE_SITES", tile)
+        assert len(list(box_tiles(box))) > 1 or len(box) <= tile
+        ones = upper_density(x.indicator(1), F, [1]).rows[0].value
+        mismatches = dbar_estimate(x, z, F, 1)
+    assert ones == Fraction(sum(hashed(seeds[0], g) for g in box), len(box))
+    assert mismatches == Fraction(
+        sum(hashed(seeds[0], g) != hashed(seeds[1], g) for g in box), len(box))
+
+
+def test_random_config_of_three_symbols_is_read_site_by_site():
+    x, z = random_config(2, 5, alphabet=3), random_config(2, 6, alphabet=3)
+    box = FiniteSubset.box((-4, -3), (5, 6))
+    assert not rows_available(box, x)
+    with pytest.raises(ValueError):
+        x.rows(box)
+
+    def no_rows(self, box):
+        raise AssertionError("rows read")
+
+    F, W = custom_folner([box]), FiniteSubset.box((0, 0), (0, 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Configuration, "rows", no_rows)
+        got = (dbar_estimate(x, z, F, 1), upper_density(x.indicator(2), F, [1]).rows[0].value,
+               empirical_measure(x, box, W).weights)
+    xs = {g: hashed(5, g, 3) for g in box.minkowski(W)}
+    assert all(x.value(g) == s for g, s in xs.items())
+    patterns = Counter((xs[(a, b)], xs[(a, b + 1)]) for a, b in box)
+    assert got == (Fraction(sum(xs[g] != hashed(6, g, 3) for g in box), len(box)),
+                   Fraction(sum(xs[g] == 2 for g in box), len(box)),
+                   {p: Fraction(c, len(box)) for p, c in patterns.items()})
 
 
 def test_tiles_partition_large_boxes():

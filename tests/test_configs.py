@@ -112,6 +112,10 @@ def test_lattice_box_is_a_transversal(rows, data):
         assert lat.reduce(compose(p, gen)) == r
         assert lat.reduce(tuple(a - b for a, b in zip(p, gen))) == r
     assert lat.contains(p) == (r == (0,) * d)
+    # the order of p + L divides the index; no smaller multiple of p is in L
+    n = lat.order(p)
+    assert lat.index % n == 0 and lat.contains(tuple(n * c for c in p))
+    assert not any(lat.contains(tuple(k * c for c in p)) for k in range(1, n))
 
 
 def test_periodic_config_depends_only_on_coset():

@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 from shiftlab.configs import (
+    Lattice,
     constant_config,
     patched_config,
+    periodic_config,
     predicate_config,
     shift,
     word_config,
@@ -32,8 +34,10 @@ from shiftlab.metrics import (
     dbar_trace,
     default_delta_grid,
     exact_mismatch_density,
+    joint_period_box,
     upper_density,
 )
+from shiftlab.transport import PeriodicOrbitMeasure, periodic_rho_oracle
 
 F1 = make_box_folner(1)
 FC2 = make_box_folner(2, kind="centered")
@@ -225,6 +229,24 @@ def test_exact_mismatch_density_on_words():
     c = word_config((0, 1, 1))
     assert exact_mismatch_density(a, c) == Fraction(1, 2)
     assert exact_mismatch_density(a, a) == 0
+
+
+def test_joint_period_box_of_a_non_product_lattice():
+    # columns (12, 0), (1, 12): e_0 has order 12 and e_1 order 144 in Z^2 / L,
+    # so the box is 12 x 144 sites, not index^2 = 144 x 144
+    lat = Lattice([[12, 1], [0, 12]])
+    assert lat.moduli is None and lat.index == 144
+    box = joint_period_box(lat, lat)
+    assert box.bounds == ((0, 0), (11, 143)) and len(box) == 1728
+    assert joint_period_box(lat, Lattice.diagonal((8, 3))).bounds == ((0, 0), (23, 143))
+    rng = random.Random(3)
+    x, z = (periodic_config(lat, {p: rng.randint(0, 1) for p in lat.fundamental_domain()})
+            for _ in range(2))
+    bad = sum(1 for g in box if x.value(g) != z.value(g))
+    assert exact_mismatch_density(x, z) == Fraction(bad, len(box))
+    # the oracle accepts the pair (the index^2 box made it refuse) and finds shift 0
+    orbit = PeriodicOrbitMeasure.from_config(x)
+    assert periodic_rho_oracle(orbit, orbit) == 0
 
 
 # --- EstimateTrace ----------------------------------------------------------
