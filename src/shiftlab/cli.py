@@ -319,7 +319,8 @@ def _cmd_transport(cfg: dict, out: str | None) -> int:
     W = box_set(x.dim, cfg["window"] - 1)
     mu = empirical_measure(x, F.set_at(cfg["N"]), W)
     nu = empirical_measure(z, F.set_at(cfg["N"]), W)
-    cost = _cost_for(cfg["cost"], mu.sites)
+    ham = cfg["cost"] == "hamming"
+    cost = hamming_per_site_cost(mu.sites) if ham else pattern_metric(mu.sites)
     res = min_cost_transport(mu, nu, cost)
     certified = verify_transport_certificate(res, cost)
     _emit(
@@ -331,12 +332,6 @@ def _cmd_transport(cfg: dict, out: str | None) -> int:
         out,
     )
     return 0 if certified else 2
-
-
-def _cost_for(kind: str, sites):
-    if kind == "hamming":
-        return hamming_per_site_cost(sites)
-    return pattern_metric(sites, default_metric(len(sites[0])))
 
 
 def _cmd_rho_chain(cfg: dict, out: str | None) -> int:

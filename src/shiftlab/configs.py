@@ -311,30 +311,37 @@ def constant_config(dim: int, symbol: int, alphabet: int = 2) -> Configuration:
                          period_lattice=Lattice.diagonal(1, dim=dim), rows=rows)
 
 
-def _tiled_rows(moduli: tuple[int, ...], table: Mapping[Point, int]) -> RowsRule:
-    """Bulk rule of a periodic table with diagonal moduli (1-D or 2-D): one
-    period string per row residue, tiled along the row."""
-    m_row = moduli[0] if len(moduli) == 2 else 1
-    m_col = moduli[-1]
+def _tiled_rows(lattice: Lattice, table: Mapping[Point, int]) -> RowsRule:
+    """Bulk rule of a periodic table under a 1-D or 2-D lattice.
+
+    The triangular basis has first column (h_0, t) and last diagonal h_1
+    (a 1-D lattice is the single row 0, with h_0 = 1 and t = 0): row
+    q h_0 + r is row r shifted by -q t, and row r of the fundamental domain
+    is a period string of h_1 sites, tiled along the row.
+    """
+    tri = lattice._tri
+    h0, t = (tri[0][0], tri[0][1]) if lattice.dim == 2 else (1, 0)
+    h1 = tri[-1][-1]
     periods: dict[int, str] = {}
 
     def period(r: int) -> str:
         text = periods.get(r)
         if text is None:
-            # (r, c)[-dim:] is the table key; a 1-D table is the single row 0
-            keys = ((r, c)[-len(moduli):] for c in range(m_col))
+            # (r, c)[-dim:] is the table key
+            keys = ((r, c)[-lattice.dim:] for c in range(h1))
             text = periods[r] = "".join("1" if table[k] else "0" for k in keys)
         return text
 
     def rows(lo: Point, hi: Point) -> list[int]:
         a0, height, c0, width = _grid(lo, hi)
-        tiled: dict[int, int] = {}
+        tiled: dict[tuple[int, int], int] = {}
         out = []
         for a in range(a0, a0 + height):
-            r = a % m_row
-            row = tiled.get(r)
+            q, r = divmod(a, h0)
+            key = (r, (c0 - q * t) % h1)
+            row = tiled.get(key)
             if row is None:
-                row = tiled[r] = _tile(period(r), c0, width)
+                row = tiled[key] = _tile(period(r), key[1], width)
             out.append(row)
         return out
 
@@ -357,8 +364,8 @@ def periodic_config(lattice: Lattice, table: Mapping[Point, int], alphabet: int 
         raise ValueError(f"table misses {len(missing)} cosets, e.g. {missing[0]}")
     if len(canon) != len(domain):
         raise ValueError("table has entries outside the fundamental domain")
+    bulk = _tiled_rows(lattice, canon) if lattice.dim <= 2 else None
     moduli = lattice.moduli
-    bulk = _tiled_rows(moduli, canon) if moduli is not None and len(moduli) <= 2 else None
     if moduli is not None and len(moduli) == 1:
         m = moduli[0]
         row = tuple(canon[(i,)] for i in range(m))
@@ -372,7 +379,7 @@ def periodic_config(lattice: Lattice, table: Mapping[Point, int], alphabet: int 
                              rows=bulk)
     table_c = dict(canon)
     return Configuration(lattice.dim, a, lambda g: table_c[lattice.reduce(g)],
-                         kind="periodic", period_lattice=lattice)
+                         kind="periodic", period_lattice=lattice, rows=bulk)
 
 
 def word_config(word: Sequence[int], alphabet: int = 2) -> Configuration:

@@ -199,16 +199,21 @@ def _box_pattern_counts(x: Configuration, window_set: FiniteSubset, W: FiniteSub
 
 
 def pattern_metric(
-    window: FiniteSubset | Sequence[Point], metric: AdmissibleMetric
+    window: FiniteSubset | Sequence[Point], metric: AdmissibleMetric | None = None
 ) -> PatternCost:
     """Truncated admissible metric on patterns: sum of site weights over
     mismatched positions.  Strictly below 1 since the window is finite.
-    The metric must have the window's dimension."""
+    The metric must have the window's dimension; None means the default
+    metric of that dimension."""
     sites = (
         window.sorted_points()
         if isinstance(window, FiniteSubset)
         else tuple(sorted(tuple(p) for p in window))
     )
+    if metric is None:
+        if not sites:
+            raise ValueError("the default metric needs a non-empty window")
+        metric = default_metric(len(sites[0]))
     if any(len(s) != metric.dim for s in sites):
         raise InvalidDimensionError("metric dimension does not match the window")
     site_weights = tuple(metric.weight(s) for s in sites)
@@ -289,8 +294,7 @@ def _resolve_cost(
         raise IncompatibleWindowsError("distributions on different windows")
     if dist_fn is not None:
         return lambda p, q: Fraction(dist_fn(p, q))
-    dim = len(mu.sites[0])
-    return pattern_metric(mu.sites, metric if metric is not None else default_metric(dim))
+    return pattern_metric(mu.sites, metric)
 
 
 def prokhorov_distance(

@@ -1,9 +1,11 @@
 """Exact optimal transport between pattern distributions, and the joining
 pseudometric machinery built on it.
 
-The solver is a transportation simplex in Fraction arithmetic: northwest
-corner start, tree duals, Bland-rule pivoting, and a complementary
-slackness certificate checked on every solve.  An independent oracle
+The solver is a transportation simplex in integers, with masses scaled to
+their common denominator D and costs by the lcm E of theirs: northwest
+corner start, one walk of the basis tree per pivot for both the duals and
+the entering cycle, Bland-rule pivoting, and a complementary slackness
+certificate checked on every solve.  An independent oracle
 searches every integer contingency table at the common mass denominator
 (the transportation polytope has integral vertices there, so the search
 is exhaustive for the optimum) by branch and bound in integers, cutting a
@@ -16,7 +18,7 @@ periodic orbit measures.
 from __future__ import annotations
 
 import json
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -26,7 +28,6 @@ from .configs import (
     AdmissibleMetric,
     Configuration,
     Lattice,
-    default_metric,
     rows_available,
     shift,
 )
@@ -137,96 +138,47 @@ class TransportResult:
         return iter((self.coupling, self.value))
 
 
-def _northwest_corner(a: list[Fraction], b: list[Fraction]):
-    """Initial basic feasible staircase with exactly m+n-1 cells."""
+def _northwest_corner(a: list[int], b: list[int]) -> dict[tuple[int, int], int]:
+    """Initial basic feasible staircase with exactly m+n-1 cells; the keys
+    of the returned flows are the basis."""
     m, n = len(a), len(b)
     rem_a, rem_b = a[:], b[:]
-    basis: list[tuple[int, int]] = []
-    flows: dict[tuple[int, int], Fraction] = {}
+    flows: dict[tuple[int, int], int] = {}
     i = j = 0
     while True:
         t = min(rem_a[i], rem_b[j])
-        basis.append((i, j))
         flows[(i, j)] = t
         rem_a[i] -= t
         rem_b[j] -= t
         if i == m - 1 and j == n - 1:
-            break
+            return flows
         if rem_a[i] == 0 and i < m - 1:
             i += 1
         else:
             j += 1
-    return flows, set(basis)
 
 
-def _tree_duals(basis, C, m, n):
-    row_adj: dict[int, list[int]] = defaultdict(list)
-    col_adj: dict[int, list[int]] = defaultdict(list)
+def _basis_tree(basis, K, m: int, n: int) -> tuple[list[int], list[int], list[int]]:
+    """(potential, parent, depth) of every node of the basis tree rooted at
+    row 0, where row i is node i and column j is node m+j.  Potentials are
+    the duals: 0 at row 0 and u_i + v_j = K[i][j] on every basic cell."""
+    adj: list[list[int]] = [[] for _ in range(m + n)]
     for i, j in basis:
-        row_adj[i].append(j)
-        col_adj[j].append(i)
-    u: list[Fraction | None] = [None] * m
-    v: list[Fraction | None] = [None] * n
-    u[0] = Fraction(0)
-    stack: list[tuple[str, int]] = [("r", 0)]
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    pot, parent, depth = [0] * (m + n), [-1] * (m + n), [-1] * (m + n)
+    depth[0] = 0
+    stack = [0]
     while stack:
-        kind, k = stack.pop()
-        if kind == "r":
-            for j in row_adj[k]:
-                if v[j] is None:
-                    v[j] = C[k][j] - u[k]
-                    stack.append(("c", j))
-        else:
-            for i in col_adj[k]:
-                if u[i] is None:
-                    u[i] = C[i][k] - v[k]
-                    stack.append(("r", i))
-    if any(x is None for x in u) or any(x is None for x in v):
+        k = stack.pop()
+        for x in adj[k]:
+            if depth[x] < 0:
+                parent[x], depth[x] = k, depth[k] + 1
+                pot[x] = (K[k][x - m] if k < m else K[x][k - m]) - pot[k]
+                stack.append(x)
+    if min(depth) < 0:
         raise AssertionError("basis does not span the bipartite node set")
-    return u, v
-
-
-def _basis_cycle(basis, enter):
-    """Alternating cycle closed by the entering cell: [(cell, sign), ...]."""
-    i0, j0 = enter
-    row_adj: dict[int, list[int]] = defaultdict(list)
-    col_adj: dict[int, list[int]] = defaultdict(list)
-    for i, j in basis:
-        row_adj[i].append(j)
-        col_adj[j].append(i)
-    # path from column j0 back to row i0 through the basis tree
-    start = ("c", j0)
-    goal = ("r", i0)
-    parent: dict[tuple[str, int], tuple[str, int] | None] = {start: None}
-    queue = deque([start])
-    while queue and goal not in parent:
-        kind, k = queue.popleft()
-        if kind == "c":
-            for i in col_adj[k]:
-                node = ("r", i)
-                if node not in parent:
-                    parent[node] = (kind, k)
-                    queue.append(node)
-        else:
-            for j in row_adj[k]:
-                node = ("c", j)
-                if node not in parent:
-                    parent[node] = (kind, k)
-                    queue.append(node)
-    if goal not in parent:
-        raise AssertionError("entering cell not connected to the basis tree")
-    path = [goal]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    # path runs row i0 -> ... -> col j0; edges alternate, signs alternate
-    cycle = [(enter, 1)]
-    sign = -1
-    for a, b in zip(path, path[1:]):
-        (ka, na), (kb, nb) = a, b
-        cell = (na, nb) if ka == "r" else (nb, na)
-        cycle.append((cell, sign))
-        sign = -sign
-    return cycle
+    return pot, parent, depth
 
 
 MAX_PIVOTS = 100_000
@@ -239,74 +191,78 @@ def min_cost_transport(
 ) -> TransportResult:
     """Exact optimal coupling and cost, with a dual certificate.
 
-    Pivoting uses Bland's rule (first negative reduced cost in row-major
-    support order; lexicographically smallest leaving cell), so the solve
-    is deterministic and cannot cycle.  The returned potentials satisfy
-    u_i + v_j <= c_ij everywhere with equality on the support, and the
-    primal value equals the dual value; both facts are asserted before
-    returning.
+    The simplex runs in integers: masses scaled by their common
+    denominator D, costs by the lcm E of theirs (the problem is totally
+    unimodular, so every basic solution is integral at D).  Each pivot
+    walks the basis tree once; its potentials are the duals, and its parent
+    pointers give the entering cycle.  Pivoting uses Bland's rule (first
+    negative reduced cost in row-major support order; lexicographically
+    smallest leaving cell), so the solve is deterministic and cannot cycle.
+    The returned potentials satisfy u_i + v_j <= c_ij everywhere with
+    equality on the support, and the primal value equals the dual value;
+    both facts are asserted before returning.
     """
     if not mu.same_window(nu):
         raise IncompatibleWindowsError("transport across different windows")
     cost_fn = _as_cost_fn(cost)
     rows = mu.support()
     cols = nu.support()
-    a = [mu.weights[p] for p in rows]
-    b = [nu.weights[q] for q in cols]
     C = [[cost_fn(p, q) for q in cols] for p in rows]
     if any(c < 0 for row in C for c in row):
         raise ValueError("costs must be nonnegative")
+    D = lcm(*(w.denominator for w in (*mu.weights.values(), *nu.weights.values())))
+    E = lcm(*(c.denominator for row in C for c in row))
+    a = [int(mu.weights[p] * D) for p in rows]
+    b = [int(nu.weights[q] * D) for q in cols]
+    K = [[int(c * E) for c in row] for row in C]
     m, n = len(rows), len(cols)
-    flows, basis = _northwest_corner(a, b)
+    flows = _northwest_corner(a, b)
     for _ in range(MAX_PIVOTS):
-        u, v = _tree_duals(basis, C, m, n)
-        enter = None
-        for i in range(m):
-            ui = u[i]
-            for j in range(n):
-                if (i, j) not in basis and C[i][j] - ui - v[j] < 0:
-                    enter = (i, j)
-                    break
-            if enter:
-                break
+        pot, parent, depth = _basis_tree(flows, K, m, n)
+        u, v = pot[:m], pot[m:]
+        # basic cells have reduced cost 0, so the scan needs no basis test
+        enter = next(
+            ((i, j) for i in range(m) for j in range(n) if K[i][j] - u[i] - v[j] < 0), None
+        )
         if enter is None:
             break
-        cycle = _basis_cycle(basis, enter)
+        # tree path from row i0 and from column j0 up to their common
+        # ancestor; signs alternate, -1 on the edge at row i0
+        x, y = enter[0], m + enter[1]
+        cycle = []
+        while x != y:
+            if depth[x] >= depth[y]:
+                x, k = parent[x], x
+                sign = -1 if k < m else 1
+            else:
+                y, k = parent[y], y
+                sign = 1 if k < m else -1
+            cycle.append(((k, parent[k] - m) if k < m else (parent[k], k - m), sign))
         minus_cells = [cell for cell, sign in cycle if sign < 0]
         theta = min(flows[cell] for cell in minus_cells)
         leaving = min(cell for cell in minus_cells if flows[cell] == theta)
+        flows[enter] = theta
         for cell, sign in cycle:
-            if cell == enter:
-                flows[cell] = theta
-            else:
-                flows[cell] += sign * theta
-        basis.remove(leaving)
+            flows[cell] += sign * theta
         del flows[leaving]
-        basis.add(enter)
     else:
         raise AssertionError("pivot limit exceeded; Bland's rule should prevent this")
 
-    value = sum((flows[(i, j)] * C[i][j] for i, j in basis), Fraction(0))
-    u, v = _tree_duals(basis, C, m, n)
+    value = sum(f * K[i][j] for (i, j), f in flows.items())
     # complementary slackness + strong duality, exact
-    for i in range(m):
-        for j in range(n):
-            if C[i][j] - u[i] - v[j] < 0:
-                raise AssertionError("dual infeasibility after termination")
-    dual_value = sum((u[i] * a[i] for i in range(m)), Fraction(0)) + sum(
-        (v[j] * b[j] for j in range(n)), Fraction(0)
-    )
-    if dual_value != value:
+    if any(K[i][j] < u[i] + v[j] for i in range(m) for j in range(n)):
+        raise AssertionError("dual infeasibility after termination")
+    if sum(x * y for x, y in zip(pot, a + b)) != value:
         raise AssertionError("strong duality violated; solver bug")
     weights = {
-        (rows[i], cols[j]): f for (i, j), f in flows.items() if f > 0
+        (rows[i], cols[j]): Fraction(f, D) for (i, j), f in flows.items() if f > 0
     }
     coupling = Coupling(mu, nu, weights)
     return TransportResult(
         coupling=coupling,
-        value=value,
-        row_potentials={rows[i]: u[i] for i in range(m)},
-        col_potentials={cols[j]: v[j] for j in range(n)},
+        value=Fraction(value, D * E),
+        row_potentials={p: Fraction(ui, E) for p, ui in zip(rows, u)},
+        col_potentials={q: Fraction(vj, E) for q, vj in zip(cols, v)},
     )
 
 
@@ -560,8 +516,7 @@ def rho_bar_lower(
         if cost_kind == "hamming-per-site":
             cost = hamming_per_site_cost(mu.sites)
         elif cost_kind == "admissible":
-            m = metric if metric is not None else default_metric(len(mu.sites[0]))
-            cost = pattern_metric(mu.sites, m)
+            cost = pattern_metric(mu.sites, metric)
         else:
             raise ValueError(f"unknown cost kind {cost_kind!r}")
         values.append(min_cost_transport(mu, nu, cost).value)

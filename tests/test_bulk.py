@@ -37,6 +37,7 @@ from shiftlab.metrics import (
     besicovitch_prime_estimate,
     dbar_estimate,
     exact_mismatch_density,
+    joint_period_box,
     upper_density,
 )
 from shiftlab.transport import PeriodicOrbitMeasure, periodic_rho_oracle
@@ -44,7 +45,7 @@ from shiftlab.transport import PeriodicOrbitMeasure, periodic_rho_oracle
 NAMES = {
     1: [f"rf-sub:{k}" for k in range(1, 7)] + ["constant", "periodic", "random", "patched"],
     2: ["visible"] + [f"prime-approx:{n}" for n in range(1, 6)]
-    + ["constant", "periodic", "random", "patched"],
+    + ["constant", "periodic", "skew", "random", "patched"],
 }
 # periodic names whose joint period box is small enough for a per-site count
 PERIODIC = {
@@ -59,6 +60,14 @@ def make(name, dim, seed):
         return constant_config(dim, rng.randint(0, 1))
     if name == "periodic":
         lat = Lattice.diagonal(tuple(rng.randint(1, 5) for _ in range(dim)))
+        return periodic_config(lat, {p: rng.randint(0, 1) for p in lat.fundamental_domain()})
+    if name == "skew":
+        # triangular basis (h0, t), (0, h1) with 0 < t < h1, so no product
+        # lattice; the second generator adds k times the first
+        h1 = rng.randint(2, 20)
+        h0, t, k = rng.randint(1, 200 // h1), rng.randint(1, h1 - 1), rng.randint(-3, 3)
+        lat = Lattice([[h0, k * h0], [t, h1 + k * t]])
+        assert lat.moduli is None and lat.index <= 200
         return periodic_config(lat, {p: rng.randint(0, 1) for p in lat.fundamental_domain()})
     if name == "random":
         return random_config(dim, seed)
@@ -386,6 +395,38 @@ def test_orbit_check_runs_on_large_non_diagonal_lattices():
     broken = patched_config(x, {(0, 0): 1 - x.value((0, 0))})
     with pytest.raises(ValueError, match="not periodic"):
         PeriodicOrbitMeasure(broken, lat)
+
+
+def _random_table(lat, rng):
+    return periodic_config(lat, {p: rng.randint(0, 1) for p in lat.fundamental_domain()})
+
+
+def test_periodic_oracle_under_a_skew_lattice_matches_per_site_minimum():
+    lat = Lattice([[4, 1], [0, 4]])
+    rng = random.Random(12)
+    x, z = _random_table(lat, rng), _random_table(lat, rng)
+    box = joint_period_box(lat, lat)
+    best = min(
+        sum(1 for g in box if x.value(g) != z.value(tuple(a + b for a, b in zip(g, s))))
+        for s in box
+    )
+    oracle = periodic_rho_oracle(PeriodicOrbitMeasure(x, lat), PeriodicOrbitMeasure(z, lat))
+    assert oracle == Fraction(best, len(box))
+
+
+def test_periodic_oracle_under_a_skew_lattice_reads_no_site():
+    lat = Lattice([[12, 1], [0, 12]])
+    rng = random.Random(5)
+    x, z = _random_table(lat, rng), _random_table(lat, rng)
+
+    def site_read(self, g):
+        raise AssertionError("read site by site")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Configuration, "value", site_read)
+        got = periodic_rho_oracle(PeriodicOrbitMeasure(x, lat), PeriodicOrbitMeasure(z, lat))
+    # the value the per-site path gives, in about 10 s
+    assert got == Fraction(19, 48)
 
 
 def test_orbit_check_refuses_large_non_diagonal_lattices():

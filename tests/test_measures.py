@@ -326,3 +326,5 @@ def test_pattern_metric_truncated_weights():
     assert metric_fn((0, 0), (0, 1)) == Fraction(1, 8)
     assert metric_fn((0, 0), (1, 1)) == HALF + Fraction(1, 8)
     assert metric_fn((0, 1), (0, 1)) == 0
+    # without a metric, the default one of the window's dimension
+    assert pattern_metric(W2)((0, 0), (1, 1)) == HALF + Fraction(1, 8)

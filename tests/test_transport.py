@@ -203,6 +203,11 @@ def test_brute_force_equals_every_table_minimum(data):
     expected = _every_table_minimum(mu, nu, cost)
     assert brute_force_min_cost(mu, nu, cost) == expected
     assert brute_force_min_cost(mu, nu, lambda p, q: cost[(p, q)]) == expected
+    if all(c >= 0 for c in cost.values()):
+        # the simplex too, across mixed mass and cost denominators
+        result = min_cost_transport(mu, nu, cost)
+        assert result.value == expected
+        assert verify_transport_certificate(result, cost)
 
 
 def test_brute_force_on_a_formerly_slow_four_by_four_instance():
@@ -216,6 +221,110 @@ def test_brute_force_on_a_formerly_slow_four_by_four_instance():
     for cost in (HAM0, table):
         assert brute_force_min_cost(mu, nu, cost) == min_cost_transport(mu, nu, cost).value
     assert brute_force_min_cost(mu, nu, HAM0) == Fraction(13, 30)
+
+
+F = Fraction
+W3 = FiniteSubset.box((0,), (2,))
+SYMBOLS = [(s,) for s in range(5)]
+COSTS = [
+    ["1/3", "11/6", "2", "11/4", "11/12"],
+    ["7/12", "5/2", "2", "3/2", "2"],
+    ["5/3", "7/4", "11/12", "1/3", "1"],
+    ["5/4", "5/6", "1", "9/4", "3/2"],
+    ["3/4", "11/4", "3", "1/3", "5/12"],
+]
+
+
+def _pinned_instance(name):
+    if name == "hamming":
+        mu = {(0, 1, 0): F(1, 10), (0, 1, 1): F(1, 10), (1, 0, 0): F(1, 5),
+              (1, 0, 1): F(3, 10), (1, 1, 1): F(3, 10)}
+        nu = {(0, 0, 1): F(2, 9), (0, 1, 0): F(1, 3), (0, 1, 1): F(2, 9),
+              (1, 0, 1): F(1, 9), (1, 1, 1): F(1, 9)}
+        return (PatternDistribution(W3, mu), PatternDistribution(W3, nu),
+                hamming_per_site_cost(W3.sorted_points()))
+    if name == "table":
+        mu = dist({0: F(2, 5), 1: F(1, 10), 2: F(1, 10), 3: F(1, 10), 4: F(3, 10)})
+        nu = dist({0: F(1, 3), 1: F(1, 12), 2: F(1, 12), 3: F(1, 6), 4: F(1, 3)})
+        cost = {(p, q): F(c) for p, row in zip(SYMBOLS, COSTS) for q, c in zip(SYMBOLS, row)}
+        return mu, nu, cost
+    # every northwest-corner step exhausts a row and a column at once, so the
+    # start carries zero-flow basic cells and the pivots are degenerate
+    quarters = dist({s: F(1, 4) for s in range(4)})
+    return quarters, quarters, lambda p, q: F((p[0] + 1 - q[0]) % 4, 3)
+
+
+# value, coupling and both potential maps of each pinned solve: a change to
+# the pivot order or to the integer scaling fails here
+PINNED = {
+    "hamming": (
+        F(38, 135),
+        [
+            [[0, 1, 0], [0, 1, 0], 1, 10],
+            [[0, 1, 1], [0, 1, 0], 1, 30],
+            [[0, 1, 1], [0, 1, 1], 1, 15],
+            [[1, 0, 0], [0, 1, 0], 1, 5],
+            [[1, 0, 1], [0, 0, 1], 2, 9],
+            [[1, 0, 1], [1, 0, 1], 7, 90],
+            [[1, 1, 1], [0, 1, 1], 7, 45],
+            [[1, 1, 1], [1, 0, 1], 1, 30],
+            [[1, 1, 1], [1, 1, 1], 1, 9],
+        ],
+        {
+            (0, 1, 0): F(0, 1),
+            (0, 1, 1): F(1, 3),
+            (1, 0, 0): F(2, 3),
+            (1, 0, 1): F(1, 3),
+            (1, 1, 1): F(2, 3),
+        },
+        {
+            (0, 0, 1): F(0, 1),
+            (0, 1, 0): F(0, 1),
+            (0, 1, 1): F(-1, 3),
+            (1, 0, 1): F(-1, 3),
+            (1, 1, 1): F(-2, 3),
+        },
+    ),
+    "table": (
+        F(101, 180),
+        [
+            [[0], [0], 7, 30],
+            [[0], [4], 1, 6],
+            [[1], [0], 1, 10],
+            [[2], [2], 1, 15],
+            [[2], [3], 1, 30],
+            [[3], [1], 1, 12],
+            [[3], [2], 1, 60],
+            [[4], [3], 2, 15],
+            [[4], [4], 1, 6],
+        ],
+        {(0,): F(0, 1), (1,): F(1, 4), (2,): F(-1, 2), (3,): F(-5, 12), (4,): F(-1, 2)},
+        {(0,): F(1, 3), (1,): F(5, 4), (2,): F(17, 12), (3,): F(5, 6), (4,): F(11, 12)},
+    ),
+    "degenerate": (
+        F(0, 1),
+        [
+            [[0], [1], 1, 4],
+            [[1], [2], 1, 4],
+            [[2], [3], 1, 4],
+            [[3], [0], 1, 4],
+        ],
+        {(0,): F(0, 1), (1,): F(1, 3), (2,): F(2, 3), (3,): F(1, 1)},
+        {(0,): F(-1, 1), (1,): F(0, 1), (2,): F(-1, 3), (3,): F(-2, 3)},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_solves_are_unchanged(name):
+    mu, nu, cost = _pinned_instance(name)
+    value, pairs, row_potentials, col_potentials = PINNED[name]
+    result = min_cost_transport(mu, nu, cost)
+    assert result.value == value
+    assert result.coupling.to_dict() == {"window": [list(p) for p in mu.sites], "pairs": pairs}
+    assert result.row_potentials == row_potentials
+    assert result.col_potentials == col_potentials
+    assert verify_transport_certificate(result, cost)
 
 
 # --- glue_couplings ---------------------------------------------------------
