@@ -6,9 +6,13 @@ adds one `--key` flag per parameter, and a flat key=value file given with
 else from the file, else from the built-in default, and is cast and checked
 by `_resolve` whichever source it came from.  The resolved configuration is
 embedded in every JSON report so runs are reproducible from their own
-output.  Traces are CSV, reports are JSON; both are written atomically.
-Exit codes: 0 for success / all checks passed, 2 for a failed check, 1 for
-usage errors.
+output.
+
+A handler is a function of its resolved configuration alone: it returns the
+`EstimateTrace` it computed or the body of its JSON report.  `main` renders
+the result (a trace as CSV, a body inside the report envelope), writes it
+atomically to --out or to stdout, and sets the exit code: 2 when the body's
+`passed` or `certified` is false, 1 for usage errors, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .measures import (
     pattern_metric,
 )
 from .metrics import (
+    EstimateTrace,
     besicovitch_prime_estimate,
     besicovitch_trace,
     dbar_estimate,
@@ -233,39 +238,34 @@ def _report(command: str, config: dict, body: dict) -> str:
 
 
 # --- subcommand implementations -------------------------------------------
-# Each takes the resolved configuration and the output path (None: stdout).
+# Each takes the resolved configuration and returns either the trace it
+# computed or the body of its JSON report; `main` writes either one.
 
 
-def _cmd_density(cfg: dict, out: str | None) -> int:
+def _cmd_density(cfg: dict) -> EstimateTrace:
     x = resolve_example_name(cfg["set"])
     n_list = cfg["n-list"] or _ladder(cfg["N"])
     F = make_box_folner(x.dim, cfg["kind"])
-    trace = upper_density(x.indicator(cfg["symbol"]), F, n_list)
-    _emit(trace.to_csv(), out)
-    return 0
+    return upper_density(x.indicator(cfg["symbol"]), F, n_list)
 
 
-def _cmd_besicovitch(cfg: dict, out: str | None) -> int:
+def _cmd_besicovitch(cfg: dict) -> EstimateTrace:
     x = resolve_example_name(cfg["x"])
     z = resolve_example_name(cfg["z"])
     n_list = cfg["n-list"] or _ladder(cfg["N"])
     F = make_box_folner(x.dim, cfg["kind"])
-    trace = besicovitch_trace(x, z, F, n_list, radius=cfg["radius"])
-    _emit(trace.to_csv(), out)
-    return 0
+    return besicovitch_trace(x, z, F, n_list, radius=cfg["radius"])
 
 
-def _cmd_dbar(cfg: dict, out: str | None) -> int:
+def _cmd_dbar(cfg: dict) -> EstimateTrace:
     x = resolve_example_name(cfg["x"])
     z = resolve_example_name(cfg["z"])
     n_list = cfg["n-list"] or _ladder(cfg["N"])
     F = make_box_folner(x.dim, cfg["kind"])
-    trace = dbar_trace(x, z, F, n_list)
-    _emit(trace.to_csv(), out)
-    return 0
+    return dbar_trace(x, z, F, n_list)
 
 
-def _cmd_dprime(cfg: dict, out: str | None) -> int:
+def _cmd_dprime(cfg: dict) -> dict:
     x = resolve_example_name(cfg["x"])
     z = resolve_example_name(cfg["z"])
     F = make_box_folner(x.dim, cfg["kind"])
@@ -273,46 +273,35 @@ def _cmd_dprime(cfg: dict, out: str | None) -> int:
     if cfg["grid-cap"] is not None:
         grid = tuple(d for d in grid if d <= cfg["grid-cap"])
     est = besicovitch_prime_estimate(x, z, F, cfg["N"], radius=cfg["radius"], delta_grid=grid)
-    _emit(_report("dprime", cfg, {"value": _frac(est.value), "saturated": est.saturated}), out)
-    return 0
+    return {"value": _frac(est.value), "saturated": est.saturated}
 
 
-def _cmd_empirical(cfg: dict, out: str | None) -> int:
+def _cmd_empirical(cfg: dict) -> dict:
     x = resolve_example_name(cfg["set"])
     F = make_box_folner(x.dim, cfg["kind"])
     dist = empirical_measure(x, F.set_at(cfg["N"]), box_set(x.dim, cfg["window"] - 1))
-    _emit(_report("empirical", cfg, {"distribution": dist.to_dict()}), out)
-    return 0
+    return {"distribution": dist.to_dict()}
 
 
-def _cmd_prokhorov(cfg: dict, out: str | None) -> int:
+def _cmd_prokhorov(cfg: dict) -> dict:
     x = resolve_example_name(cfg["x"])
     z = resolve_example_name(cfg["z"])
     F = make_box_folner(x.dim, cfg["kind"])
     W = box_set(x.dim, cfg["window"] - 1)
     mu = empirical_measure(x, F.set_at(cfg["N"]), W)
     nu = empirical_measure(z, F.set_at(cfg["N"]), W)
-    d = prokhorov_distance(mu, nu)
-    _emit(_report("prokhorov", cfg, {"distance": _frac(d)}), out)
-    return 0
+    return {"distance": _frac(prokhorov_distance(mu, nu))}
 
 
-def _cmd_omega(cfg: dict, out: str | None) -> int:
+def _cmd_omega(cfg: dict) -> dict:
     x = resolve_example_name(cfg["set"])
     F = make_box_folner(x.dim, cfg["kind"])
     W = box_set(x.dim, cfg["window"] - 1)
     reps = omega_hat_approx(x, F, cfg["n-list"], W, cfg["merge-tol"])
-    _emit(
-        _report("omega", cfg, {
-            "representatives": [m.to_dict() for m in reps.members],
-            "count": len(reps.members),
-        }),
-        out,
-    )
-    return 0
+    return {"representatives": [m.to_dict() for m in reps.members], "count": len(reps.members)}
 
 
-def _cmd_transport(cfg: dict, out: str | None) -> int:
+def _cmd_transport(cfg: dict) -> dict:
     x = resolve_example_name(cfg["x"])
     z = resolve_example_name(cfg["z"])
     F = make_box_folner(x.dim, cfg["kind"])
@@ -322,19 +311,14 @@ def _cmd_transport(cfg: dict, out: str | None) -> int:
     ham = cfg["cost"] == "hamming"
     cost = hamming_per_site_cost(mu.sites) if ham else pattern_metric(mu.sites)
     res = min_cost_transport(mu, nu, cost)
-    certified = verify_transport_certificate(res, cost)
-    _emit(
-        _report("transport", cfg, {
-            "value": _frac(res.value),
-            "certified": certified,
-            "coupling": res.coupling.to_dict(),
-        }),
-        out,
-    )
-    return 0 if certified else 2
+    return {
+        "value": _frac(res.value),
+        "certified": verify_transport_certificate(res, cost),
+        "coupling": res.coupling.to_dict(),
+    }
 
 
-def _cmd_rho_chain(cfg: dict, out: str | None) -> int:
+def _cmd_rho_chain(cfg: dict) -> dict:
     x = resolve_example_name(cfg["x"])
     z = resolve_example_name(cfg["z"])
     oa = PeriodicOrbitMeasure.from_config(x)
@@ -355,8 +339,7 @@ def _cmd_rho_chain(cfg: dict, out: str | None) -> int:
             _frac(sum((metric.weight(p) for p in W), Fraction(0))) for W in windows
         ]
     body["passed"] = passed
-    _emit(_report("rho-chain", cfg, body), out)
-    return 0 if passed else 2
+    return body
 
 
 def _rand_dist(rng: Random, sites, alphabet: int, dens: Sequence[int]) -> PatternDistribution:
@@ -367,14 +350,7 @@ def _rand_dist(rng: Random, sites, alphabet: int, dens: Sequence[int]) -> Patter
     return PatternDistribution(sites, weights)
 
 
-def _items_report(command: str, cfg: dict, items: list[dict], out: str | None) -> int:
-    """Emit the report of a seeded check; exit 2 unless every item passed."""
-    passed = all(it["passed"] for it in items)
-    _emit(_report(command, cfg, {"items": items, "passed": passed}), out)
-    return 0 if passed else 2
-
-
-def _cmd_glue_check(cfg: dict, out: str | None) -> int:
+def _cmd_glue_check(cfg: dict) -> dict:
     rng = Random(cfg["seed"])
     sites = ((0,),)
     cost = hamming_per_site_cost(sites)
@@ -389,10 +365,10 @@ def _cmd_glue_check(cfg: dict, out: str | None) -> int:
         items.append(
             {"glued_cost": _frac(glued_cost), "bound": _frac(bound), "passed": glued_cost <= bound}
         )
-    return _items_report("glue-check", cfg, items, out)
+    return {"items": items, "passed": all(it["passed"] for it in items)}
 
 
-def _cmd_nowy_check(cfg: dict, out: str | None) -> int:
+def _cmd_nowy_check(cfg: dict) -> dict:
     if not cfg["pairs"].startswith("random:"):
         raise ValueError(f"pairs must look like random:COUNT, got {cfg['pairs']!r}")
     count = int(cfg["pairs"].split(":", 1)[1])
@@ -411,7 +387,7 @@ def _cmd_nowy_check(cfg: dict, out: str | None) -> int:
             "chain": [_frac(c) for c in rep.chain],
             "passed": rep.passed,
         })
-    return _items_report("nowy-check", cfg, items, out)
+    return {"items": items, "passed": all(it["passed"] for it in items)}
 
 
 def _triangle_metric(rng: Random, size: int) -> list[list[Fraction]]:
@@ -427,7 +403,7 @@ def _triangle_metric(rng: Random, size: int) -> list[list[Fraction]]:
     return d
 
 
-def _cmd_triangle_check(cfg: dict, out: str | None) -> int:
+def _cmd_triangle_check(cfg: dict) -> dict:
     if not 2 <= cfg["support"] <= 8:
         raise ValueError("support size must be in 2..8")
     rng = Random(cfg["seed"])
@@ -445,30 +421,25 @@ def _cmd_triangle_check(cfg: dict, out: str | None) -> int:
             "glued_cost": _frac(rep.glued_cost),
             "passed": rep.passed,
         })
-    return _items_report("triangle-check", cfg, items, out)
+    return {"items": items, "passed": all(it["passed"] for it in items)}
 
 
-def _cmd_tempered(cfg: dict, out: str | None) -> int:
+def _cmd_tempered(cfg: dict) -> dict:
     if cfg["n"] < 2:
         raise ValueError(f"n must be >= 2 so that some ratio is checked, got {cfg['n']}")
     F = make_box_folner(cfg["group"], cfg["kind"])
     ratios = [temperedness_ratio(F, j) for j in range(1, cfg["n"])]
     worst = max(ratios)
-    passed = worst <= cfg["c"]
-    _emit(
-        _report("tempered", cfg, {
-            "ratios": [_frac(r) for r in ratios],
-            "max_ratio": _frac(worst),
-            "passed": passed,
-        }),
-        out,
-    )
-    return 0 if passed else 2
+    return {
+        "ratios": [_frac(r) for r in ratios],
+        "max_ratio": _frac(worst),
+        "passed": worst <= cfg["c"],
+    }
 
 
-def _cmd_examples(cfg: dict, out: str | None) -> int:
+def _cmd_examples(cfg: dict) -> dict:
     if cfg["name"] is None:
-        body = {
+        return {
             "families": [
                 {"name": "visible", "group": "z:2", "description": "indicator of coprime pairs"},
                 {"name": "prime-approx:n", "group": "z:2",
@@ -477,8 +448,6 @@ def _cmd_examples(cfg: dict, out: str | None) -> int:
                  "description": "substitution stage k, defaults r_k = 2^k + 1, k <= 6"},
             ]
         }
-        _emit(_report("examples", cfg, body), out)
-        return 0
     x = resolve_example_name(cfg["name"])
     info: dict = {
         "name": cfg["name"],
@@ -493,19 +462,17 @@ def _cmd_examples(cfg: dict, out: str | None) -> int:
             info["period_moduli"] = list(x.period_lattice.moduli)
     sample_box = box_set(x.dim, min(9, 20 // x.dim))
     info["sample"] = [[list(g), x.value(g)] for g in sample_box.sorted_points()[:24]]
-    _emit(_report("examples", cfg, {"example": info}), out)
-    return 0
+    return {"example": info}
 
 
-def _cmd_entropy(cfg: dict, out: str | None) -> int:
+def _cmd_entropy(cfg: dict) -> dict:
     x = resolve_example_name(cfg["set"])
     F = make_box_folner(x.dim, cfg["kind"])
     values = block_entropy(x, F.set_at(cfg["N"]), cfg["sizes"])
-    _emit(_report("entropy", cfg, {"bits_per_site": [[k, v] for k, v in values]}), out)
-    return 0
+    return {"bits_per_site": [[k, v] for k, v in values]}
 
 
-def _cmd_convergence(cfg: dict, out: str | None) -> int:
+def _cmd_convergence(cfg: dict) -> dict:
     if not 1 <= cfg["n-max"] <= len(PRIME_SQUARE_TAILS):
         raise ValueError(f"n-max must be in 1..{len(PRIME_SQUARE_TAILS)}")
     st = SubstitutionStage()
@@ -595,8 +562,7 @@ def _cmd_convergence(cfg: dict, out: str | None) -> int:
     }
 
     body["passed"] = bool(all_pass)
-    _emit(_report("convergence", cfg, body), out)
-    return 0 if all_pass else 2
+    return body
 
 
 # --- parameter tables ------------------------------------------------------
@@ -617,7 +583,7 @@ _K_MAX = Param("k-max", int, 3, "largest marginal window side")
 _TRIALS = Param("trials", _positive, 100, "number of random instances")
 
 # (name, handler, help, parameters), in the order of the parser's listing
-COMMANDS: list[tuple[str, Callable[[dict, str | None], int], str, list[Param]]] = [
+COMMANDS: list[tuple[str, Callable[[dict], EstimateTrace | dict], str, list[Param]]] = [
     ("density", _cmd_density, "symbol density along a box Folner sequence (CSV)", [
         _SET, _N, _KIND, _N_LIST,
         Param("symbol", int, 1, "symbol whose density is measured"),
@@ -715,7 +681,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         cfg, out = _resolve(args, args.params)
-        return args.func(cfg, out)
+        result = args.func(cfg)
+        if isinstance(result, EstimateTrace):
+            _emit(result.to_csv(), out)
+            return 0
+        _emit(_report(args.command, cfg, result), out)
+        # a failed check or an uncertified solution exits 2
+        return 2 if False in (result.get("passed"), result.get("certified")) else 0
     except (ValueError, StageExhaustedError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

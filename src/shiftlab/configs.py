@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidDimensionError
-from .groups import FiniteSubset, Point, compose, sup_norm
+from .groups import FiniteSubset, Point, compose, sorted_sites, sup_norm
 
 
 @dataclass(frozen=True)
@@ -450,13 +450,12 @@ def shift(g: Point, x: Configuration) -> Configuration:
 
 def restrict(x: Configuration, window: FiniteSubset | Iterable[Point]) -> tuple[int, ...]:
     """Pattern of x over the window, in ascending lexicographic site order."""
-    sites = window.sorted_points() if isinstance(window, FiniteSubset) else tuple(sorted(window))
-    return tuple(x.value(p) for p in sites)
+    return tuple(x.value(p) for p in sorted_sites(window))
 
 
 def pattern_to_json(window: FiniteSubset | Iterable[Point], symbols: Sequence[int]) -> str:
     """Serialize a finite pattern: canonical site list plus symbol list."""
-    sites = window.sorted_points() if isinstance(window, FiniteSubset) else tuple(sorted(window))
+    sites = sorted_sites(window)
     symbols = tuple(int(s) for s in symbols)
     if len(sites) != len(symbols):
         raise ValueError(f"{len(sites)} sites vs {len(symbols)} symbols")

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from math import gcd
 from random import Random
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .configs import (
     Configuration,
@@ -126,10 +126,6 @@ def prime_approx_config(n: int) -> Configuration:
     )
 
 
-def _default_complement(tile_count: int) -> int:
-    return tile_count - 1
-
-
 @dataclass(frozen=True)
 class SubstitutionStage:
     """Stage data for the one-dimensional substitution sequence.
@@ -141,7 +137,6 @@ class SubstitutionStage:
     """
 
     ratios: tuple[int, ...] = (3, 5, 9, 17, 33)
-    complement_choice: Callable[[int], int] = _default_complement
     domain_override: Mapping[int, tuple[int, ...]] | None = None
 
     def __post_init__(self) -> None:
@@ -172,17 +167,14 @@ class SubstitutionStage:
             raise StageExhaustedError(f"stage {k} outside 1..{self.stages}")
         w = (0,)
         for r in self.ratios[: k - 1]:
-            comp_at = self.complement_choice(r)
-            if not 0 <= comp_at < r:
-                raise ValueError(f"complement tile {comp_at} outside 0..{r - 1}")
-            flipped = tuple(1 - s for s in w)
-            w = sum((flipped if t == comp_at else w for t in range(r)), ())
+            # r - 1 copies of the word, then its complement
+            w = w * (r - 1) + tuple(1 - s for s in w)
         return w
 
 
 def rf_substitution(stage: SubstitutionStage, k: int) -> Configuration:
     """Stage-k configuration: x^(1) is constant 0; stage k+1 repeats the
-    stage-k word on every tile except one, which gets its complement."""
+    stage-k word on every tile but the last, which gets its complement."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     if k > stage.stages:

@@ -208,6 +208,13 @@ class FiniteSubset:
         return f"FiniteSubset({list(pts)})"
 
 
+def sorted_sites(window: FiniteSubset | Iterable[Point]) -> tuple[Point, ...]:
+    """The sites of a window as tuples, in ascending lexicographic order."""
+    if isinstance(window, FiniteSubset):
+        return window.sorted_points()
+    return tuple(sorted(tuple(p) for p in window))
+
+
 @dataclass(frozen=True)
 class ZdGroup:
     """Minimal interface of the acting group Z^d."""

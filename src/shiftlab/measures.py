@@ -27,7 +27,7 @@ from .configs import (
     rows_available,
 )
 from .errors import IncompatibleWindowsError, InvalidDimensionError
-from .groups import FiniteSubset, FolnerSequence, Point, compose
+from .groups import FiniteSubset, FolnerSequence, Point, compose, sorted_sites
 
 Pattern = tuple[int, ...]
 PatternCost = Callable[[Pattern, Pattern], Fraction]
@@ -47,11 +47,7 @@ class PatternDistribution:
         window: FiniteSubset | Iterable[Point],
         weights: Mapping[Pattern, Fraction | int],
     ):
-        sites = (
-            window.sorted_points()
-            if isinstance(window, FiniteSubset)
-            else tuple(sorted(tuple(p) for p in window))
-        )
+        sites = sorted_sites(window)
         if not sites:
             raise ValueError("window must be non-empty")
         filtered: dict[Pattern, Fraction] = {}
@@ -84,11 +80,7 @@ class PatternDistribution:
 
     def marginal(self, sub_window: FiniteSubset | Iterable[Point]) -> "PatternDistribution":
         """Projection onto a sub-window of the current sites."""
-        sub = (
-            sub_window.sorted_points()
-            if isinstance(sub_window, FiniteSubset)
-            else tuple(sorted(tuple(p) for p in sub_window))
-        )
+        sub = sorted_sites(sub_window)
         index = {s: i for i, s in enumerate(self.sites)}
         missing = [s for s in sub if s not in index]
         if missing:
@@ -205,11 +197,7 @@ def pattern_metric(
     mismatched positions.  Strictly below 1 since the window is finite.
     The metric must have the window's dimension; None means the default
     metric of that dimension."""
-    sites = (
-        window.sorted_points()
-        if isinstance(window, FiniteSubset)
-        else tuple(sorted(tuple(p) for p in window))
-    )
+    sites = sorted_sites(window)
     if metric is None:
         if not sites:
             raise ValueError("the default metric needs a non-empty window")

@@ -133,10 +133,6 @@ class TransportResult:
     row_potentials: dict[Pattern, Fraction]
     col_potentials: dict[Pattern, Fraction]
 
-    def __iter__(self):
-        # unpacks as (coupling, value); potentials stay on the object
-        return iter((self.coupling, self.value))
-
 
 def _northwest_corner(a: list[int], b: list[int]) -> dict[tuple[int, int], int]:
     """Initial basic feasible staircase with exactly m+n-1 cells; the keys
@@ -417,6 +413,11 @@ def pair_empirical_joining(
 # refused, never left unchecked.
 PERIOD_CHECK_SITES = 100_000
 PERIOD_ROW_CHECK_SITES = 1 << 25
+# the orbit oracle compares every shift with every site of a joint period:
+# up to this many (shift, site) pairs when the configurations are read site
+# by site (about 5 us a pair), up to the larger limit when read as rows
+ORACLE_SITE_PAIRS = 10**6
+ORACLE_ROW_PAIRS = 10**8
 
 
 @dataclass(frozen=True)
@@ -472,7 +473,8 @@ def periodic_rho_oracle(a: PeriodicOrbitMeasure, b: PeriodicOrbitMeasure) -> Fra
     if a.lattice.dim != b.lattice.dim:
         raise InvalidDimensionError("orbit measures in different dimensions")
     box = joint_period_box(a.lattice, b.lattice)
-    if len(box) ** 2 > 10**8:
+    limit = ORACLE_ROW_PAIRS if rows_available(box, a.config, b.config) else ORACLE_SITE_PAIRS
+    if len(box) ** 2 > limit:
         raise ValueError(f"joint period {len(box)} too large for shift enumeration")
     best = Fraction(1)
     for s in box:

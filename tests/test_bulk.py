@@ -429,6 +429,25 @@ def test_periodic_oracle_under_a_skew_lattice_reads_no_site():
     assert got == Fraction(19, 48)
 
 
+def test_periodic_oracle_refuses_a_large_site_by_site_pair_up_front():
+    # three symbols cannot be read as rows; 1,872 shifts times 1,872 sites
+    # took 17 s site by site, and the row limit would admit 28 times that
+    rng = random.Random(1)
+    orbits = []
+    for lat in (Lattice.diagonal((12, 12)), Lattice.diagonal((13, 12))):
+        table = {p: rng.randint(0, 2) for p in lat.fundamental_domain()}
+        orbits.append(PeriodicOrbitMeasure(periodic_config(lat, table, alphabet=3), lat))
+    assert len(joint_period_box(orbits[0].lattice, orbits[1].lattice)) == 1872
+
+    def site_read(self, g):
+        raise AssertionError("read site by site")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Configuration, "value", site_read)
+        with pytest.raises(ValueError, match="too large"):
+            periodic_rho_oracle(*orbits)
+
+
 def test_orbit_check_refuses_large_non_diagonal_lattices():
     # beyond the row limit: index 5793^2 > 2^25
     x = predicate_config(2, lambda g: True, period_lattice=Lattice([[5793, 1], [0, 5793]]))

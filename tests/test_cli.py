@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from shiftlab import cli
 from shiftlab.cli import _atomic_write, main
 
 
@@ -170,6 +171,32 @@ def test_convergence_reduced_run_passes(capsys):
     assert report["passed"] is True
     for section in ("visible_density", "approximant_convergence", "substitution", "entropy_decay"):
         assert report[section]["passed"] is True
+
+
+# --- exit codes follow the report -------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["tempered"],
+    ["tempered", "--c", "3/2"],
+    ["transport", "--x", "rf-sub:1", "--z", "rf-sub:2", "--N", "44"],
+    ["rho-chain", "--x", "rf-sub:2", "--z", "rf-sub:3", "--k-max", "2"],
+    ["glue-check", "--trials", "5", "--seed", "3"],
+    ["nowy-check", "--pairs", "random:2", "--seed", "7", "--n", "2000", "--max-period", "6"],
+    # dbar over 3 sites is 1/3, below the joining infimum 3/5: the check fails
+    ["nowy-check", "--pairs", "random:1", "--seed", "6", "--n", "2", "--max-period", "6"],
+], ids=" ".join)
+def test_exit_code_is_two_exactly_when_the_report_fails(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    report = json.loads(out)
+    failed = report.get("passed") is False or report.get("certified") is False
+    assert code == (2 if failed else 0)
+
+
+def test_uncertified_transport_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_transport_certificate", lambda res, cost: False)
+    code, out, _ = run(capsys, "transport", "--x", "rf-sub:1", "--z", "rf-sub:2", "--N", "44")
+    assert code == 2
+    assert json.loads(out)["certified"] is False
 
 
 # --- output files and determinism -------------------------------------------

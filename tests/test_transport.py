@@ -74,7 +74,7 @@ def test_transport_one_site_hamming():
     mu = dist({0: Fraction(2, 10), 1: Fraction(8, 10)})
     nu = dist({0: Fraction(7, 10), 1: Fraction(3, 10)})
     result = min_cost_transport(mu, nu, HAM0)
-    coupling, value = result
+    coupling, value = result.coupling, result.value
     assert value == Fraction(1, 2)
     assert coupling.cost(HAM0) == value
     assert verify_transport_certificate(result, HAM0)
