@@ -151,11 +151,25 @@ def _int_list(text: str) -> list[int]:
     return vals
 
 
-def _positive(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise ValueError(f"must be >= 1, got {n}")
-    return n
+def _at_least(cast: Callable[[str], object], lo, hi=None) -> Callable[[str], object]:
+    """`cast`, then refuse a value below lo or, when hi is given, above hi."""
+    def bounded(text: str):
+        v = cast(text)
+        if v < lo:
+            raise ValueError(f"must be >= {lo}, got {v}")
+        if hi is not None and v > hi:
+            raise ValueError(f"must be <= {hi}, got {v}")
+        return v
+    return bounded
+
+
+def _random_pairs(text: str) -> str:
+    """Check 'random:COUNT' with COUNT >= 1; the text itself is kept, as
+    reports embed it."""
+    kind, _, count = text.partition(":")
+    if kind != "random" or not count.isdigit() or int(count) < 1:
+        raise ValueError(f"must look like random:COUNT with COUNT >= 1, got {text!r}")
+    return text
 
 
 def _ladder(n: int) -> list[int]:
@@ -326,18 +340,21 @@ def _cmd_rho_chain(cfg: dict) -> dict:
     windows = [box_set(x.dim, k - 1) for k in range(1, cfg["k-max"] + 1)]
     kind = {"hamming": "hamming-per-site", "admissible": "admissible"}[cfg["cost"]]
     chain = rho_bar_lower(oa.marginal_family(windows), ob.marginal_family(windows), kind)
+    oracle = periodic_rho_oracle(oa, ob)
     body: dict = {"chain": [_frac(c) for c in chain]}
-    passed = True
     if kind == "hamming-per-site":
-        oracle = periodic_rho_oracle(oa, ob)
         passed = all(c <= oracle for c in chain)
         body["oracle"] = _frac(oracle)
         body["chain_le_oracle"] = passed
     else:
+        # the best shift joining couples every pair of window marginals, and
+        # by periodicity its admissible cost on W_k is coverage_k * oracle
         metric = default_metric(x.dim)
-        body["weight_coverage"] = [
-            _frac(sum((metric.weight(p) for p in W), Fraction(0))) for W in windows
-        ]
+        coverage = [sum((metric.weight(p) for p in W), Fraction(0)) for W in windows]
+        bound = [w * oracle for w in coverage]
+        passed = all(c <= s for c, s in zip(chain, bound))
+        body["weight_coverage"] = [_frac(w) for w in coverage]
+        body["shift_bound"] = [_frac(s) for s in bound]
     body["passed"] = passed
     return body
 
@@ -369,11 +386,7 @@ def _cmd_glue_check(cfg: dict) -> dict:
 
 
 def _cmd_nowy_check(cfg: dict) -> dict:
-    if not cfg["pairs"].startswith("random:"):
-        raise ValueError(f"pairs must look like random:COUNT, got {cfg['pairs']!r}")
-    count = int(cfg["pairs"].split(":", 1)[1])
-    if count < 1:
-        raise ValueError("pair count must be >= 1")
+    count = int(cfg["pairs"].partition(":")[2])
     rng = Random(cfg["seed"])
     F = make_box_folner(1)
     items = []
@@ -404,8 +417,6 @@ def _triangle_metric(rng: Random, size: int) -> list[list[Fraction]]:
 
 
 def _cmd_triangle_check(cfg: dict) -> dict:
-    if not 2 <= cfg["support"] <= 8:
-        raise ValueError("support size must be in 2..8")
     rng = Random(cfg["seed"])
     sites = ((0,),)
     size = cfg["support"]
@@ -425,8 +436,6 @@ def _cmd_triangle_check(cfg: dict) -> dict:
 
 
 def _cmd_tempered(cfg: dict) -> dict:
-    if cfg["n"] < 2:
-        raise ValueError(f"n must be >= 2 so that some ratio is checked, got {cfg['n']}")
     F = make_box_folner(cfg["group"], cfg["kind"])
     ratios = [temperedness_ratio(F, j) for j in range(1, cfg["n"])]
     worst = max(ratios)
@@ -473,12 +482,8 @@ def _cmd_entropy(cfg: dict) -> dict:
 
 
 def _cmd_convergence(cfg: dict) -> dict:
-    if not 1 <= cfg["n-max"] <= len(PRIME_SQUARE_TAILS):
-        raise ValueError(f"n-max must be in 1..{len(PRIME_SQUARE_TAILS)}")
     st = SubstitutionStage()
     stages = cfg["stages"]
-    if not 2 <= stages <= st.stages:
-        raise ValueError(f"stages must be in 2..{st.stages}, got {stages}")
     body: dict = {}
     all_pass = True
 
@@ -573,14 +578,14 @@ def _cmd_convergence(cfg: dict) -> dict:
 _X = Param("x", str, REQUIRED, "example name")
 _Z = Param("z", str, REQUIRED, "example name")
 _SET = Param("set", str, REQUIRED, "example name")
-_N = Param("N", int, 100, "window index (the largest one, for traces)")
+_N = Param("N", _at_least(int, 1), 100, "window index (the largest one, for traces)")
 _KIND = Param("kind", _one_of(*BOX_KINDS), "boxes", "boxes or centered")
 _N_LIST = Param("n-list", _int_list, None, "explicit window indices")
-_WINDOW = Param("window", _positive, 1, "box window side")
-_RADIUS = Param("radius", int, DEFAULT_RADIUS, "truncation radius")
+_WINDOW = Param("window", _at_least(int, 1), 1, "box window side")
+_RADIUS = Param("radius", _at_least(int, 0), DEFAULT_RADIUS, "truncation radius")
 _COST = Param("cost", _one_of("hamming", "admissible"), "hamming", "hamming or admissible")
-_K_MAX = Param("k-max", int, 3, "largest marginal window side")
-_TRIALS = Param("trials", _positive, 100, "number of random instances")
+_K_MAX = Param("k-max", _at_least(int, 1), 3, "largest marginal window side")
+_TRIALS = Param("trials", _at_least(int, 1), 100, "number of random instances")
 
 # (name, handler, help, parameters), in the order of the parser's listing
 COMMANDS: list[tuple[str, Callable[[dict], EstimateTrace | dict], str, list[Param]]] = [
@@ -594,7 +599,7 @@ COMMANDS: list[tuple[str, Callable[[dict], EstimateTrace | dict], str, list[Para
      [_X, _Z, _N, _KIND, _N_LIST]),
     ("dprime", _cmd_dprime, "density-threshold distance estimate (JSON)", [
         _X, _Z,
-        Param("N", int, 500, "window index"),
+        Param("N", _at_least(int, 1), 500, "window index"),
         _KIND, _RADIUS,
         Param("grid-cap", Fraction, None, "drop grid deltas above this"),
     ]),
@@ -615,36 +620,39 @@ COMMANDS: list[tuple[str, Callable[[dict], EstimateTrace | dict], str, list[Para
     ("glue-check", _cmd_glue_check, "random gluing subadditivity checks (JSON)",
      [Param("seed", int, 0), _TRIALS]),
     ("nowy-check", _cmd_nowy_check, "dbar dominates the joining infimum on random pairs (JSON)", [
-        Param("pairs", str, "random:20", "random:COUNT"),
+        Param("pairs", _random_pairs, "random:20", "random:COUNT"),
         Param("seed", int, 7),
-        Param("n", int, 10_000, "window index for the dbar estimate"),
+        Param("n", _at_least(int, 1), 10_000, "window index for the dbar estimate"),
         _K_MAX,
-        Param("tol", Fraction, Fraction(1, 100), "allowed shortfall of dbar below the oracle"),
-        Param("max-period", int, 12),
+        Param("tol", _at_least(Fraction, 0), Fraction(1, 100),
+              "allowed shortfall of dbar below the oracle"),
+        Param("max-period", _at_least(int, 1), 12),
     ]),
     ("triangle-check", _cmd_triangle_check, "transport triangle inequality on random triples (JSON)", [
         Param("seed", int, 0),
         _TRIALS,
-        Param("support", int, 5, "support size, 2..8"),
+        Param("support", _at_least(int, 2, 8), 5, "support size, 2..8"),
     ]),
     ("tempered", _cmd_tempered, "temperedness ratios of a box Folner sequence (JSON)", [
         Param("group", _group, 1, "z:d"),
         _KIND,
-        Param("n", int, 100, "check the ratios for j = 1..n-1"),
+        Param("n", _at_least(int, 2), 100, "check the ratios for j = 1..n-1"),
         Param("c", Fraction, Fraction(2), "tempering constant"),
     ]),
     ("examples", _cmd_examples, "list example families or inspect one (JSON)",
      [Param("name", str, None, "example name to inspect")]),
     ("entropy", _cmd_entropy, "block entropy in bits per site (JSON)", [
         _SET,
-        Param("N", int, 1000, "window index"),
+        Param("N", _at_least(int, 1), 1000, "window index"),
         _KIND,
         Param("sizes", _int_list, (1, 2, 3), "block sides"),
     ]),
     ("convergence", _cmd_convergence, "end-to-end example pipelines (JSON)", [
-        Param("N", int, 600, "window index for dbar estimates"),
-        Param("n-max", int, 5, "largest approximant stage"),
-        Param("stages", int, 6, "substitution stages"),
+        Param("N", _at_least(int, 1), 600, "window index for dbar estimates"),
+        Param("n-max", _at_least(int, 1, len(PRIME_SQUARE_TAILS)), 5,
+              "largest approximant stage"),
+        Param("stages", _at_least(int, 2, SubstitutionStage().stages), 6,
+              "substitution stages"),
         Param("entropy-sizes", _int_list, (1, 2, 3, 4, 5, 6), "block sides"),
         Param("slack", Fraction, Fraction(5, 1000), "monotonicity slack"),
     ]),

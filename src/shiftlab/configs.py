@@ -508,15 +508,10 @@ class AdmissibleMetric:
     shell_weight: Callable[[int], Fraction] | None = None
 
     def ball_weights(self, radius: int) -> tuple[tuple[Point, Fraction], ...]:
-        return _ball_weights(self, radius)
-
-
-@lru_cache(maxsize=64)
-def _ball_weights(metric: AdmissibleMetric, radius: int) -> tuple[tuple[Point, Fraction], ...]:
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    box = FiniteSubset.box((-radius,) * metric.dim, (radius,) * metric.dim)
-    return tuple((p, metric.weight(p)) for p in box)
+        if radius < 0:
+            raise ValueError(f"radius must be >= 0, got {radius}")
+        box = FiniteSubset.box((-radius,) * self.dim, (radius,) * self.dim)
+        return tuple((p, self.weight(p)) for p in box)
 
 
 def default_metric(dim: int) -> AdmissibleMetric:

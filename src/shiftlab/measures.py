@@ -2,17 +2,18 @@
 
 A PatternDistribution is an exact rational probability vector over the
 patterns of a fixed finite window.  Prokhorov distances are exact: by
-Strassen's theorem the coupled mass (a maximum bipartite flow, run in
-integers at the common denominator of the masses) changes only at the
-pairwise pattern distances, so a binary search over those finitely many
-levels returns the infimum itself, not an approximation to it.  Equal
-distributions compare at literal distance 0.
+Strassen's theorem they are read from the coupled mass, 1 minus the value
+of a 0/1-cost transport problem that the transport module's integer
+simplex solves at the common denominator of the masses.  The coupled mass
+changes only at the pairwise pattern distances, so a binary search over
+those finitely many levels returns the infimum itself, not an
+approximation to it.  Equal distributions compare at literal distance 0.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -216,41 +217,6 @@ def pattern_metric(
     return dist
 
 
-def _max_flow(capacity: dict[int, dict[int, int]], source: int, sink: int) -> int:
-    """Edmonds-Karp on a small graph with integer capacities."""
-    residual: dict[int, dict[int, int]] = {}
-    for u, edges in capacity.items():
-        for v, c in edges.items():
-            residual.setdefault(u, {})[v] = residual.get(u, {}).get(v, 0) + c
-            residual.setdefault(v, {}).setdefault(u, 0)
-    flow = 0
-    while True:
-        parent = {source: None}
-        queue = deque([source])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            for v, c in residual.get(u, {}).items():
-                if c > 0 and v not in parent:
-                    parent[v] = u
-                    queue.append(v)
-        if sink not in parent:
-            return flow
-        bottleneck = None
-        v = sink
-        while parent[v] is not None:
-            u = parent[v]
-            c = residual[u][v]
-            bottleneck = c if bottleneck is None else min(bottleneck, c)
-            v = u
-        v = sink
-        while parent[v] is not None:
-            u = parent[v]
-            residual[u][v] -= bottleneck
-            residual[v][u] += bottleneck
-            v = u
-        flow += bottleneck
-
-
 def _coupled_mass(
     a: Sequence[Fraction],
     b: Sequence[Fraction],
@@ -258,18 +224,17 @@ def _coupled_mass(
     eps: Fraction,
 ) -> Fraction:
     """Largest mass a coupling of the weight vectors a and b can put on the
-    pairs (i, j) with d[i][j] <= eps (a maximum bipartite flow, run in
-    integers at the common denominator L of the weights)."""
+    pairs (i, j) with d[i][j] <= eps: 1 minus the optimal transport cost
+    when each pair farther than eps costs 1 and every other pair 0, solved
+    exactly by the integer transport simplex at the common denominator L
+    of the weights."""
+    # transport imports this module, so its kernel is imported at call time
+    from .transport import _simplex
+
     L = lcm(*(w.denominator for w in (*a, *b)))
-    source, sink, m = 0, 1, len(a)
-    capacity: dict[int, dict[int, int]] = {
-        source: {2 + i: int(w * L) for i, w in enumerate(a)}, sink: {}
-    }
-    for j, w in enumerate(b):
-        capacity[2 + m + j] = {sink: int(w * L)}
-    for i, row in enumerate(d):
-        capacity[2 + i] = {2 + m + j: L for j, dij in enumerate(row) if dij <= eps}
-    return Fraction(_max_flow(capacity, source, sink), L)
+    K = [[int(dij > eps) for dij in row] for row in d]
+    _, _, value = _simplex([int(w * L) for w in a], [int(w * L) for w in b], K)
+    return Fraction(L - value, L)
 
 
 def _resolve_cost(

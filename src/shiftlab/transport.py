@@ -5,7 +5,9 @@ The solver is a transportation simplex in integers, with masses scaled to
 their common denominator D and costs by the lcm E of theirs: northwest
 corner start, one walk of the basis tree per pivot for both the duals and
 the entering cycle, Bland-rule pivoting, and a complementary slackness
-certificate checked on every solve.  An independent oracle
+certificate checked on every solve.  Its integer kernel, `_simplex`, also
+gives the coupled masses of `measures.prokhorov_distance`, whose levels
+thereby pass the same duality checks.  An independent oracle
 searches every integer contingency table at the common mass denominator
 (the transportation polytope has integral vertices there, so the search
 is exhaustive for the optimum) by branch and bound in integers, cutting a
@@ -180,38 +182,21 @@ def _basis_tree(basis, K, m: int, n: int) -> tuple[list[int], list[int], list[in
 MAX_PIVOTS = 100_000
 
 
-def min_cost_transport(
-    mu: PatternDistribution,
-    nu: PatternDistribution,
-    cost: CostFn | Mapping[tuple[Pattern, Pattern], Fraction],
-) -> TransportResult:
-    """Exact optimal coupling and cost, with a dual certificate.
+def _simplex(
+    a: list[int], b: list[int], K: list[list[int]]
+) -> tuple[dict[tuple[int, int], int], list[int], int]:
+    """Integer transportation simplex: (flows, potentials, value) of an
+    optimal basis for supplies a, demands b (equal totals) and costs K.
 
-    The simplex runs in integers: masses scaled by their common
-    denominator D, costs by the lcm E of theirs (the problem is totally
-    unimodular, so every basic solution is integral at D).  Each pivot
-    walks the basis tree once; its potentials are the duals, and its parent
-    pointers give the entering cycle.  Pivoting uses Bland's rule (first
-    negative reduced cost in row-major support order; lexicographically
-    smallest leaving cell), so the solve is deterministic and cannot cycle.
-    The returned potentials satisfy u_i + v_j <= c_ij everywhere with
-    equality on the support, and the primal value equals the dual value;
-    both facts are asserted before returning.
+    Flows map the basic cells (i, j) to their integer flows; potentials
+    are u_0..u_{m-1} then v_0..v_{n-1}.  Each pivot walks the basis tree
+    once; its potentials are the duals, and its parent pointers give the
+    entering cycle.  Pivoting uses Bland's rule (first negative reduced
+    cost in row-major order; lexicographically smallest leaving cell), so
+    the solve is deterministic and cannot cycle.  Dual feasibility and
+    strong duality are asserted, exactly, before returning.
     """
-    if not mu.same_window(nu):
-        raise IncompatibleWindowsError("transport across different windows")
-    cost_fn = _as_cost_fn(cost)
-    rows = mu.support()
-    cols = nu.support()
-    C = [[cost_fn(p, q) for q in cols] for p in rows]
-    if any(c < 0 for row in C for c in row):
-        raise ValueError("costs must be nonnegative")
-    D = lcm(*(w.denominator for w in (*mu.weights.values(), *nu.weights.values())))
-    E = lcm(*(c.denominator for row in C for c in row))
-    a = [int(mu.weights[p] * D) for p in rows]
-    b = [int(nu.weights[q] * D) for q in cols]
-    K = [[int(c * E) for c in row] for row in C]
-    m, n = len(rows), len(cols)
+    m, n = len(a), len(b)
     flows = _northwest_corner(a, b)
     for _ in range(MAX_PIVOTS):
         pot, parent, depth = _basis_tree(flows, K, m, n)
@@ -250,6 +235,38 @@ def min_cost_transport(
         raise AssertionError("dual infeasibility after termination")
     if sum(x * y for x, y in zip(pot, a + b)) != value:
         raise AssertionError("strong duality violated; solver bug")
+    return flows, pot, value
+
+
+def min_cost_transport(
+    mu: PatternDistribution,
+    nu: PatternDistribution,
+    cost: CostFn | Mapping[tuple[Pattern, Pattern], Fraction],
+) -> TransportResult:
+    """Exact optimal coupling and cost, with a dual certificate.
+
+    The simplex (`_simplex`) runs in integers: masses scaled by their
+    common denominator D, costs by the lcm E of theirs (the problem is
+    totally unimodular, so every basic solution is integral at D).  The
+    returned potentials satisfy u_i + v_j <= c_ij everywhere with equality
+    on the support, and the primal value equals the dual value; the kernel
+    asserts both before returning.
+    """
+    if not mu.same_window(nu):
+        raise IncompatibleWindowsError("transport across different windows")
+    cost_fn = _as_cost_fn(cost)
+    rows = mu.support()
+    cols = nu.support()
+    C = [[cost_fn(p, q) for q in cols] for p in rows]
+    if any(c < 0 for row in C for c in row):
+        raise ValueError("costs must be nonnegative")
+    D = lcm(*(w.denominator for w in (*mu.weights.values(), *nu.weights.values())))
+    E = lcm(*(c.denominator for row in C for c in row))
+    a = [int(mu.weights[p] * D) for p in rows]
+    b = [int(nu.weights[q] * D) for q in cols]
+    K = [[int(c * E) for c in row] for row in C]
+    flows, pot, value = _simplex(a, b, K)
+    m = len(rows)
     weights = {
         (rows[i], cols[j]): Fraction(f, D) for (i, j), f in flows.items() if f > 0
     }
@@ -257,8 +274,8 @@ def min_cost_transport(
     return TransportResult(
         coupling=coupling,
         value=Fraction(value, D * E),
-        row_potentials={p: Fraction(ui, E) for p, ui in zip(rows, u)},
-        col_potentials={q: Fraction(vj, E) for q, vj in zip(cols, v)},
+        row_potentials={p: Fraction(ui, E) for p, ui in zip(rows, pot[:m])},
+        col_potentials={q: Fraction(vj, E) for q, vj in zip(cols, pot[m:])},
     )
 
 

@@ -85,6 +85,26 @@ def test_rho_chain_admissible_reports_weight_coverage(capsys):
     assert report["weight_coverage"][0]["fraction"] == "1/2"
 
 
+def test_rho_chain_admissible_is_bounded_by_the_best_shift(capsys):
+    report = run_json(
+        capsys, "rho-chain", "--x", "rf-sub:2", "--z", "rf-sub:3",
+        "--k-max", "2", "--cost", "admissible",
+    )
+    # weight coverage 1/2 and 5/8 times the joining infimum 1/5
+    assert [b["fraction"] for b in report["shift_bound"]] == ["1/10", "1/8"]
+    assert "oracle" not in report and report["passed"] is True
+
+
+def test_rho_chain_admissible_above_the_shift_bound_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "rho_bar_lower", lambda mus, nus, kind: [Fraction(1, 2)] * len(mus))
+    code, out, _ = run(
+        capsys, "rho-chain", "--x", "rf-sub:2", "--z", "rf-sub:3",
+        "--k-max", "2", "--cost", "admissible",
+    )
+    assert code == 2
+    assert json.loads(out)["passed"] is False
+
+
 def test_dprime_report_pin(capsys):
     report = run_json(capsys, "dprime", "--x", "rf-sub:1", "--z", "rf-sub:2", "--N", "999")
     assert report["value"]["fraction"] == "67/200"
@@ -290,11 +310,32 @@ def test_flags_and_config_file_give_the_same_report(tmp_path, capsys, argv, cfg_
     assert out == json.dumps(from_flags, sort_keys=True, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("key, value", [
-    ("kind", "diagonal"), ("N", "abc"), ("n-list", ","), ("window", "0"),
+_RF_PAIR = ["--x", "rf-sub:1", "--z", "rf-sub:2"]
+
+
+@pytest.mark.parametrize("base, key, value", [
+    pytest.param(base, key, value, id=f"{key}-{value}") for base, key, value in [
+        (["empirical", "--set", "visible"], "kind", "diagonal"),
+        (["empirical", "--set", "visible"], "N", "abc"),
+        (["empirical", "--set", "visible"], "N", "0"),
+        (["density", "--set", "visible"], "n-list", ","),
+        (["empirical", "--set", "visible"], "window", "0"),
+        (["besicovitch", *_RF_PAIR], "radius", "-1"),
+        (["rho-chain", *_RF_PAIR], "k-max", "0"),
+        (["tempered"], "n", "1"),
+        (["triangle-check"], "support", "1"),
+        (["triangle-check"], "support", "9"),
+        (["convergence"], "n-max", "0"),
+        (["convergence"], "n-max", "6"),
+        (["convergence"], "stages", "7"),
+        (["nowy-check"], "tol", "-1"),
+        (["nowy-check"], "n", "0"),
+        (["nowy-check"], "max-period", "0"),
+        (["nowy-check"], "pairs", "random:0"),
+        (["nowy-check"], "pairs", "fixed:3"),
+    ]
 ])
-def test_bad_values_fail_alike_from_flag_and_file(tmp_path, capsys, key, value):
-    base = ["empirical", "--set", "visible"] if key != "n-list" else ["density", "--set", "visible"]
+def test_bad_values_fail_alike_from_flag_and_file(tmp_path, capsys, base, key, value):
     code, out, flag_err = run(capsys, *base, f"--{key}", value)
     assert code == 1 and out == ""
     assert flag_err.startswith(f"error: {key}: ")
@@ -343,7 +384,7 @@ def test_usage_errors_exit_one(capsys):
 def test_tempered_refuses_fewer_than_two_windows(capsys, n):
     code, out, err = run(capsys, "tempered", "--n", n)
     assert code == 1 and out == ""
-    assert err == f"error: n must be >= 2 so that some ratio is checked, got {n}\n"
+    assert err == f"error: n: must be >= 2, got {n}\n"
 
 
 def test_help_and_version_exit_zero(capsys):

@@ -21,6 +21,7 @@ from shiftlab.groups import FiniteSubset, make_box_folner
 from shiftlab.measures import (
     MeasureSet,
     PatternDistribution,
+    _coupled_mass,
     empirical_measure,
     genericity_check,
     hausdorff_prokhorov,
@@ -243,6 +244,27 @@ def test_prokhorov_is_the_least_feasible_epsilon(case):
     if r > 0:
         below.add(r - Fraction(1, 2**60))
     assert not any(_feasible(mu, nu, dist, eps) for eps in below)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=prokhorov_cases())
+def test_coupled_mass_is_one_minus_the_largest_deficiency(case):
+    """At every level eps the transport kernel's coupled mass equals
+    1 - max_A (mu(A) - nu(N_eps(A))), A over all subsets of mu's support
+    (the empty set included), N_eps(A) the patterns of nu within eps of A."""
+    mu, nu, dist = case
+    left, right = mu.support(), nu.support()
+    a = [mu.weights[p] for p in left]
+    b = [nu.weights[q] for q in right]
+    d = [[dist(p, q) for q in right] for p in left]
+    for eps in {Fraction(0)} | {x for row in d for x in row}:
+        deficiency = max(
+            sum((a[i] for i in A), Fraction(0))
+            - sum((w for j, w in enumerate(b) if any(d[i][j] <= eps for i in A)), Fraction(0))
+            for k in range(len(left) + 1)
+            for A in itertools.combinations(range(len(left)), k)
+        )
+        assert _coupled_mass(a, b, d, eps) == 1 - deficiency
 
 
 # --- hausdorff_prokhorov ----------------------------------------------------
