@@ -84,6 +84,23 @@ PRIME_SQUARE_TAILS = (
 )
 
 
+# A window job whose estimated site reads exceed this is refused before it
+# reads any: window sites, times the ball's (2 radius + 1)^d sites where a
+# ball applies, or the pattern window's sites for an empirical measure.
+SITE_BUDGET = 10**8
+
+
+def _within_budget(dim: int, kind: str, ns: Sequence[int], per_site: int = 1) -> None:
+    """Refuse, as a usage error, a job over SITE_BUDGET site reads."""
+    centered = kind == "centered"
+    # indices below 1 are refused by the Folner sequence itself
+    estimate = per_site * sum((2 * n + 1 if centered else n + 1) ** dim for n in ns if n >= 1)
+    if estimate > SITE_BUDGET:
+        raise ValueError(
+            f"job would read about {estimate} sites, over the limit of {SITE_BUDGET}"
+        )
+
+
 class _Required:
     def __repr__(self) -> str:  # pragma: no cover
         return "<required>"
@@ -259,6 +276,7 @@ def _report(command: str, config: dict, body: dict) -> str:
 def _cmd_density(cfg: dict) -> EstimateTrace:
     x = resolve_example_name(cfg["set"])
     n_list = cfg["n-list"] or _ladder(cfg["N"])
+    _within_budget(x.dim, cfg["kind"], n_list)
     F = make_box_folner(x.dim, cfg["kind"])
     return upper_density(x.indicator(cfg["symbol"]), F, n_list)
 
@@ -267,6 +285,7 @@ def _cmd_besicovitch(cfg: dict) -> EstimateTrace:
     x = resolve_example_name(cfg["x"])
     z = resolve_example_name(cfg["z"])
     n_list = cfg["n-list"] or _ladder(cfg["N"])
+    _within_budget(x.dim, cfg["kind"], n_list, (2 * cfg["radius"] + 1) ** x.dim)
     F = make_box_folner(x.dim, cfg["kind"])
     return besicovitch_trace(x, z, F, n_list, radius=cfg["radius"])
 
@@ -275,6 +294,7 @@ def _cmd_dbar(cfg: dict) -> EstimateTrace:
     x = resolve_example_name(cfg["x"])
     z = resolve_example_name(cfg["z"])
     n_list = cfg["n-list"] or _ladder(cfg["N"])
+    _within_budget(x.dim, cfg["kind"], n_list)
     F = make_box_folner(x.dim, cfg["kind"])
     return dbar_trace(x, z, F, n_list)
 
@@ -282,6 +302,7 @@ def _cmd_dbar(cfg: dict) -> EstimateTrace:
 def _cmd_dprime(cfg: dict) -> dict:
     x = resolve_example_name(cfg["x"])
     z = resolve_example_name(cfg["z"])
+    _within_budget(x.dim, cfg["kind"], [cfg["N"]], (2 * cfg["radius"] + 1) ** x.dim)
     F = make_box_folner(x.dim, cfg["kind"])
     grid = default_delta_grid()
     if cfg["grid-cap"] is not None:
@@ -292,6 +313,7 @@ def _cmd_dprime(cfg: dict) -> dict:
 
 def _cmd_empirical(cfg: dict) -> dict:
     x = resolve_example_name(cfg["set"])
+    _within_budget(x.dim, cfg["kind"], [cfg["N"]], cfg["window"] ** x.dim)
     F = make_box_folner(x.dim, cfg["kind"])
     dist = empirical_measure(x, F.set_at(cfg["N"]), box_set(x.dim, cfg["window"] - 1))
     return {"distribution": dist.to_dict()}

@@ -250,7 +250,9 @@ def block_entropy(
             raise ValueError(f"window side must be >= 1, got {k}")
         W = FiniteSubset.box((0,) * x.dim, (k - 1,) * x.dim)
         dist = empirical_measure(x, F_n, W)
-        h = -sum(float(w) * math.log2(float(w)) for w in dist.weights.values())
+        # int true division is correctly rounded, so c / den is float(c/den)
+        den = dist.den
+        h = -sum(c / den * math.log2(c / den) for c in dist.counts.values())
         out.append((k, h / len(W)))
     return out
 

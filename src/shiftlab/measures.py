@@ -1,10 +1,11 @@
 """Empirical pattern measures and Prokhorov-style comparisons.
 
 A PatternDistribution is an exact rational probability vector over the
-patterns of a fixed finite window.  Prokhorov distances are exact: by
-Strassen's theorem they are read from the coupled mass, 1 minus the value
-of a 0/1-cost transport problem that the transport module's integer
-simplex solves at the common denominator of the masses.  The coupled mass
+patterns of a fixed finite window, held as integer counts over one
+denominator.  Prokhorov distances are exact: by Strassen's theorem they
+are read from the coupled mass, 1 minus the value of a 0/1-cost
+transport problem that the transport module's integer simplex solves at
+the common denominator of the masses.  The coupled mass
 changes only at the pairwise pattern distances, so a binary search over
 those finitely many levels returns the infimum itself, not an
 approximation to it.  Equal distributions compare at literal distance 0.
@@ -13,11 +14,13 @@ approximation to it.  Equal distributions compare at literal distance 0.
 from __future__ import annotations
 
 import json
+import operator
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Callable, Iterable, Mapping, Sequence
+from math import gcd, lcm
+from typing import Callable, Iterable, Sequence
 
 from .configs import (
     AdmissibleMetric,
@@ -36,45 +39,90 @@ PatternCost = Callable[[Pattern, Pattern], Fraction]
 class PatternDistribution:
     """Probability distribution over patterns of one finite window.
 
-    Sites are stored in canonical (ascending lexicographic) order; weights
-    are positive Fractions summing to exactly 1.  Zero-weight patterns are
-    dropped on construction.
+    Sites are stored in canonical (ascending lexicographic) order.  The
+    masses are positive integer `counts` over one denominator `den`, in
+    lowest terms: pattern p has mass counts[p] / den, and the counts sum
+    to den.  Zero-weight patterns are dropped on construction.  `weights`
+    is a read-only Fraction view that builds each mass when it is read, so
+    loops read `counts`.
     """
 
-    __slots__ = ("sites", "weights")
+    __slots__ = ("sites", "den", "counts")
 
     def __init__(
         self,
         window: FiniteSubset | Iterable[Point],
         weights: Mapping[Pattern, Fraction | int],
     ):
-        sites = sorted_sites(window)
-        if not sites:
-            raise ValueError("window must be non-empty")
-        filtered: dict[Pattern, Fraction] = {}
-        total = Fraction(0)
+        sites = _window_sites(window)
+        # one pass: each weight joins the running common denominator, and
+        # the counts held so far are rescaled whenever that denominator grows
+        den = 1
+        counts: dict[Pattern, int] = {}
         for pat, w in weights.items():
-            w = Fraction(w)
-            if w < 0:
+            if not isinstance(w, Fraction):
+                w = Fraction(w)
+            num, q = w.numerator, w.denominator
+            if num < 0:
                 raise ValueError(f"negative weight for pattern {pat}")
             if len(pat) != len(sites):
                 raise ValueError(
                     f"pattern of length {len(pat)} on a window of {len(sites)} sites"
                 )
-            if w > 0:
-                pat = tuple(int(s) for s in pat)
-                filtered[pat] = filtered.get(pat, Fraction(0)) + w
-                total += w
-        if total != 1:
-            raise ValueError(f"weights must sum to exactly 1, got {total}")
+            if num:
+                if den % q:
+                    scale = q // gcd(den, q)
+                    den *= scale
+                    counts = {p: c * scale for p, c in counts.items()}
+                pat = tuple(map(int, pat))
+                counts[pat] = counts.get(pat, 0) + num * (den // q)
+        total = sum(counts.values())
+        if total != den:
+            raise ValueError(f"weights must sum to exactly 1, got {Fraction(total, den)}")
         self.sites = sites
-        self.weights = filtered
+        self.den, self.counts = _lowest_terms(den, counts)
+
+    @classmethod
+    def from_counts(
+        cls, window: FiniteSubset | Iterable[Point], counts: Mapping[Pattern, int]
+    ) -> "PatternDistribution":
+        """Mass c / total on each pattern, total the sum of the counts.
+
+        Counts are non-negative ints, zero ones are dropped, and they need
+        not be in lowest terms; patterns may be any sequences of digits.
+        """
+        sites = _window_sites(window)
+        kept: dict[Pattern, int] = {}
+        for pat, c in counts.items():
+            c = operator.index(c)
+            if c < 0:
+                raise ValueError(f"negative count for pattern {pat}")
+            if len(pat) != len(sites):
+                raise ValueError(
+                    f"pattern of length {len(pat)} on a window of {len(sites)} sites"
+                )
+            if c:
+                pat = tuple(map(int, pat))
+                kept[pat] = kept.get(pat, 0) + c
+        total = sum(kept.values())
+        if not total:
+            raise ValueError("counts must have a positive total")
+        out = cls.__new__(cls)
+        out.sites = sites
+        out.den, out.counts = _lowest_terms(total, kept)
+        return out
+
+    @property
+    def weights(self) -> Mapping[Pattern, Fraction]:
+        """Pattern masses as Fractions: a read-only view of the counts that
+        builds each Fraction when it is read and stores none."""
+        return _FractionView(self.counts, self.den)
 
     def support(self) -> list[Pattern]:
-        return sorted(self.weights)
+        return sorted(self.counts)
 
     def mass(self, pat: Pattern) -> Fraction:
-        return self.weights.get(tuple(pat), Fraction(0))
+        return Fraction(self.counts.get(tuple(pat), 0), self.den)
 
     def same_window(self, other: "PatternDistribution") -> bool:
         return self.sites == other.sites
@@ -87,26 +135,29 @@ class PatternDistribution:
         if missing:
             raise IncompatibleWindowsError(f"sites {missing} not in the window")
         picks = [index[s] for s in sub]
-        out: dict[Pattern, Fraction] = {}
-        for pat, w in self.weights.items():
+        out: dict[Pattern, int] = {}
+        for pat, c in self.counts.items():
             key = tuple(pat[i] for i in picks)
-            out[key] = out.get(key, Fraction(0)) + w
-        return PatternDistribution(sub, out)
+            out[key] = out.get(key, 0) + c
+        return PatternDistribution.from_counts(sub, out)
 
     def tv_distance(self, other: "PatternDistribution") -> Fraction:
         if not self.same_window(other):
             raise IncompatibleWindowsError("total variation across windows")
-        keys = set(self.weights) | set(other.weights)
-        return sum((abs(self.mass(k) - other.mass(k)) for k in keys), Fraction(0)) / 2
+        D = lcm(self.den, other.den)
+        s, t = D // self.den, D // other.den
+        a, b = self.counts, other.counts
+        diff = sum(abs(c * s - b.get(p, 0) * t) for p, c in a.items())
+        diff += sum(c * t for p, c in b.items() if p not in a)
+        return Fraction(diff, 2 * D)
 
     def to_dict(self) -> dict:
-        return {
-            "window": [list(p) for p in self.sites],
-            "weights": [
-                [list(pat), w.numerator, w.denominator]
-                for pat, w in sorted(self.weights.items())
-            ],
-        }
+        den = self.den
+        pairs = []
+        for pat, c in sorted(self.counts.items()):
+            g = gcd(c, den)
+            pairs.append([list(pat), c // g, den // g])
+        return {"window": [list(p) for p in self.sites], "weights": pairs}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -124,13 +175,51 @@ class PatternDistribution:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PatternDistribution):
             return NotImplemented
-        return self.sites == other.sites and self.weights == other.weights
+        # lowest terms make the integer form unique
+        return (
+            self.sites == other.sites
+            and self.den == other.den
+            and self.counts == other.counts
+        )
 
     def __repr__(self) -> str:
         return (
             f"PatternDistribution({len(self.sites)} sites, "
-            f"{len(self.weights)} patterns)"
+            f"{len(self.counts)} patterns)"
         )
+
+
+class _FractionView(Mapping):
+    __slots__ = ("_counts", "_den")
+
+    def __init__(self, counts: dict[Pattern, int], den: int):
+        self._counts, self._den = counts, den
+
+    def __getitem__(self, pat: Pattern) -> Fraction:
+        return Fraction(self._counts[pat], self._den)
+
+    def __iter__(self):
+        return iter(self._counts)
+
+    def __len__(self) -> int:
+        return len(self._counts)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+def _window_sites(window: FiniteSubset | Iterable[Point]) -> tuple[Point, ...]:
+    sites = sorted_sites(window)
+    if not sites:
+        raise ValueError("window must be non-empty")
+    return sites
+
+
+def _lowest_terms(den: int, counts: dict[Pattern, int]) -> tuple[int, dict[Pattern, int]]:
+    g = gcd(den, *counts.values())
+    if g == 1:
+        return den, counts
+    return den // g, {pat: c // g for pat, c in counts.items()}
 
 
 @dataclass
@@ -157,19 +246,15 @@ def empirical_measure(
     """
     if len(window_set) == 0 or len(W) == 0:
         raise ValueError("empirical measure needs non-empty sets")
-    total = len(window_set)
     if rows_available(window_set, x) and rows_available(W, x):
-        counts = _box_pattern_counts(x, window_set, W)
-        return PatternDistribution(
-            W, {tuple(map(int, key)): Fraction(c, total) for key, c in counts.items()}
-        )
+        return PatternDistribution.from_counts(W, _box_pattern_counts(x, window_set, W))
     sites = W.sorted_points()
     xv = x.value
     counts: dict[Pattern, int] = {}
     for f in window_set:
         pat = tuple(xv(compose(w, f)) for w in sites)
         counts[pat] = counts.get(pat, 0) + 1
-    return PatternDistribution(W, {p: Fraction(c, total) for p, c in counts.items()})
+    return PatternDistribution.from_counts(W, counts)
 
 
 def _box_pattern_counts(x: Configuration, window_set: FiniteSubset, W: FiniteSubset) -> Counter:
@@ -218,22 +303,22 @@ def pattern_metric(
 
 
 def _coupled_mass(
-    a: Sequence[Fraction],
-    b: Sequence[Fraction],
+    a: list[int],
+    b: list[int],
     d: Sequence[Sequence[Fraction]],
     eps: Fraction,
 ) -> Fraction:
-    """Largest mass a coupling of the weight vectors a and b can put on the
-    pairs (i, j) with d[i][j] <= eps: 1 minus the optimal transport cost
-    when each pair farther than eps costs 1 and every other pair 0, solved
-    exactly by the integer transport simplex at the common denominator L
-    of the weights."""
+    """Largest mass a coupling of the integer mass vectors a and b, over
+    their common total L, can put on the pairs (i, j) with d[i][j] <= eps:
+    1 minus the optimal transport cost when each pair farther than eps
+    costs 1 and every other pair 0, solved exactly by the integer
+    transport simplex."""
     # transport imports this module, so its kernel is imported at call time
     from .transport import _simplex
 
-    L = lcm(*(w.denominator for w in (*a, *b)))
+    L = sum(a)
     K = [[int(dij > eps) for dij in row] for row in d]
-    _, _, value = _simplex([int(w * L) for w in a], [int(w * L) for w in b], K)
+    _, _, value = _simplex(a, b, K)
     return Fraction(L - value, L)
 
 
@@ -269,8 +354,9 @@ def prokhorov_distance(
     """
     dist = _resolve_cost(mu, nu, metric, dist_fn)
     left, right = mu.support(), nu.support()
-    a = [mu.weights[p] for p in left]
-    b = [nu.weights[q] for q in right]
+    L = lcm(mu.den, nu.den)
+    a = [mu.counts[p] * (L // mu.den) for p in left]
+    b = [nu.counts[q] * (L // nu.den) for q in right]
     d = [[dist(p, q) for q in right] for p in left]
     levels = [Fraction(0)] + sorted({x for row in d for x in row if 0 < x < 1})
     mass: dict[int, Fraction] = {}

@@ -81,10 +81,8 @@ class Coupling:
         self.weights = cleaned
 
     def cost(self, cost_fn: CostFn) -> Fraction:
-        return sum(
-            (w * Fraction(cost_fn(p, q)) for (p, q), w in self.weights.items()),
-            Fraction(0),
-        )
+        fn = _as_cost_fn(cost_fn)
+        return sum((w * fn(p, q) for (p, q), w in self.weights.items()), Fraction(0))
 
     def to_dict(self) -> dict:
         return {
@@ -102,9 +100,42 @@ class Coupling:
         return f"Coupling({len(self.weights)} atoms)"
 
 
+def _counts_coupling(
+    mu: PatternDistribution,
+    nu: PatternDistribution,
+    counts: Mapping[tuple[Pattern, Pattern], int],
+    den: int,
+) -> Coupling:
+    """The coupling with mass c / den on each pair of `counts`, checked in
+    integers instead of by the Fraction sums of `Coupling(...)`: its row
+    and column sums must be mu's and nu's counts at the scale den.  The
+    callers build the counts to agree, so a mismatch is a bug."""
+    rows: dict[Pattern, int] = defaultdict(int)
+    cols: dict[Pattern, int] = defaultdict(int)
+    for (p, q), c in counts.items():
+        if c < 0:
+            raise AssertionError(f"negative coupling count at {(p, q)}")
+        if c:
+            rows[p] += c
+            cols[q] += c
+    for sums, marginal in ((rows, mu), (cols, nu)):
+        scale, rest = divmod(den, marginal.den)
+        if rest or sums != {p: c * scale for p, c in marginal.counts.items()}:
+            raise AssertionError("coupling counts do not have the prescribed marginals")
+    out = Coupling.__new__(Coupling)
+    out.left, out.right = mu, nu
+    out.weights = {pq: Fraction(c, den) for pq, c in counts.items() if c}
+    return out
+
+
 def _as_cost_fn(cost: CostFn | Mapping[tuple[Pattern, Pattern], Fraction]) -> CostFn:
     if callable(cost):
-        return lambda p, q: Fraction(cost(p, q))
+
+        def exact(p: Pattern, q: Pattern) -> Fraction:
+            c = cost(p, q)
+            return c if isinstance(c, Fraction) else Fraction(c)
+
+        return exact
     table = {(tuple(p), tuple(q)): Fraction(w) for (p, q), w in cost.items()}
 
     def fn(p: Pattern, q: Pattern) -> Fraction:
@@ -245,12 +276,14 @@ def min_cost_transport(
 ) -> TransportResult:
     """Exact optimal coupling and cost, with a dual certificate.
 
-    The simplex (`_simplex`) runs in integers: masses scaled by their
-    common denominator D, costs by the lcm E of theirs (the problem is
-    totally unimodular, so every basic solution is integral at D).  The
-    returned potentials satisfy u_i + v_j <= c_ij everywhere with equality
-    on the support, and the primal value equals the dual value; the kernel
-    asserts both before returning.
+    The simplex (`_simplex`) runs in integers: the counts of mu and nu
+    scaled to D = lcm(mu.den, nu.den), costs by the lcm E of their
+    denominators (the problem is totally unimodular, so every basic
+    solution is integral at D).  The returned potentials satisfy
+    u_i + v_j <= c_ij everywhere with equality on the support, and the
+    primal value equals the dual value; the kernel asserts both before
+    returning, and the integer flows' row and column sums are checked
+    against the scaled counts before the coupling is built.
     """
     if not mu.same_window(nu):
         raise IncompatibleWindowsError("transport across different windows")
@@ -260,17 +293,13 @@ def min_cost_transport(
     C = [[cost_fn(p, q) for q in cols] for p in rows]
     if any(c < 0 for row in C for c in row):
         raise ValueError("costs must be nonnegative")
-    D = lcm(*(w.denominator for w in (*mu.weights.values(), *nu.weights.values())))
-    E = lcm(*(c.denominator for row in C for c in row))
-    a = [int(mu.weights[p] * D) for p in rows]
-    b = [int(nu.weights[q] * D) for q in cols]
-    K = [[int(c * E) for c in row] for row in C]
+    D, a, b = _common_masses(mu, nu, rows, cols)
+    E, K = _integer_costs(C)
     flows, pot, value = _simplex(a, b, K)
     m = len(rows)
-    weights = {
-        (rows[i], cols[j]): Fraction(f, D) for (i, j), f in flows.items() if f > 0
-    }
-    coupling = Coupling(mu, nu, weights)
+    coupling = _counts_coupling(
+        mu, nu, {(rows[i], cols[j]): f for (i, j), f in flows.items()}, D
+    )
     return TransportResult(
         coupling=coupling,
         value=Fraction(value, D * E),
@@ -279,28 +308,60 @@ def min_cost_transport(
     )
 
 
+def _common_masses(
+    mu: PatternDistribution, nu: PatternDistribution, rows: list[Pattern], cols: list[Pattern]
+) -> tuple[int, list[int], list[int]]:
+    """D = lcm(mu.den, nu.den) and the masses of rows and cols scaled by it."""
+    D = lcm(mu.den, nu.den)
+    s, t = D // mu.den, D // nu.den
+    return D, [mu.counts[p] * s for p in rows], [nu.counts[q] * t for q in cols]
+
+
+def _integer_costs(C: list[list[Fraction]]) -> tuple[int, list[list[int]]]:
+    """E = the lcm of the costs' denominators and the costs scaled by it."""
+    E = lcm(*(c.denominator for row in C for c in row))
+    return E, [[c.numerator * (E // c.denominator) for c in row] for row in C]
+
+
 def verify_transport_certificate(
     result: TransportResult,
     cost: CostFn | Mapping[tuple[Pattern, Pattern], Fraction],
 ) -> bool:
-    """Re-check the optimality certificate independently of the solver."""
+    """Re-check the optimality certificate independently of the solver.
+
+    Every cost is recomputed from `cost`, and the check runs in integers
+    at scales of its own: costs and potentials times S, the lcm of their
+    denominators, and masses times M, the lcm of the denominators of the
+    marginals and of the coupling's weights.  It checks dual feasibility
+    (u_p + v_q <= c_pq on every pair), tightness on the coupling's support
+    and primal = value = dual, and reads nothing else of the solver.
+    """
     cost_fn = _as_cost_fn(cost)
     mu, nu = result.coupling.left, result.coupling.right
-    u, v = result.row_potentials, result.col_potentials
-    # every cost once, recomputed from `cost`, never taken from the solver
-    table = {(p, q): cost_fn(p, q) for p in mu.support() for q in nu.support()}
-    for (p, q), c in table.items():
-        if u[p] + v[q] > c:
-            return False
     weights = result.coupling.weights
-    for (p, q), w in weights.items():
-        if w > 0 and u[p] + v[q] != table[(p, q)]:
-            return False
-    primal = sum((w * table[pq] for pq, w in weights.items()), Fraction(0))
-    dual = sum((u[p] * w for p, w in mu.weights.items()), Fraction(0)) + sum(
-        (v[q] * w for q, w in nu.weights.items()), Fraction(0)
+    u, v = result.row_potentials, result.col_potentials
+    rows, cols = mu.support(), nu.support()
+    table = {(p, q): cost_fn(p, q) for p in rows for q in cols}
+    S = lcm(
+        *(c.denominator for c in table.values()),
+        *(u[p].denominator for p in rows),
+        *(v[q].denominator for q in cols),
     )
-    return primal == result.value == dual
+    M = lcm(mu.den, nu.den, *(w.denominator for w in weights.values()))
+    us = {p: u[p].numerator * (S // u[p].denominator) for p in rows}
+    vs = {q: v[q].numerator * (S // v[q].denominator) for q in cols}
+    cs = {pq: c.numerator * (S // c.denominator) for pq, c in table.items()}
+    if any(us[p] + vs[q] > c for (p, q), c in cs.items()):
+        return False
+    # a Coupling's weights are positive, so every key is in the support
+    if any(us[p] + vs[q] != cs[(p, q)] for p, q in weights):
+        return False
+    primal = sum(w.numerator * (M // w.denominator) * cs[pq] for pq, w in weights.items())
+    dual = sum(us[p] * c * (M // mu.den) for p, c in mu.counts.items()) + sum(
+        vs[q] * c * (M // nu.den) for q, c in nu.counts.items()
+    )
+    value = result.value
+    return primal == dual and primal * value.denominator == value.numerator * M * S
 
 
 def brute_force_min_cost(
@@ -328,12 +389,8 @@ def brute_force_min_cost(
         raise IncompatibleWindowsError("transport across different windows")
     cost_fn = _as_cost_fn(cost)
     rows, cols = mu.support(), nu.support()
-    D = lcm(*(w.denominator for w in (*mu.weights.values(), *nu.weights.values())))
-    r = [int(mu.weights[p] * D) for p in rows]
-    rem = [int(nu.weights[q] * D) for q in cols]
-    C = [[cost_fn(p, q) for q in cols] for p in rows]
-    E = lcm(*(x.denominator for row in C for x in row))
-    K = [[int(x * E) for x in row] for row in C]
+    D, r, rem = _common_masses(mu, nu, rows, cols)
+    E, K = _integer_costs([[cost_fn(p, q) for q in cols] for p in rows])
     m, n = len(rows), len(cols)
     order = [sorted(range(n), key=row.__getitem__) for row in K]
     # row_tail[i]: the row bound of rows i..; col_min[i][j]: min of column j over rows i..
@@ -407,7 +464,10 @@ def glue_couplings(pi12: Coupling, pi23: Coupling) -> Coupling:
 def pair_empirical_joining(
     x: Configuration, z: Configuration, F_n: FiniteSubset, W: FiniteSubset
 ) -> Coupling:
-    """Empirical distribution of joint W-patterns of (f.x, f.z), f in F_n."""
+    """Empirical distribution of joint W-patterns of (f.x, f.z), f in F_n.
+
+    Each pattern is read once: both marginals are taken from the joint
+    counts, and the coupling is checked against them in integers."""
     if len(F_n) == 0 or len(W) == 0:
         raise ValueError("pair joining needs non-empty sets")
     sites = W.sorted_points()
@@ -417,11 +477,14 @@ def pair_empirical_joining(
         p = tuple(xv(compose(w, f)) for w in sites)
         q = tuple(zv(compose(w, f)) for w in sites)
         counts[(p, q)] += 1
-    total = len(F_n)
-    weights = {pq: Fraction(cnt, total) for pq, cnt in counts.items()}
-    mu = empirical_measure(x, F_n, W)
-    nu = empirical_measure(z, F_n, W)
-    return Coupling(mu, nu, weights)
+    left: dict[Pattern, int] = defaultdict(int)
+    right: dict[Pattern, int] = defaultdict(int)
+    for (p, q), c in counts.items():
+        left[p] += c
+        right[q] += c
+    mu = PatternDistribution.from_counts(W, left)
+    nu = PatternDistribution.from_counts(W, right)
+    return _counts_coupling(mu, nu, counts, len(F_n))
 
 
 # the per-site periodicity check runs up to this lattice index; binary 1-D

@@ -40,7 +40,7 @@ from shiftlab.metrics import (
     joint_period_box,
     upper_density,
 )
-from shiftlab.transport import PeriodicOrbitMeasure, periodic_rho_oracle
+from shiftlab.transport import PeriodicOrbitMeasure, pair_empirical_joining, periodic_rho_oracle
 
 NAMES = {
     1: [f"rf-sub:{k}" for k in range(1, 7)] + ["constant", "periodic", "random", "patched"],
@@ -212,6 +212,20 @@ def test_empirical_measure_matches_per_site(data):
     assert empirical_measure(x, window, W) == empirical_measure(
         x, FiniteSubset(window.points()), W
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from((1, 2)), seeds=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)),
+       data=st.data())
+def test_pair_joining_marginals_are_the_empirical_measures(dim, seeds, data):
+    x, z = (make("patched", dim, seed) for seed in seeds)
+    F, n = data.draw(windows(dim, 60 if dim == 1 else 12))
+    window = F.set_at(n)
+    W = FiniteSubset.box((0,) * dim, (data.draw(st.integers(0, 2)),) * dim)
+    joint = pair_empirical_joining(x, z, window, W)
+    assert joint.left == empirical_measure(x, window, W)
+    assert joint.right == empirical_measure(z, window, W)
+    assert sum(joint.weights.values()) == 1
 
 
 @settings(max_examples=40, deadline=None)

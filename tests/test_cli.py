@@ -380,6 +380,38 @@ def test_usage_errors_exit_one(capsys):
         assert run(capsys, "convergence", "--stages", stages)[0] == 1
 
 
+def test_oversized_window_job_is_refused_before_reading(capsys):
+    limit = cli.SITE_BUDGET
+    code, out, err = run(capsys, "density", "--set", "visible", "--N", "1000000")
+    # the ladder 125000, 250000, 500000, 1000000 of {0..n}^2 boxes
+    estimate = sum((n + 1) ** 2 for n in (125_000, 250_000, 500_000, 1_000_000))
+    assert code == 1 and out == ""
+    assert err == f"error: job would read about {estimate} sites, over the limit of {limit}\n"
+
+
+_BUDGET_JOBS = [
+    # (argv, estimated site reads)
+    (["density", "--set", "visible", "--n-list", "9,19"], 10**2 + 20**2),
+    (["dbar", "--x", "visible", "--z", "prime-approx:1", "--kind", "centered", "--n-list", "4"],
+     9**2),
+    (["besicovitch", *_RF_PAIR, "--n-list", "9,19", "--radius", "2"], (10 + 20) * 5),
+    (["dprime", *_RF_PAIR, "--N", "19", "--radius", "3"], 20 * 7),
+    (["empirical", "--set", "visible", "--N", "9", "--window", "3"], 10**2 * 9),
+]
+
+
+@pytest.mark.parametrize("argv, estimate", _BUDGET_JOBS, ids=[a[0] for a, _ in _BUDGET_JOBS])
+def test_site_budget_is_checked_against_the_estimate(monkeypatch, capsys, argv, estimate):
+    monkeypatch.setattr(cli, "SITE_BUDGET", estimate)
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, "SITE_BUDGET", estimate - 1)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: job would read about {estimate} sites, over the limit of {estimate - 1}\n"
+    )
+
+
 @pytest.mark.parametrize("n", ["0", "1"])
 def test_tempered_refuses_fewer_than_two_windows(capsys, n):
     code, out, err = run(capsys, "tempered", "--n", n)

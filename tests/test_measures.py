@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +71,77 @@ def test_distribution_json_round_trip():
     mu = PatternDistribution(W2, {(0, 1): Fraction(2, 3), (1, 1): Fraction(1, 3)})
     again = PatternDistribution.from_json(mu.to_json())
     assert again == mu
+
+
+@st.composite
+def weight_maps(draw, width):
+    """Fraction weights summing to 1 on distinct patterns of `width` sites."""
+    patterns = list(itertools.product((0, 1), repeat=width))
+    support = draw(st.lists(st.sampled_from(patterns), min_size=1, unique=True))
+    den = draw(st.integers(1, 60))
+    cuts = sorted(draw(st.lists(st.integers(0, den), min_size=len(support) - 1,
+                                max_size=len(support) - 1)))
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [den])]
+    return {p: Fraction(c, den) for p, c in zip(support, parts)}
+
+
+def _old_tv(a, b):
+    """Total variation as a sum of Fraction differences over both supports."""
+    keys = set(a) | set(b)
+    return sum((abs(a.get(k, 0) - b.get(k, 0)) for k in keys), Fraction(0)) / 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(width=st.integers(1, 3), k=st.integers(1, 7), data=st.data())
+def test_fraction_counts_and_marginal_constructions_agree(width, k, data):
+    W = FiniteSubset.box((0,), (width - 1,))
+    weights = data.draw(weight_maps(width))
+    other = data.draw(weight_maps(width))
+    den = lcm(*(w.denominator for w in weights.values()))
+    scaled = {p: int(w * den) * k for p, w in weights.items()}
+    # one extra site whose symbol splits each count in two
+    split = {}
+    for p, c in scaled.items():
+        cut = data.draw(st.integers(0, c))
+        split[p + (0,)], split[p + (1,)] = cut, c - cut
+    built = [
+        PatternDistribution(W, weights),
+        PatternDistribution.from_counts(W, scaled),
+        PatternDistribution.from_counts(FiniteSubset.box((0,), (width,)), split).marginal(W),
+    ]
+    positive = {p: w for p, w in weights.items() if w}
+    nu = PatternDistribution(W, other)
+    for mu in built:
+        assert mu.den == lcm(*(w.denominator for w in positive.values()))
+        assert mu.counts == {p: int(w * mu.den) for p, w in positive.items()}
+        assert mu.weights == positive
+        assert mu == built[0]
+        assert all(mu.mass(p) == weights[p] for p in weights)
+        assert mu.mass((2,) * width) == 0
+        assert mu.to_dict() == built[0].to_dict()
+        assert mu.tv_distance(nu) == _old_tv(positive, nu.weights) == nu.tv_distance(mu)
+
+
+def test_weights_are_a_read_only_fraction_view():
+    mu = PatternDistribution(W0, {(0,): Fraction(1, 3), (1,): Fraction(2, 3)})
+    with pytest.raises(TypeError):
+        mu.weights[(0,)] = ONE
+    assert mu.weights == {(0,): Fraction(1, 3), (1,): Fraction(2, 3)}
+    assert dict(mu.weights) == {(0,): Fraction(1, 3), (1,): Fraction(2, 3)}
+    assert repr(mu.weights) == repr({(0,): Fraction(1, 3), (1,): Fraction(2, 3)})
+    assert (len(mu.weights), mu.weights.get((2,))) == (2, None)
+    assert (mu.den, mu.counts) == (3, {(0,): 1, (1,): 2})
+
+
+def test_from_counts_validates_its_counts():
+    assert PatternDistribution.from_counts(W2, {"01": 2, (1, 1): 4, (0, 0): 0}) == (
+        PatternDistribution(W2, {(0, 1): Fraction(1, 3), (1, 1): Fraction(2, 3)})
+    )
+    for bad in ({(0,): 0}, {(0,): -1, (1,): 2}, {(0, 1): 1}):
+        with pytest.raises(ValueError):
+            PatternDistribution.from_counts(W0, bad)
+    with pytest.raises(TypeError):
+        PatternDistribution.from_counts(W0, {(0,): HALF, (1,): HALF})
 
 
 # --- empirical_measure ------------------------------------------------------
@@ -256,6 +328,9 @@ def test_coupled_mass_is_one_minus_the_largest_deficiency(case):
     left, right = mu.support(), nu.support()
     a = [mu.weights[p] for p in left]
     b = [nu.weights[q] for q in right]
+    # the kernel takes the masses as integers over their common denominator
+    L = lcm(mu.den, nu.den)
+    ints = [int(w * L) for w in a], [int(w * L) for w in b]
     d = [[dist(p, q) for q in right] for p in left]
     for eps in {Fraction(0)} | {x for row in d for x in row}:
         deficiency = max(
@@ -264,7 +339,7 @@ def test_coupled_mass_is_one_minus_the_largest_deficiency(case):
             for k in range(len(left) + 1)
             for A in itertools.combinations(range(len(left)), k)
         )
-        assert _coupled_mass(a, b, d, eps) == 1 - deficiency
+        assert _coupled_mass(*ints, d, eps) == 1 - deficiency
 
 
 # --- hausdorff_prokhorov ----------------------------------------------------

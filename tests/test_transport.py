@@ -1,6 +1,8 @@
 """Exact couplings: simplex solver, brute-force oracle, gluing, orbit chains."""
 
+import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -19,6 +21,8 @@ from shiftlab.measures import PatternDistribution, empirical_measure
 from shiftlab.transport import (
     Coupling,
     PeriodicOrbitMeasure,
+    TransportResult,
+    _counts_coupling,
     brute_force_min_cost,
     check_db_ge_rho,
     glue_couplings,
@@ -52,6 +56,23 @@ def test_coupling_validates_marginals():
         Coupling(mu, mu, {((0,), (0,)): Fraction(3, 4), ((1,), (1,)): Fraction(1, 4)})
     with pytest.raises(ValueError):
         Coupling(mu, mu, {((0,), (0,)): Fraction(-1, 2), ((1,), (1,)): Fraction(3, 2)})
+
+
+def test_integer_coupling_checks_its_marginals():
+    mu = dist({0: Fraction(1, 2), 1: Fraction(1, 2)})
+    nu = dist({0: Fraction(1, 4), 1: Fraction(3, 4)})
+    good = {((0,), (0,)): 1, ((0,), (1,)): 1, ((1,), (1,)): 2}
+    assert _counts_coupling(mu, nu, good, 4).weights == {
+        pq: Fraction(c, 4) for pq, c in good.items()
+    }
+    for counts, den in (
+        ({((0,), (0,)): 1, ((0,), (1,)): 1, ((1,), (1,)): 1, ((1,), (0,)): 1}, 4),
+        ({((0,), (0,)): 2, ((1,), (1,)): 6}, 8),
+        ({((0,), (0,)): 3, ((0,), (1,)): -1, ((1,), (1,)): 2}, 4),
+        (good, 8),
+    ):
+        with pytest.raises(AssertionError):
+            _counts_coupling(mu, nu, counts, den)
 
 
 def test_coupling_rejects_window_mismatch():
@@ -325,6 +346,98 @@ def test_pinned_solves_are_unchanged(name):
     assert result.row_potentials == row_potentials
     assert result.col_potentials == col_potentials
     assert verify_transport_certificate(result, cost)
+
+
+def _cost_fn(cost):
+    return cost if callable(cost) else lambda p, q: cost[(p, q)]
+
+
+def _scales(mu, nu, cost):
+    """The solver's mass scale D and cost scale E of one instance."""
+    fn = _cost_fn(cost)
+    E = lcm(*(fn(p, q).denominator for p in mu.support() for q in nu.support()))
+    return lcm(mu.den, nu.den), E
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_certificate_rejects_a_moved_value_or_a_raised_potential(name):
+    mu, nu, cost = _pinned_instance(name)
+    result = min_cost_transport(mu, nu, cost)
+    D, E = _scales(mu, nu, cost)
+    assert verify_transport_certificate(result, cost)
+    for step in (F(1, 2 * D * E), -F(1, 2 * D * E)):
+        moved = replace(result, value=result.value + step)
+        assert not verify_transport_certificate(moved, cost)
+    for p in mu.support():
+        # row p carries mass, so one of its cells is tight and now fails
+        raised = dict(result.row_potentials)
+        raised[p] += F(1, E)
+        assert not verify_transport_certificate(replace(result, row_potentials=raised), cost)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_certificate_rejects_mass_on_a_cell_that_is_not_tight(name):
+    mu, nu, cost = _pinned_instance(name)
+    fn = _cost_fn(cost)
+    result = min_cost_transport(mu, nu, cost)
+    u, v, w = result.row_potentials, result.col_potentials, result.coupling.weights
+    exchanges = 0
+    # move mass theta from (p, q2) and (p2, q) onto (p, q), which is not
+    # tight, and (p2, q2): both marginals stay as they were
+    for (p, q2), (p2, q) in ((a, b) for a in w for b in w):
+        if p == p2 or q == q2 or u[p] + v[q] == fn(p, q):
+            continue
+        theta = min(w[(p, q2)], w[(p2, q)])
+        moved = dict(w)
+        for cell, sign in (((p, q), 1), ((p2, q2), 1), ((p, q2), -1), ((p2, q), -1)):
+            moved[cell] = moved.get(cell, 0) + sign * theta
+        coupling = Coupling(mu, nu, moved)
+        for value in (result.value, coupling.cost(fn)):
+            forged = replace(result, coupling=coupling, value=value)
+            assert not verify_transport_certificate(forged, cost)
+        exchanges += 1
+    assert exchanges > 0
+
+
+def test_certificate_rejects_tight_potentials_that_are_not_feasible():
+    # the swap coupling with potentials tight on it: primal = dual = value
+    # = 1, and only u_1 + v_1 = 2 > 0 = c_11 shows it is not optimal
+    half = dist({0: F(1, 2), 1: F(1, 2)})
+    swap = Coupling(half, half, {((0,), (1,)): F(1, 2), ((1,), (0,)): F(1, 2)})
+    pots = {(0,): F(0), (1,): F(1)}
+    forged = TransportResult(coupling=swap, value=F(1), row_potentials=pots, col_potentials=pots)
+    assert not verify_transport_certificate(forged, HAM0)
+
+
+def _oracle_shaped(rng):
+    """Criterion-05-shaped marginal: denominator 1..6, 1..4 of 6 symbols."""
+    den = rng.randint(1, 6)
+    size = rng.randint(1, min(4, den))
+    cuts = sorted(rng.sample(range(1, den), size - 1))
+    masses = [b - a for a, b in zip([0] + cuts, cuts + [den])]
+    return dist(dict(zip(rng.sample(range(6), size), (F(m, den) for m in masses))))
+
+
+# sha256 over (value, coupling, both potential maps) of 300 seeded solves,
+# taken from the Fraction-weight implementation this integer form replaced
+SEEDED_SOLVES_SHA256 = "3d465037e03a0e44a495b8c66d28186fe02bce096c8718b0606f42796d97e9d8"
+
+
+def test_seeded_solves_hash_is_unchanged():
+    rng = random.Random(1205)
+    digest = hashlib.sha256()
+    for trial in range(300):
+        mu, nu = _oracle_shaped(rng), _oracle_shaped(rng)
+        cost = HAM0
+        if trial % 2:
+            cost = {((a,), (b,)): F(0) if a == b else F(rng.randint(0, 12), 12)
+                    for a in range(6) for b in range(6)}
+        r = min_cost_transport(mu, nu, cost)
+        digest.update(repr((
+            r.value, r.coupling.to_dict(),
+            sorted(r.row_potentials.items()), sorted(r.col_potentials.items()),
+        )).encode())
+    assert digest.hexdigest() == SEEDED_SOLVES_SHA256
 
 
 # --- glue_couplings ---------------------------------------------------------
