@@ -385,8 +385,7 @@ def _rand_dist(rng: Random, sites, alphabet: int, dens: Sequence[int]) -> Patter
     den = rng.choice(list(dens))
     cuts = sorted(rng.randint(0, den) for _ in range(alphabet - 1))
     parts = [b - a for a, b in zip((0, *cuts), (*cuts, den))]
-    weights = {(s,): Fraction(p, den) for s, p in enumerate(parts) if p}
-    return PatternDistribution(sites, weights)
+    return PatternDistribution.from_counts(sites, {(s,): p for s, p in enumerate(parts) if p})
 
 
 def _cmd_glue_check(cfg: dict) -> dict:
@@ -426,16 +425,17 @@ def _cmd_nowy_check(cfg: dict) -> dict:
 
 
 def _triangle_metric(rng: Random, size: int) -> list[list[Fraction]]:
-    d = [[Fraction(0)] * size for _ in range(size)]
+    # shortest paths in integer twelfths
+    d = [[0] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
-            d[i][j] = d[j][i] = Fraction(rng.randint(1, 12), 12)
+            d[i][j] = d[j][i] = rng.randint(1, 12)
     for k in range(size):
         for i in range(size):
             for j in range(size):
                 if d[i][k] + d[k][j] < d[i][j]:
                     d[i][j] = d[j][i] = d[i][k] + d[k][j]
-    return d
+    return [[Fraction(v, 12) for v in row] for row in d]
 
 
 def _cmd_triangle_check(cfg: dict) -> dict:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from random import Random
 from typing import Mapping, Sequence
@@ -258,14 +259,33 @@ def block_entropy(
 
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_M1 = 0xBF58476D1CE4E5B9
+_M2 = 0x94D049BB133111EB
 
 
 def _mix64(v: int) -> int:
     """splitmix64 finalizer; stable across platforms and runs."""
-    v = (v + 0x9E3779B97F4A7C15) & _MASK
-    v = ((v ^ (v >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    v = ((v ^ (v >> 27)) * 0x94D049BB133111EB) & _MASK
+    v = (v + _GAMMA) & _MASK
+    v = ((v ^ (v >> 30)) * _M1) & _MASK
+    v = ((v ^ (v >> 27)) * _M2) & _MASK
     return v ^ (v >> 31)
+
+
+# `random_config` rows hash up to _CHUNK columns at once, as 128-bit lanes
+# of one int of about 16 KB: a 64-bit lane times a 64-bit constant fits in
+# its lane, so no carry reaches the next one
+_CHUNK = 1024
+# byte -> ASCII digit of its low bit
+_LOW_BIT = bytes(48 + (b & 1) for b in range(256))
+
+
+@lru_cache(maxsize=4)
+def _lanes(n: int) -> tuple[int, int, int, int]:
+    """(1, i, 2^64 - 1, the splitmix64 increment) in lane i, for i < n."""
+    ones = int.from_bytes(b"\x01".ljust(16, b"\0") * n, "little")
+    ramp = int.from_bytes(b"".join(i.to_bytes(16, "little") for i in range(n)), "little")
+    return ones, ramp, _MASK * ones, _GAMMA * ones
 
 
 def random_config(dim: int, seed: int, alphabet: int = 2) -> Configuration:
@@ -275,7 +295,8 @@ def random_config(dim: int, seed: int, alphabet: int = 2) -> Configuration:
     The hash folds in the seed, then one coordinate at a time, so a binary
     configuration of dimension 1 or 2 also has a bulk rows rule: the hash
     of the seed (and in 2-D of the row coordinate) is shared by the whole
-    row, and each site costs one splitmix64 step.
+    row, and the row's columns then run splitmix64 together, as 128-bit
+    lanes of one int per chunk of up to 1024 columns.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
@@ -288,13 +309,27 @@ def random_config(dim: int, seed: int, alphabet: int = 2) -> Configuration:
         return h % alphabet
 
     def rows(lo: Point, hi: Point) -> list[int]:
-        # bit j is column lo + j, as in `configs._pack`; the text is built
-        # from the last column down, so no reversal is needed
-        cols = range(hi[-1], lo[-1] - 1, -1)
+        # bit j is column lo + j, as in `configs._pack`
         heads = [start] if dim == 1 else [_mix64(start ^ (a & _MASK))
                                           for a in range(lo[0], hi[0] + 1)]
-        return [int("".join(["01"[_mix64(h ^ (c & _MASK)) & 1] for c in cols]), 2)
-                for h in heads]
+        out = [0] * len(heads)
+        width = hi[-1] - lo[-1] + 1
+        for off in range(0, width, _CHUNK):
+            n = min(_CHUNK, width - off)
+            ones, ramp, mask, gamma = _lanes(n)
+            # lane i holds column lo + off + i, mod 2^64
+            cols = (((lo[-1] + off) & _MASK) * ones + ramp) & mask
+            for r, h in enumerate(heads):
+                # splitmix64 in every lane; each lane is cut back to 64 bits
+                # before a multiply, since a shift pulls in the next lane's bits
+                v = ((cols ^ h * ones) + gamma) & mask
+                v = ((v ^ v >> 30) & mask) * _M1 & mask
+                v = ((v ^ v >> 27) & mask) * _M2
+                # the symbol is bit 0 ^ bit 31 of the lane; the low byte of
+                # lane i sits at 16 (n - 1 - i) + 15 in big-endian order
+                digits = (v ^ v >> 31).to_bytes(16 * n, "big")[15::16].translate(_LOW_BIT)
+                out[r] |= int(digits, 2) << off
+        return out
 
     # the packed low bit is the symbol only for two symbols, and `heads`
     # covers one row coordinate at most

@@ -82,7 +82,13 @@ class Coupling:
 
     def cost(self, cost_fn: CostFn) -> Fraction:
         fn = _as_cost_fn(cost_fn)
-        return sum((w * fn(p, q) for (p, q), w in self.weights.items()), Fraction(0))
+        costs = [fn(p, q) for p, q in self.weights]
+        # exact in integers: weights over their lcm M, costs over theirs S
+        M = lcm(*(w.denominator for w in self.weights.values()))
+        S = lcm(*(c.denominator for c in costs))
+        total = sum(w.numerator * (M // w.denominator) * c.numerator * (S // c.denominator)
+                    for w, c in zip(self.weights.values(), costs))
+        return Fraction(total, M * S)
 
     def to_dict(self) -> dict:
         return {

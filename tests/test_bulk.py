@@ -5,6 +5,7 @@ The per-site path is reached by handing an estimator the same window as an
 explicit point set (not a box), or a metric without shell weights.
 """
 
+import hashlib
 import random
 import re
 from collections import Counter
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab import configs
+from shiftlab import configs, examples
 from shiftlab.configs import (
     AdmissibleMetric,
     Configuration,
@@ -299,6 +300,44 @@ def test_random_rows_match_an_independent_hash(dim, seed, data):
     hi = tuple(a + data.draw(st.integers(0, 60 if dim == 1 else 15)) for a in lo)
     box = FiniteSubset.box(lo, hi)
     assert random_config(dim, seed).rows(box) == hashed_rows(seed, box)
+
+
+CHUNK = examples._CHUNK
+
+
+@pytest.mark.parametrize("corner", CORNERS)
+def test_random_rows_across_chunk_seams_match_an_independent_hash(corner):
+    # starting at the corner puts the wrap 9 columns into the first chunk;
+    # starting a chunk earlier puts it right at the first seam
+    for lo in (corner, corner + 9 - CHUNK):
+        for width in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1):
+            box = FiniteSubset.box((lo,), (lo + width - 1,))
+            assert random_config(1, corner + width).rows(box) == hashed_rows(corner + width, box)
+    box = FiniteSubset.box((corner - 1, corner + 9 - CHUNK), (corner + 1, corner + 20))
+    assert random_config(2, 3).rows(box) == hashed_rows(3, box)
+
+
+# sha256 of random_config rows over 1-D and 2-D boxes with negative and
+# wrapping columns, wider than a chunk; taken from the per-site row rule
+# that the lane-packed one replaced
+ROWS_SHA256 = "31b0f1db78501a81247281ca8a898d61bf2972be5bc51166079c3d998a414d27"
+
+
+def test_random_rows_hash_is_unchanged():
+    boxes = {
+        1: [((0,), (0,)), ((-5,), (60,)), ((-1500,), (1500,)),
+            ((2**63 - 700,), (2**63 + 1400,)), ((-(2**64) - 1030,), (-(2**64) + 1030,)),
+            ((5 * 2**64 - 2049,), (5 * 2**64 + 3,))],
+        2: [((-3, -40), (4, 90)), ((2**63 - 2, 2**64 - 1100), (2**63 + 1, 2**64 + 1000)),
+            ((-(2**64) - 1, -1030), (-(2**64) + 1, 1030))],
+    }
+    digest = hashlib.sha256()
+    for seed in (0, 7, -3, 2**70):
+        for dim in (1, 2):
+            x = random_config(dim, seed)
+            for lo, hi in boxes[dim]:
+                digest.update(repr((dim, seed, lo, hi, x.rows(FiniteSubset.box(lo, hi)))).encode())
+    assert digest.hexdigest() == ROWS_SHA256
 
 
 @settings(max_examples=40, deadline=None)

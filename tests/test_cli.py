@@ -1,5 +1,6 @@
 """Command-line runner: subcommands, config files, report files, exit codes."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -262,6 +263,25 @@ def test_reports_are_byte_deterministic(tmp_path, capsys):
     assert main(argv + ["--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of the triangle-check and glue-check reports (less their version
+# field) and exit codes for seeds 0..29, taken when the seeded metrics and
+# laws were still built in Fractions
+SEEDED_REPORTS_SHA256 = "49a5339e895826c71dddc2054bda0fc8b66f91bdc4089f28e963b87e1a615f44"
+
+
+def test_seeded_check_reports_hash_is_unchanged(capsys):
+    digest = hashlib.sha256()
+    for s in range(30):
+        for argv in (["triangle-check", "--seed", str(s), "--trials", "6",
+                      "--support", str(2 + s % 7)],
+                     ["glue-check", "--seed", str(s), "--trials", "6"]):
+            code, out, _ = run(capsys, *argv)
+            doc = json.loads(out)
+            doc.pop("version")
+            digest.update(json.dumps([argv, code, doc], sort_keys=True).encode())
+    assert digest.hexdigest() == SEEDED_REPORTS_SHA256
 
 
 # --- config files -----------------------------------------------------------

@@ -75,6 +75,32 @@ def test_integer_coupling_checks_its_marginals():
             _counts_coupling(mu, nu, counts, den)
 
 
+@settings(max_examples=150, deadline=None)
+@given(cells=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                st.integers(1, 9), st.sampled_from((1, 2, 3, 5, 7, 12))),
+                      min_size=1, max_size=8),
+       costs=st.lists(st.tuples(st.integers(0, 20), st.sampled_from((1, 2, 3, 4, 6, 9, 10))),
+                      min_size=16, max_size=16))
+def test_coupling_cost_equals_the_fraction_sum(cells, costs):
+    raw = {}
+    for p, q, num, den in cells:
+        key = ((p,), (q,))
+        raw[key] = raw.get(key, 0) + Fraction(num, den)
+    total = sum(raw.values())
+    weights = {pq: w / total for pq, w in raw.items()}
+    left, right = {}, {}
+    for (p, q), w in weights.items():
+        left[p] = left.get(p, 0) + w
+        right[q] = right.get(q, 0) + w
+    coupling = Coupling(PatternDistribution(W0, left), PatternDistribution(W0, right), weights)
+    # an int cost, and Fractions over mixed denominators
+    table = {((a,), (b,)): Fraction(*costs[4 * a + b]) if (a + b) % 3 else costs[4 * a + b][0]
+             for a in range(4) for b in range(4)}
+    cost = coupling.cost(lambda p, q: table[p, q])
+    assert isinstance(cost, Fraction)
+    assert cost == sum((w * table[pq] for pq, w in weights.items()), Fraction(0))
+
+
 def test_coupling_rejects_window_mismatch():
     mu = dist({0: Fraction(1)})
     W2 = FiniteSubset.box((0,), (1,))
