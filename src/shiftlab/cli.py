@@ -18,11 +18,11 @@ atomically to --out or to stdout, and sets the exit code: 2 when the body's
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
-import tempfile
 from fractions import Fraction
 from random import Random
 from typing import Callable, NamedTuple, Sequence
@@ -224,23 +224,31 @@ def _jsonable(v):
     return v
 
 
+# numbers the temp files of this process's writes
+_TEMP_NUMBERS = itertools.count()
+
+
 def _atomic_write(path: str, text: str) -> None:
-    """Write through a unique temp file beside the target, then rename it
+    """Write through a new temp file beside the target, then rename it
     over the target; the temp file is removed on any error.
 
-    There is no fsync: a report can be rebuilt from the configuration it
-    embeds, and an fsync can stall for tens of milliseconds.
+    The temp file is created with O_EXCL and mode 0666, so it gets the
+    mode open() would give under the process umask, which is never
+    changed.  A taken temp name is skipped, never written.  There is no
+    fsync: a report can be rebuilt from the configuration it embeds, and
+    an fsync can stall for tens of milliseconds.
     """
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".", suffix=".tmp"
-    )
+    data = text.encode("utf-8")
+    for n in _TEMP_NUMBERS:
+        tmp = f"{path}.{os.getpid()}.{n}.tmp"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            pass
     try:
-        # mkstemp creates the file 0600; give it the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
-        with open(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -177,15 +177,18 @@ def rows_available(window: FiniteSubset, *configs: "Configuration") -> bool:
     )
 
 
-def box_tiles(box: FiniteSubset) -> Iterator[FiniteSubset]:
-    """Sub-boxes of at most TILE_SITES sites that partition a 1-D or 2-D box."""
+def box_tiles(box: FiniteSubset, divisor: int = 1) -> Iterator[FiniteSubset]:
+    """Sub-boxes of at most TILE_SITES // divisor sites (and at least one)
+    that partition a 1-D or 2-D box.  A reader that holds `divisor` bytes
+    a site passes it, so its tiles stay as small as the others'."""
+    limit = max(1, TILE_SITES // divisor)
     lo, hi = box.bounds
     if box.dim == 1:
-        for a in range(lo[0], hi[0] + 1, TILE_SITES):
-            yield FiniteSubset.box((a,), (min(a + TILE_SITES - 1, hi[0]),))
+        for a in range(lo[0], hi[0] + 1, limit):
+            yield FiniteSubset.box((a,), (min(a + limit - 1, hi[0]),))
         return
-    cols = min(hi[1] - lo[1] + 1, TILE_SITES)
-    band = TILE_SITES // cols
+    cols = min(hi[1] - lo[1] + 1, limit)
+    band = limit // cols
     for a in range(lo[0], hi[0] + 1, band):
         for b in range(lo[1], hi[1] + 1, cols):
             yield FiniteSubset.box(

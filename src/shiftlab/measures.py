@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import operator
+import sys
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -241,13 +242,20 @@ def empirical_measure(
 ) -> PatternDistribution:
     """Pattern frequencies of { (f.x)|_W : f in window_set }, exact.
 
-    For box sets and a binary x, patterns are read from bulk rows as
-    strings of W's rows and decoded once per distinct pattern.
+    For box sets and a binary x, each window's W-pattern is an integer
+    code whose bit k is site k of W in W's site order (W's rows, each left
+    to right); `_box_pattern_codes` counts the codes in C, and each
+    distinct code is decoded once.  Other windows and alphabets are read
+    site by site, the reference path.
     """
     if len(window_set) == 0 or len(W) == 0:
         raise ValueError("empirical measure needs non-empty sets")
     if rows_available(window_set, x) and rows_available(W, x):
-        return PatternDistribution.from_counts(W, _box_pattern_counts(x, window_set, W))
+        m = len(W)
+        codes = _box_pattern_codes([x], window_set, W)
+        return PatternDistribution.from_counts(
+            W, {row_bits(code, m): c for code, c in codes.items()}
+        )
     sites = W.sorted_points()
     xv = x.value
     counts: dict[Pattern, int] = {}
@@ -257,23 +265,77 @@ def empirical_measure(
     return PatternDistribution.from_counts(W, counts)
 
 
-def _box_pattern_counts(x: Configuration, window_set: FiniteSubset, W: FiniteSubset) -> Counter:
-    """Counts of W-patterns over a box, keyed by the pattern as a '0'/'1'
-    string in W's site order (W's rows, each left to right)."""
+# '0'/'1' characters to the byte values 0/1
+_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
+# memoryview formats of 1-, 2-, 4- and 8-byte unsigned lanes
+_LANE_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _box_pattern_codes(
+    configs: Sequence[Configuration], window_set: FiniteSubset, W: FiniteSubset
+) -> Counter:
+    """Counts of the joint W-patterns of binary configurations over a box,
+    keyed by integer code.
+
+    Bit i*|W| + k of a code is site k of W, in W's site order (W's rows,
+    each left to right), of configs[i]; so for one configuration
+    configs.row_bits(code, |W|) is the pattern as '0'/'1' text.
+
+    Each row of a configuration becomes one int with an L-byte lane per
+    column, L the least of 1, 2, 4 and 8 bytes that holds min(k*|W|, 64)
+    bits for k configurations.  A band of rows folds into one int whose
+    lane j is the code of the window at column j: the row shifted down by
+    c lanes and up by the code bit, ORed over W's sites.  Every code bit
+    is below 8L, so no lane spills into the next.  The lanes are handed to
+    Counter.update as a memoryview, so the counting loop runs in C.  Codes
+    of more than 64 bits are cut into 64-bit planes, folded the same way
+    and counted as tuples, and each distinct tuple is joined once.
+    """
     wlo, whi = W.bounds
-    w_rows = whi[0] - wlo[0] + 1 if x.dim == 2 else 1
+    w_rows = whi[0] - wlo[0] + 1 if W.dim == 2 else 1
     w_cols = whi[-1] - wlo[-1] + 1
+    bits = len(configs) * w_rows * w_cols
+    L = next(n for n in (1, 2, 4, 8) if 8 * n >= min(bits, 64))
+    fmt = _LANE_FORMAT[L]
+    # planes[p] lists (config, W row, lane shift, bit in plane) of each code
+    # bit in [64p, 64p + 64)
+    planes: list[list[tuple[int, int, int, int]]] = [[] for _ in range(-(-bits // 64))]
+    for i in range(len(configs)):
+        for r in range(w_rows):
+            for c in range(w_cols):
+                bit = (i * w_rows + r) * w_cols + c
+                planes[bit // 64].append((i, r, 8 * L * c, bit % 64))
     counts: Counter = Counter()
-    for tile in box_tiles(window_set):
+    for tile in box_tiles(window_set, L * len(configs)):
         lo, hi = tile.bounds
-        f_rows = hi[0] - lo[0] + 1 if x.dim == 2 else 1
+        f_rows = hi[0] - lo[0] + 1 if W.dim == 2 else 1
         f_cols = hi[-1] - lo[-1] + 1
         width = f_cols + w_cols - 1
-        bits = [row_bits(r, width) for r in x.rows(tile.minkowski(W))]
-        for i in range(f_rows):
-            band = bits[i : i + w_rows]
-            counts.update("".join(s[j : j + w_cols] for s in band) for j in range(f_cols))
-    return counts
+        buf = bytearray(L * width)
+        lanes = []
+        for x in configs:
+            rows = []
+            for row in x.rows(tile.minkowski(W)):
+                buf[::L] = row_bits(row, width).encode().translate(_DIGIT)
+                rows.append(int.from_bytes(buf, "little"))
+            lanes.append(rows)
+        mask = (1 << 8 * L * f_cols) - 1
+        size = L * f_cols
+        for a in range(f_rows):
+            views = []
+            for terms in planes:
+                band = 0
+                for i, r, shift, bit in terms:
+                    band |= (lanes[i][a + r] >> shift) << bit
+                # native byte order, as memoryview.cast reads it; the order
+                # of the lanes does not matter to a count
+                views.append(memoryview((band & mask).to_bytes(size, sys.byteorder)).cast(fmt))
+            counts.update(views[0] if len(views) == 1 else zip(*views))
+    if len(planes) == 1:
+        return counts
+    return Counter({
+        sum(v << 64 * p for p, v in enumerate(key)): c for key, c in counts.items()
+    })
 
 
 def pattern_metric(

@@ -30,6 +30,7 @@ from .configs import (
     AdmissibleMetric,
     Configuration,
     Lattice,
+    row_bits,
     rows_available,
     shift,
 )
@@ -40,7 +41,12 @@ from .errors import (
     InvalidFamilyError,
 )
 from .groups import FiniteSubset, FolnerSequence, Point, compose
-from .measures import PatternDistribution, empirical_measure, pattern_metric
+from .measures import (
+    PatternDistribution,
+    _box_pattern_codes,
+    empirical_measure,
+    pattern_metric,
+)
 from .metrics import dbar_estimate, joint_period_box, mismatch_density
 
 Pattern = tuple[int, ...]
@@ -472,17 +478,29 @@ def pair_empirical_joining(
 ) -> Coupling:
     """Empirical distribution of joint W-patterns of (f.x, f.z), f in F_n.
 
+    For box sets and binary x and z, the joint pattern is one integer code
+    counted in C by `measures._box_pattern_codes`: its low |W| bits are x's
+    pattern and the next |W| bits z's, each in W's site order (W's rows,
+    each left to right), and each distinct code is split and decoded once.
+    Other windows and alphabets are read site by site, the reference path.
     Each pattern is read once: both marginals are taken from the joint
     counts, and the coupling is checked against them in integers."""
     if len(F_n) == 0 or len(W) == 0:
         raise ValueError("pair joining needs non-empty sets")
-    sites = W.sorted_points()
-    xv, zv = x.value, z.value
     counts: dict[tuple[Pattern, Pattern], int] = defaultdict(int)
-    for f in F_n:
-        p = tuple(xv(compose(w, f)) for w in sites)
-        q = tuple(zv(compose(w, f)) for w in sites)
-        counts[(p, q)] += 1
+    if rows_available(F_n, x, z) and rows_available(W, x, z):
+        m = len(W)
+        low = (1 << m) - 1
+        for code, c in _box_pattern_codes([x, z], F_n, W).items():
+            p, q = row_bits(code & low, m), row_bits(code >> m, m)
+            counts[(tuple(map(int, p)), tuple(map(int, q)))] = c
+    else:
+        sites = W.sorted_points()
+        xv, zv = x.value, z.value
+        for f in F_n:
+            p = tuple(xv(compose(w, f)) for w in sites)
+            q = tuple(zv(compose(w, f)) for w in sites)
+            counts[(p, q)] += 1
     left: dict[Pattern, int] = defaultdict(int)
     right: dict[Pattern, int] = defaultdict(int)
     for (p, q), c in counts.items():

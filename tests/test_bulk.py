@@ -511,3 +511,93 @@ def test_orbit_check_refuses_large_non_diagonal_lattices():
     y = Configuration(2, 3, lambda g: 0, period_lattice=lat)
     with pytest.raises(ValueError, match="cannot check"):
         PeriodicOrbitMeasure.from_config(y)
+
+
+# --- window pattern codes at lane and plane boundaries ----------------------
+# One configuration's code takes 1-, 2-, 4- and 8-byte lanes up to 8, 16, 32
+# and 64 sites of W, and two 64-bit planes beyond; a pair's takes them at
+# half those sizes.
+
+LANE_WINDOWS = [((-3,), (a - 4,)) for a in (8, 9, 16, 17, 32, 33, 64, 65)] + [
+    ((-1, 2), (h - 2, w + 1)) for h, w in ((2, 4), (3, 3), (4, 4), (4, 8), (8, 8), (9, 8))
+]
+PAIR_WINDOWS = [((-3,), (a - 4,)) for a in (16, 17, 32, 33)] + [
+    ((-1, 2), (h - 2, w + 1)) for h, w in ((4, 4), (3, 6), (4, 8), (3, 11))
+]
+LANE_BOXES = {1: FiniteSubset.box((-23,), (97,)), 2: FiniteSubset.box((-6, -5), (8, 9))}
+
+
+@pytest.mark.parametrize("corners", LANE_WINDOWS)
+def test_pattern_codes_match_per_site_across_lanes(corners, monkeypatch):
+    W = FiniteSubset.box(*corners)
+    window = LANE_BOXES[W.dim]
+    monkeypatch.setattr(configs, "TILE_SITES", 64)
+    for name in NAMES[W.dim]:
+        x = make(name, W.dim, 3)
+        assert empirical_measure(x, window, W) == empirical_measure(
+            x, FiniteSubset(window.points()), W
+        ), name
+
+
+@pytest.mark.parametrize("corners", PAIR_WINDOWS)
+def test_pair_joining_codes_match_per_site_across_lanes(corners, monkeypatch):
+    W = FiniteSubset.box(*corners)
+    window = LANE_BOXES[W.dim]
+    monkeypatch.setattr(configs, "TILE_SITES", 64)
+    names = NAMES[W.dim]
+    for i, name in enumerate(names):
+        x, z = make(name, W.dim, 5), make(names[(i + 3) % len(names)], W.dim, 6)
+        joint = pair_empirical_joining(x, z, window, W)
+        assert joint.to_dict() == pair_empirical_joining(
+            x, z, FiniteSubset(window.points()), W
+        ).to_dict(), name
+
+
+def test_pair_joining_reads_rows_without_site_calls():
+    def site_read(self, g):
+        raise AssertionError(f"{self.kind} read site by site")
+
+    pairs_of = {1: ("rf-sub:2", "random"), 2: ("visible", "prime-approx:2")}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Configuration, "value", site_read)
+        for corners in PAIR_WINDOWS:
+            W = FiniteSubset.box(*corners)
+            x, z = (make(name, W.dim, 1) for name in pairs_of[W.dim])
+            joint = pair_empirical_joining(x, z, LANE_BOXES[W.dim], W)
+            assert joint.left.den == len(LANE_BOXES[W.dim])
+
+
+def pinned_measures():
+    """(den, sorted counts) of empirical measures and to_dict() of pair
+    joinings over fixed configurations, boxes with negative corners, and
+    windows whose codes take 1-, 2-, 4- and 8-byte lanes and two planes."""
+    one = [resolve_example_name("rf-sub:3"), random_config(1, 7),
+           patched_config(random_config(1, 8), {(-30,): 1, (5,): 0, (40,): 1})]
+    two = [resolve_example_name("visible"), resolve_example_name("prime-approx:2"),
+           random_config(2, 9)]
+    boxes = {1: FiniteSubset.box((-37,), (90,)), 2: FiniteSubset.box((-9, -14), (6, 3))}
+    out = []
+    singles = [((-2,), (a - 3,)) for a in (3, 8, 9, 16, 17, 32, 33, 64, 65, 70)] + [
+        ((-1, 2), (h - 2, w + 1)) for h, w in ((2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (9, 8))
+    ]
+    for corners in singles:
+        W = FiniteSubset.box(*corners)
+        for x in (one if W.dim == 1 else two):
+            m = empirical_measure(x, boxes[W.dim], W)
+            out.append((m.den, sorted(m.counts.items())))
+    doubles = [((-2,), (a - 3,)) for a in (4, 8, 16, 17, 32, 33, 40)] + [
+        ((-1, 2), (h - 2, w + 1)) for h, w in ((2, 2), (3, 3), (4, 4), (5, 5), (6, 6))
+    ]
+    for corners in doubles:
+        W = FiniteSubset.box(*corners)
+        xs = one if W.dim == 1 else two
+        for x, z in ((xs[0], xs[1]), (xs[2], xs[0])):
+            out.append(pair_empirical_joining(x, z, boxes[W.dim], W).to_dict())
+    return hashlib.sha256(repr(out).encode()).hexdigest()
+
+
+def test_pattern_code_measures_are_pinned():
+    # computed with the string-keyed row reader and the per-site pair loop
+    assert pinned_measures() == (
+        "043d250aa3cfc0a03188866f4ffa2cd3b498bb1b377ca7238ca6dc175c46f0c1"
+    )

@@ -1,6 +1,7 @@
 """Command-line runner: subcommands, config files, report files, exit codes."""
 
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -253,6 +254,31 @@ def test_written_report_gets_the_default_file_mode(tmp_path):
     finally:
         os.umask(umask)
     assert (tmp_path / "r.json").stat().st_mode & 0o777 == 0o644
+
+
+def test_written_report_mode_does_not_touch_the_umask(tmp_path):
+    def no_umask(mask):
+        raise AssertionError("the write changed the process umask")
+
+    umask = os.umask(0o022)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "umask", no_umask)
+            _atomic_write(str(tmp_path / "r.json"), "{}\n")
+    finally:
+        os.umask(umask)
+    assert (tmp_path / "r.json").stat().st_mode & 0o777 == 0o644
+
+
+def test_taken_temp_name_is_skipped_and_left_alone(tmp_path, monkeypatch):
+    target = tmp_path / "r.json"
+    taken = tmp_path / f"r.json.{os.getpid()}.5.tmp"
+    taken.write_text("someone else's")
+    monkeypatch.setattr(cli, "_TEMP_NUMBERS", itertools.count(5))
+    _atomic_write(str(target), "{}\n")
+    assert target.read_text() == "{}\n"
+    assert taken.read_text() == "someone else's"
+    assert sorted(tmp_path.iterdir()) == [target, taken]
 
 
 def test_reports_are_byte_deterministic(tmp_path, capsys):
