@@ -86,7 +86,8 @@ PRIME_SQUARE_TAILS = (
 
 # A window job whose estimated site reads exceed this is refused before it
 # reads any: window sites, times the ball's (2 radius + 1)^d sites where a
-# ball applies, or the pattern window's sites for an empirical measure.
+# ball applies, the pattern window's sites for an empirical measure (twice
+# for two measures), or the block sides' k^d summed for block entropy.
 SITE_BUDGET = 10**8
 
 
@@ -330,6 +331,7 @@ def _cmd_empirical(cfg: dict) -> dict:
 def _cmd_prokhorov(cfg: dict) -> dict:
     x = resolve_example_name(cfg["x"])
     z = resolve_example_name(cfg["z"])
+    _within_budget(x.dim, cfg["kind"], [cfg["N"]], 2 * cfg["window"] ** x.dim)
     F = make_box_folner(x.dim, cfg["kind"])
     W = box_set(x.dim, cfg["window"] - 1)
     mu = empirical_measure(x, F.set_at(cfg["N"]), W)
@@ -339,6 +341,7 @@ def _cmd_prokhorov(cfg: dict) -> dict:
 
 def _cmd_omega(cfg: dict) -> dict:
     x = resolve_example_name(cfg["set"])
+    _within_budget(x.dim, cfg["kind"], cfg["n-list"], cfg["window"] ** x.dim)
     F = make_box_folner(x.dim, cfg["kind"])
     W = box_set(x.dim, cfg["window"] - 1)
     reps = omega_hat_approx(x, F, cfg["n-list"], W, cfg["merge-tol"])
@@ -348,6 +351,7 @@ def _cmd_omega(cfg: dict) -> dict:
 def _cmd_transport(cfg: dict) -> dict:
     x = resolve_example_name(cfg["x"])
     z = resolve_example_name(cfg["z"])
+    _within_budget(x.dim, cfg["kind"], [cfg["N"]], 2 * cfg["window"] ** x.dim)
     F = make_box_folner(x.dim, cfg["kind"])
     W = box_set(x.dim, cfg["window"] - 1)
     mu = empirical_measure(x, F.set_at(cfg["N"]), W)
@@ -506,6 +510,7 @@ def _cmd_examples(cfg: dict) -> dict:
 
 def _cmd_entropy(cfg: dict) -> dict:
     x = resolve_example_name(cfg["set"])
+    _within_budget(x.dim, cfg["kind"], [cfg["N"]], sum(k**x.dim for k in cfg["sizes"]))
     F = make_box_folner(x.dim, cfg["kind"])
     values = block_entropy(x, F.set_at(cfg["N"]), cfg["sizes"])
     return {"bits_per_site": [[k, v] for k, v in values]}

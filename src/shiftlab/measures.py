@@ -223,6 +223,15 @@ def _lowest_terms(den: int, counts: dict[Pattern, int]) -> tuple[int, dict[Patte
     return den // g, {pat: c // g for pat, c in counts.items()}
 
 
+def _common_masses(
+    mu: PatternDistribution, nu: PatternDistribution, rows: list[Pattern], cols: list[Pattern]
+) -> tuple[int, list[int], list[int]]:
+    """D = lcm(mu.den, nu.den) and the masses of rows and cols scaled by it."""
+    D = lcm(mu.den, nu.den)
+    s, t = D // mu.den, D // nu.den
+    return D, [mu.counts[p] * s for p in rows], [nu.counts[q] * t for q in cols]
+
+
 @dataclass
 class MeasureSet:
     """Finite list of distributions over a common window."""
@@ -416,9 +425,7 @@ def prokhorov_distance(
     """
     dist = _resolve_cost(mu, nu, metric, dist_fn)
     left, right = mu.support(), nu.support()
-    L = lcm(mu.den, nu.den)
-    a = [mu.counts[p] * (L // mu.den) for p in left]
-    b = [nu.counts[q] * (L // nu.den) for q in right]
+    _, a, b = _common_masses(mu, nu, left, right)
     d = [[dist(p, q) for q in right] for p in left]
     levels = [Fraction(0)] + sorted({x for row in d for x in row if 0 < x < 1})
     mass: dict[int, Fraction] = {}

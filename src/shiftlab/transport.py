@@ -1,16 +1,18 @@
 """Exact optimal transport between pattern distributions, and the joining
 pseudometric machinery built on it.
 
+A `Coupling` is held as a pattern distribution is, integer counts over one
+denominator with a Fraction `weights` view, and gluing runs in integers.
 The solver is a transportation simplex in integers, with masses scaled to
 their common denominator D and costs by the lcm E of theirs: northwest
 corner start, one walk of the basis tree per pivot for both the duals and
 the entering cycle, Bland-rule pivoting, and a complementary slackness
 certificate checked on every solve.  Its integer kernel, `_simplex`, also
 gives the coupled masses of `measures.prokhorov_distance`, whose levels
-thereby pass the same duality checks.  An independent oracle
-searches every integer contingency table at the common mass denominator
-(the transportation polytope has integral vertices there, so the search
-is exhaustive for the optimum) by branch and bound in integers, cutting a
+thereby pass the same duality checks.  An independent oracle searches
+every integer contingency table at the common mass denominator (the
+transportation polytope has integral vertices there, so the search is
+exhaustive for the optimum) by branch and bound in integers, cutting a
 branch only on admissible row and column lower bounds.  The general
 joining infimum is computed only two honest ways: a monotone lower-bound
 chain from finite windows and an exact shift-enumeration oracle for
@@ -44,6 +46,9 @@ from .groups import FiniteSubset, FolnerSequence, Point, compose
 from .measures import (
     PatternDistribution,
     _box_pattern_codes,
+    _common_masses,
+    _FractionView,
+    _lowest_terms,
     empirical_measure,
     pattern_metric,
 )
@@ -54,9 +59,14 @@ CostFn = Callable[[Pattern, Pattern], Fraction]
 
 
 class Coupling:
-    """Joint distribution over pattern pairs with prescribed marginals."""
+    """Joint distribution over pattern pairs with prescribed marginals.
 
-    __slots__ = ("left", "right", "weights")
+    Held as a `PatternDistribution` is: positive integer `counts` over the
+    pairs and one denominator `den`, in lowest terms, checked by the one
+    integer marginal test of `from_counts`; `weights` is a Fraction view.
+    """
+
+    __slots__ = ("left", "right", "den", "counts")
 
     def __init__(
         self,
@@ -64,37 +74,67 @@ class Coupling:
         right: PatternDistribution,
         weights: Mapping[tuple[Pattern, Pattern], Fraction],
     ):
+        """Fraction entry: the weights must sum to exactly 1; they are scaled
+        to the lcm of their denominators and checked by `from_counts`."""
+        cells = [((tuple(p), tuple(q)), Fraction(w)) for (p, q), w in weights.items()]
+        L = lcm(*(w.denominator for _, w in cells))
+        counts: dict[tuple[Pattern, Pattern], int] = defaultdict(int)
+        for key, w in cells:
+            counts[key] += w.numerator * (L // w.denominator)
+        if sum(counts.values()) != L:
+            raise ValueError("coupling weights must sum to exactly 1")
+        held = Coupling.from_counts(left, right, counts)
+        self.left, self.right, self.den, self.counts = left, right, held.den, held.counts
+
+    @classmethod
+    def from_counts(
+        cls,
+        left: PatternDistribution,
+        right: PatternDistribution,
+        counts: Mapping[tuple[Pattern, Pattern], int],
+    ) -> "Coupling":
+        """Mass c / total on each pair of pattern tuples, total the sum of
+        the counts, which need not be in lowest terms.  This is the one
+        marginal check: a negative count or an all-zero table is refused,
+        zero counts are dropped, and the row sums over the total must be
+        `left` in lowest terms and the column sums `right`."""
         if not left.same_window(right):
             raise IncompatibleWindowsError("coupling across different windows")
-        cleaned: dict[tuple[Pattern, Pattern], Fraction] = {}
-        row_sums: dict[Pattern, Fraction] = defaultdict(Fraction)
-        col_sums: dict[Pattern, Fraction] = defaultdict(Fraction)
-        for (p, q), w in weights.items():
-            w = Fraction(w)
-            if w < 0:
-                raise ValueError(f"negative coupling weight at {(p, q)}")
-            if w > 0:
-                key = (tuple(p), tuple(q))
-                cleaned[key] = cleaned.get(key, Fraction(0)) + w
-                row_sums[key[0]] += w
-                col_sums[key[1]] += w
-        if dict(row_sums) != left.weights:
+        kept: dict[tuple[Pattern, Pattern], int] = {}
+        rows: dict[Pattern, int] = defaultdict(int)
+        cols: dict[Pattern, int] = defaultdict(int)
+        for (p, q), c in counts.items():
+            if c < 0:
+                raise ValueError(f"negative coupling count at {(p, q)}")
+            if c:
+                kept[(p, q)] = c
+                rows[p] += c
+                cols[q] += c
+        total = sum(rows.values())
+        if not total:
+            raise ValueError("coupling counts must have a positive total")
+        if _lowest_terms(total, rows) != (left.den, left.counts):
             raise ValueError("row sums do not match the left marginal")
-        if dict(col_sums) != right.weights:
+        if _lowest_terms(total, cols) != (right.den, right.counts):
             raise ValueError("column sums do not match the right marginal")
-        self.left = left
-        self.right = right
-        self.weights = cleaned
+        out = cls.__new__(cls)
+        out.left, out.right = left, right
+        out.den, out.counts = _lowest_terms(total, kept)
+        return out
+
+    @property
+    def weights(self) -> Mapping[tuple[Pattern, Pattern], Fraction]:
+        """Pair masses as Fractions: a read-only view of the counts."""
+        return _FractionView(self.counts, self.den)
 
     def cost(self, cost_fn: CostFn) -> Fraction:
         fn = _as_cost_fn(cost_fn)
-        costs = [fn(p, q) for p, q in self.weights]
-        # exact in integers: weights over their lcm M, costs over theirs S
-        M = lcm(*(w.denominator for w in self.weights.values()))
+        costs = [fn(p, q) for p, q in self.counts]
+        # exact in integers: counts over den, costs over the lcm S of theirs
         S = lcm(*(c.denominator for c in costs))
-        total = sum(w.numerator * (M // w.denominator) * c.numerator * (S // c.denominator)
-                    for w, c in zip(self.weights.values(), costs))
-        return Fraction(total, M * S)
+        total = sum(n * c.numerator * (S // c.denominator)
+                    for n, c in zip(self.counts.values(), costs))
+        return Fraction(total, self.den * S)
 
     def to_dict(self) -> dict:
         return {
@@ -109,35 +149,7 @@ class Coupling:
         return json.dumps(self.to_dict())
 
     def __repr__(self) -> str:
-        return f"Coupling({len(self.weights)} atoms)"
-
-
-def _counts_coupling(
-    mu: PatternDistribution,
-    nu: PatternDistribution,
-    counts: Mapping[tuple[Pattern, Pattern], int],
-    den: int,
-) -> Coupling:
-    """The coupling with mass c / den on each pair of `counts`, checked in
-    integers instead of by the Fraction sums of `Coupling(...)`: its row
-    and column sums must be mu's and nu's counts at the scale den.  The
-    callers build the counts to agree, so a mismatch is a bug."""
-    rows: dict[Pattern, int] = defaultdict(int)
-    cols: dict[Pattern, int] = defaultdict(int)
-    for (p, q), c in counts.items():
-        if c < 0:
-            raise AssertionError(f"negative coupling count at {(p, q)}")
-        if c:
-            rows[p] += c
-            cols[q] += c
-    for sums, marginal in ((rows, mu), (cols, nu)):
-        scale, rest = divmod(den, marginal.den)
-        if rest or sums != {p: c * scale for p, c in marginal.counts.items()}:
-            raise AssertionError("coupling counts do not have the prescribed marginals")
-    out = Coupling.__new__(Coupling)
-    out.left, out.right = mu, nu
-    out.weights = {pq: Fraction(c, den) for pq, c in counts.items() if c}
-    return out
+        return f"Coupling({len(self.counts)} atoms)"
 
 
 def _as_cost_fn(cost: CostFn | Mapping[tuple[Pattern, Pattern], Fraction]) -> CostFn:
@@ -294,8 +306,8 @@ def min_cost_transport(
     solution is integral at D).  The returned potentials satisfy
     u_i + v_j <= c_ij everywhere with equality on the support, and the
     primal value equals the dual value; the kernel asserts both before
-    returning, and the integer flows' row and column sums are checked
-    against the scaled counts before the coupling is built.
+    returning, and `Coupling.from_counts` checks the integer flows' row
+    and column sums against mu and nu.
     """
     if not mu.same_window(nu):
         raise IncompatibleWindowsError("transport across different windows")
@@ -309,24 +321,14 @@ def min_cost_transport(
     E, K = _integer_costs(C)
     flows, pot, value = _simplex(a, b, K)
     m = len(rows)
-    coupling = _counts_coupling(
-        mu, nu, {(rows[i], cols[j]): f for (i, j), f in flows.items()}, D
-    )
     return TransportResult(
-        coupling=coupling,
+        coupling=Coupling.from_counts(
+            mu, nu, {(rows[i], cols[j]): f for (i, j), f in flows.items()}
+        ),
         value=Fraction(value, D * E),
         row_potentials={p: Fraction(ui, E) for p, ui in zip(rows, pot[:m])},
         col_potentials={q: Fraction(vj, E) for q, vj in zip(cols, pot[m:])},
     )
-
-
-def _common_masses(
-    mu: PatternDistribution, nu: PatternDistribution, rows: list[Pattern], cols: list[Pattern]
-) -> tuple[int, list[int], list[int]]:
-    """D = lcm(mu.den, nu.den) and the masses of rows and cols scaled by it."""
-    D = lcm(mu.den, nu.den)
-    s, t = D // mu.den, D // nu.den
-    return D, [mu.counts[p] * s for p in rows], [nu.counts[q] * t for q in cols]
 
 
 def _integer_costs(C: list[list[Fraction]]) -> tuple[int, list[list[int]]]:
@@ -344,13 +346,13 @@ def verify_transport_certificate(
     Every cost is recomputed from `cost`, and the check runs in integers
     at scales of its own: costs and potentials times S, the lcm of their
     denominators, and masses times M, the lcm of the denominators of the
-    marginals and of the coupling's weights.  It checks dual feasibility
+    marginals and of the coupling.  It checks dual feasibility
     (u_p + v_q <= c_pq on every pair), tightness on the coupling's support
     and primal = value = dual, and reads nothing else of the solver.
     """
     cost_fn = _as_cost_fn(cost)
-    mu, nu = result.coupling.left, result.coupling.right
-    weights = result.coupling.weights
+    coupling = result.coupling
+    mu, nu, counts = coupling.left, coupling.right, coupling.counts
     u, v = result.row_potentials, result.col_potentials
     rows, cols = mu.support(), nu.support()
     table = {(p, q): cost_fn(p, q) for p in rows for q in cols}
@@ -359,16 +361,16 @@ def verify_transport_certificate(
         *(u[p].denominator for p in rows),
         *(v[q].denominator for q in cols),
     )
-    M = lcm(mu.den, nu.den, *(w.denominator for w in weights.values()))
+    M = lcm(mu.den, nu.den, coupling.den)
     us = {p: u[p].numerator * (S // u[p].denominator) for p in rows}
     vs = {q: v[q].numerator * (S // v[q].denominator) for q in cols}
     cs = {pq: c.numerator * (S // c.denominator) for pq, c in table.items()}
     if any(us[p] + vs[q] > c for (p, q), c in cs.items()):
         return False
-    # a Coupling's weights are positive, so every key is in the support
-    if any(us[p] + vs[q] != cs[(p, q)] for p, q in weights):
+    # a Coupling's counts are positive, so every key is in the support
+    if any(us[p] + vs[q] != cs[(p, q)] for p, q in counts):
         return False
-    primal = sum(w.numerator * (M // w.denominator) * cs[pq] for pq, w in weights.items())
+    primal = (M // coupling.den) * sum(n * cs[pq] for pq, n in counts.items())
     dual = sum(us[p] * c * (M // mu.den) for p, c in mu.counts.items()) + sum(
         vs[q] * c * (M // nu.den) for q, c in nu.counts.items()
     )
@@ -453,24 +455,24 @@ def glue_couplings(pi12: Coupling, pi23: Coupling) -> Coupling:
     """Relatively independent gluing over the shared middle marginal.
 
     pi13(a, c) = sum_b pi12(a, b) pi23(b, c) / eta(b), eta = the common
-    middle.  Exact rational arithmetic; marginals are preserved exactly.
+    middle, in integers: with e_b eta's counts and L their lcm, pair (a, c)
+    gets sum_b c12(a, b) c23(b, c) (L // e_b) of a total L D12 D23 / De,
+    exactly the formula; `Coupling.from_counts` checks both marginals.
     """
     eta = pi12.right
     if eta != pi23.left:
         raise IncompatibleMiddleError("middle marginals disagree")
-    by_middle_left: dict[Pattern, list[tuple[Pattern, Fraction]]] = defaultdict(list)
-    for (a, b), w in pi12.weights.items():
-        by_middle_left[b].append((a, w))
-    by_middle_right: dict[Pattern, list[tuple[Pattern, Fraction]]] = defaultdict(list)
-    for (b, c), w in pi23.weights.items():
-        by_middle_right[b].append((c, w))
-    out: dict[tuple[Pattern, Pattern], Fraction] = defaultdict(Fraction)
-    for b, mass in eta.weights.items():
-        # Coupling invariants force mass > 0 on every middle atom seen here
-        for a, w1 in by_middle_left.get(b, ()):
-            for c, w2 in by_middle_right.get(b, ()):
-                out[(a, c)] += w1 * w2 / mass
-    return Coupling(pi12.left, pi23.right, out)
+    by_middle: dict[Pattern, list[tuple[Pattern, int]]] = defaultdict(list)
+    for (b, c), n in pi23.counts.items():
+        by_middle[b].append((c, n))
+    L = lcm(*eta.counts.values())
+    out: dict[tuple[Pattern, Pattern], int] = defaultdict(int)
+    for (a, b), n in pi12.counts.items():
+        # Coupling invariants put every middle atom seen here in eta
+        scaled = n * (L // eta.counts[b])
+        for c, m in by_middle[b]:
+            out[(a, c)] += scaled * m
+    return Coupling.from_counts(pi12.left, pi23.right, out)
 
 
 def pair_empirical_joining(
@@ -508,7 +510,7 @@ def pair_empirical_joining(
         right[q] += c
     mu = PatternDistribution.from_counts(W, left)
     nu = PatternDistribution.from_counts(W, right)
-    return _counts_coupling(mu, nu, counts, len(F_n))
+    return Coupling.from_counts(mu, nu, counts)
 
 
 # the per-site periodicity check runs up to this lattice index; binary 1-D

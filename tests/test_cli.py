@@ -443,6 +443,11 @@ _BUDGET_JOBS = [
     (["besicovitch", *_RF_PAIR, "--n-list", "9,19", "--radius", "2"], (10 + 20) * 5),
     (["dprime", *_RF_PAIR, "--N", "19", "--radius", "3"], 20 * 7),
     (["empirical", "--set", "visible", "--N", "9", "--window", "3"], 10**2 * 9),
+    (["prokhorov", *_RF_PAIR, "--N", "9", "--window", "2"], 10 * 2 * 2),
+    (["transport", "--x", "visible", "--z", "prime-approx:1", "--N", "9", "--window", "2"],
+     10**2 * 2 * 2**2),
+    (["omega", "--set", "rf-sub:2", "--n-list", "8,16", "--window", "2"], (9 + 17) * 2),
+    (["entropy", "--set", "visible", "--N", "9", "--sizes", "1,2"], 10**2 * (1 + 2**2)),
 ]
 
 

@@ -22,7 +22,6 @@ from shiftlab.transport import (
     Coupling,
     PeriodicOrbitMeasure,
     TransportResult,
-    _counts_coupling,
     brute_force_min_cost,
     check_db_ge_rho,
     glue_couplings,
@@ -62,17 +61,46 @@ def test_integer_coupling_checks_its_marginals():
     mu = dist({0: Fraction(1, 2), 1: Fraction(1, 2)})
     nu = dist({0: Fraction(1, 4), 1: Fraction(3, 4)})
     good = {((0,), (0,)): 1, ((0,), (1,)): 1, ((1,), (1,)): 2}
-    assert _counts_coupling(mu, nu, good, 4).weights == {
+    assert Coupling.from_counts(mu, nu, good).weights == {
         pq: Fraction(c, 4) for pq, c in good.items()
     }
-    for counts, den in (
-        ({((0,), (0,)): 1, ((0,), (1,)): 1, ((1,), (1,)): 1, ((1,), (0,)): 1}, 4),
-        ({((0,), (0,)): 2, ((1,), (1,)): 6}, 8),
-        ({((0,), (0,)): 3, ((0,), (1,)): -1, ((1,), (1,)): 2}, 4),
-        (good, 8),
+    for counts in (
+        {((0,), (0,)): 1, ((0,), (1,)): 1, ((1,), (1,)): 1, ((1,), (0,)): 1},
+        {((0,), (0,)): 2, ((1,), (1,)): 6},
+        {((0,), (0,)): 3, ((0,), (1,)): -1, ((1,), (1,)): 2},
+        {((0,), (0,)): 0, ((1,), (1,)): 0},
     ):
-        with pytest.raises(AssertionError):
-            _counts_coupling(mu, nu, counts, den)
+        with pytest.raises(ValueError):
+            Coupling.from_counts(mu, nu, counts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                             st.integers(0, 9), min_size=1, max_size=10)
+       .filter(lambda t: any(t.values())),
+       data=st.data())
+def test_fraction_and_count_couplings_agree(table, data):
+    counts = {((p,), (q,)): c for (p, q), c in table.items()}
+    total = sum(counts.values())
+    left, right = {}, {}
+    for (p, q), c in counts.items():
+        left[p] = left.get(p, 0) + c
+        right[q] = right.get(q, 0) + c
+    mu, nu = PatternDistribution.from_counts(W0, left), PatternDistribution.from_counts(W0, right)
+    a = Coupling(mu, nu, {pq: Fraction(c, total) for pq, c in counts.items()})
+    b = Coupling.from_counts(mu, nu, counts)
+    assert (a.den, a.counts) == (b.den, b.counts)
+    # one unit moved to any other cell changes a row sum or a column sum
+    src = data.draw(st.sampled_from(sorted(pq for pq, c in counts.items() if c)))
+    dst = data.draw(st.tuples(st.integers(0, 3), st.integers(0, 3))
+                    .map(lambda t: ((t[0],), (t[1],))).filter(lambda pq: pq != src))
+    moved = dict(counts)
+    moved[src] -= 1
+    moved[dst] = moved.get(dst, 0) + 1
+    with pytest.raises(ValueError):
+        Coupling.from_counts(mu, nu, moved)
+    with pytest.raises(ValueError):
+        Coupling(mu, nu, {pq: Fraction(c, total) for pq, c in moved.items()})
 
 
 @settings(max_examples=150, deadline=None)
@@ -435,6 +463,18 @@ def test_certificate_rejects_tight_potentials_that_are_not_feasible():
     assert not verify_transport_certificate(forged, HAM0)
 
 
+def test_certificate_accepts_an_optimal_coupling_finer_than_its_marginals():
+    # under a constant cost every coupling is optimal; this one has
+    # denominator 6, which does not divide the marginals' denominator 2
+    half = dist({0: F(1, 2), 1: F(1, 2)})
+    fine = Coupling(half, half, {((0,), (0,)): F(1, 3), ((0,), (1,)): F(1, 6),
+                                 ((1,), (0,)): F(1, 6), ((1,), (1,)): F(1, 3)})
+    assert fine.den == 6
+    u, v = {(0,): F(1), (1,): F(1)}, {(0,): F(0), (1,): F(0)}
+    result = TransportResult(coupling=fine, value=F(1), row_potentials=u, col_potentials=v)
+    assert verify_transport_certificate(result, lambda p, q: 1)
+
+
 def _oracle_shaped(rng):
     """Criterion-05-shaped marginal: denominator 1..6, 1..4 of 6 symbols."""
     den = rng.randint(1, 6)
@@ -485,6 +525,41 @@ def test_glue_rejects_mismatched_middle():
     c2 = Coupling(other, other, {((0,), (0,)): Fraction(1, 3), ((1,), (1,)): Fraction(2, 3)})
     with pytest.raises(IncompatibleMiddleError):
         glue_couplings(c1, c2)
+
+
+# sha256 over to_dict() and cost() of 120 seeded gluings of optimal and
+# product couplings, taken from the Fraction gluing this integer form replaced
+GLUED_SHA256 = "7dd54393bcb173e511bfd0ba42b1a3c4508a4831ef182523e3443dfd67de1677"
+
+
+def test_glued_couplings_are_pinned():
+    rng = random.Random(1507)
+
+    def rand_dist(size):
+        den = rng.choice((2, 3, 4, 5, 6, 8, 12))
+        cuts = sorted(rng.randint(0, den) for _ in range(size - 1))
+        parts = [b - a for a, b in zip((0, *cuts), (*cuts, den))]
+        return PatternDistribution.from_counts(W0, {(s,): p for s, p in enumerate(parts) if p})
+
+    def product(mu, nu):
+        return Coupling(mu, nu, {(p, q): mu.weights[p] * nu.weights[q]
+                                 for p in mu.counts for q in nu.counts})
+
+    digest = hashlib.sha256()
+    for trial in range(120):
+        size = rng.randint(2, 6)
+        table = [[F(0) if i == j else F(rng.randint(1, 12), 12) for j in range(size)]
+                 for i in range(size)]
+
+        def cost(p, q):
+            return table[p[0]][q[0]]
+
+        mu, eta, nu = (rand_dist(size) for _ in range(3))
+        c12 = min_cost_transport(mu, eta, cost).coupling if trial % 2 else product(mu, eta)
+        c23 = min_cost_transport(eta, nu, cost).coupling if trial % 3 else product(eta, nu)
+        glued = glue_couplings(c12, c23)
+        digest.update(repr((glued.to_dict(), glued.cost(cost))).encode())
+    assert digest.hexdigest() == GLUED_SHA256
 
 
 def test_glue_marginals_are_exact_on_seeded_triples():
