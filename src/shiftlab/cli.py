@@ -40,7 +40,7 @@ from .examples import (
     visible_points_config,
     prime_approx_config,
 )
-from .groups import BOX_KINDS, box_set, make_box_folner, temperedness_ratio
+from .groups import BOX_KINDS, FolnerSequence, box_set, make_box_folner, temperedness_ratio
 from .measures import (
     PatternDistribution,
     empirical_measure,
@@ -85,17 +85,16 @@ PRIME_SQUARE_TAILS = (
 
 
 # A window job whose estimated site reads exceed this is refused before it
-# reads any: window sites, times the ball's (2 radius + 1)^d sites where a
-# ball applies, the pattern window's sites for an empirical measure (twice
-# for two measures), or the block sides' k^d summed for block entropy.
+# reads any: the sites of its Folner sets, times the ball's (2 radius + 1)^d
+# sites where a ball applies, the pattern window's sites for an empirical
+# measure (twice for two measures), the block sides' k^d summed for block
+# entropy, or the number of pairs for nowy-check's dbar windows.
 SITE_BUDGET = 10**8
 
 
-def _within_budget(dim: int, kind: str, ns: Sequence[int], per_site: int = 1) -> None:
+def _within_budget(F: FolnerSequence, ns: Sequence[int], per_site: int = 1) -> None:
     """Refuse, as a usage error, a job over SITE_BUDGET site reads."""
-    centered = kind == "centered"
-    # indices below 1 are refused by the Folner sequence itself
-    estimate = per_site * sum((2 * n + 1 if centered else n + 1) ** dim for n in ns if n >= 1)
+    estimate = per_site * sum(len(F.set_at(n)) for n in ns)
     if estimate > SITE_BUDGET:
         raise ValueError(
             f"job would read about {estimate} sites, over the limit of {SITE_BUDGET}"
@@ -285,8 +284,8 @@ def _report(command: str, config: dict, body: dict) -> str:
 def _cmd_density(cfg: dict) -> EstimateTrace:
     x = resolve_example_name(cfg["set"])
     n_list = cfg["n-list"] or _ladder(cfg["N"])
-    _within_budget(x.dim, cfg["kind"], n_list)
     F = make_box_folner(x.dim, cfg["kind"])
+    _within_budget(F, n_list)
     return upper_density(x.indicator(cfg["symbol"]), F, n_list)
 
 
@@ -294,8 +293,8 @@ def _cmd_besicovitch(cfg: dict) -> EstimateTrace:
     x = resolve_example_name(cfg["x"])
     z = resolve_example_name(cfg["z"])
     n_list = cfg["n-list"] or _ladder(cfg["N"])
-    _within_budget(x.dim, cfg["kind"], n_list, (2 * cfg["radius"] + 1) ** x.dim)
     F = make_box_folner(x.dim, cfg["kind"])
+    _within_budget(F, n_list, (2 * cfg["radius"] + 1) ** x.dim)
     return besicovitch_trace(x, z, F, n_list, radius=cfg["radius"])
 
 
@@ -303,16 +302,16 @@ def _cmd_dbar(cfg: dict) -> EstimateTrace:
     x = resolve_example_name(cfg["x"])
     z = resolve_example_name(cfg["z"])
     n_list = cfg["n-list"] or _ladder(cfg["N"])
-    _within_budget(x.dim, cfg["kind"], n_list)
     F = make_box_folner(x.dim, cfg["kind"])
+    _within_budget(F, n_list)
     return dbar_trace(x, z, F, n_list)
 
 
 def _cmd_dprime(cfg: dict) -> dict:
     x = resolve_example_name(cfg["x"])
     z = resolve_example_name(cfg["z"])
-    _within_budget(x.dim, cfg["kind"], [cfg["N"]], (2 * cfg["radius"] + 1) ** x.dim)
     F = make_box_folner(x.dim, cfg["kind"])
+    _within_budget(F, [cfg["N"]], (2 * cfg["radius"] + 1) ** x.dim)
     grid = default_delta_grid()
     if cfg["grid-cap"] is not None:
         grid = tuple(d for d in grid if d <= cfg["grid-cap"])
@@ -322,8 +321,8 @@ def _cmd_dprime(cfg: dict) -> dict:
 
 def _cmd_empirical(cfg: dict) -> dict:
     x = resolve_example_name(cfg["set"])
-    _within_budget(x.dim, cfg["kind"], [cfg["N"]], cfg["window"] ** x.dim)
     F = make_box_folner(x.dim, cfg["kind"])
+    _within_budget(F, [cfg["N"]], cfg["window"] ** x.dim)
     dist = empirical_measure(x, F.set_at(cfg["N"]), box_set(x.dim, cfg["window"] - 1))
     return {"distribution": dist.to_dict()}
 
@@ -331,8 +330,8 @@ def _cmd_empirical(cfg: dict) -> dict:
 def _cmd_prokhorov(cfg: dict) -> dict:
     x = resolve_example_name(cfg["x"])
     z = resolve_example_name(cfg["z"])
-    _within_budget(x.dim, cfg["kind"], [cfg["N"]], 2 * cfg["window"] ** x.dim)
     F = make_box_folner(x.dim, cfg["kind"])
+    _within_budget(F, [cfg["N"]], 2 * cfg["window"] ** x.dim)
     W = box_set(x.dim, cfg["window"] - 1)
     mu = empirical_measure(x, F.set_at(cfg["N"]), W)
     nu = empirical_measure(z, F.set_at(cfg["N"]), W)
@@ -341,8 +340,8 @@ def _cmd_prokhorov(cfg: dict) -> dict:
 
 def _cmd_omega(cfg: dict) -> dict:
     x = resolve_example_name(cfg["set"])
-    _within_budget(x.dim, cfg["kind"], cfg["n-list"], cfg["window"] ** x.dim)
     F = make_box_folner(x.dim, cfg["kind"])
+    _within_budget(F, cfg["n-list"], cfg["window"] ** x.dim)
     W = box_set(x.dim, cfg["window"] - 1)
     reps = omega_hat_approx(x, F, cfg["n-list"], W, cfg["merge-tol"])
     return {"representatives": [m.to_dict() for m in reps.members], "count": len(reps.members)}
@@ -351,8 +350,8 @@ def _cmd_omega(cfg: dict) -> dict:
 def _cmd_transport(cfg: dict) -> dict:
     x = resolve_example_name(cfg["x"])
     z = resolve_example_name(cfg["z"])
-    _within_budget(x.dim, cfg["kind"], [cfg["N"]], 2 * cfg["window"] ** x.dim)
     F = make_box_folner(x.dim, cfg["kind"])
+    _within_budget(F, [cfg["N"]], 2 * cfg["window"] ** x.dim)
     W = box_set(x.dim, cfg["window"] - 1)
     mu = empirical_measure(x, F.set_at(cfg["N"]), W)
     nu = empirical_measure(z, F.set_at(cfg["N"]), W)
@@ -422,6 +421,7 @@ def _cmd_nowy_check(cfg: dict) -> dict:
     count = int(cfg["pairs"].partition(":")[2])
     rng = Random(cfg["seed"])
     F = make_box_folner(1)
+    _within_budget(F, [cfg["n"]], count)
     items = []
     for _ in range(count):
         x, z = random_periodic_pair(rng, cfg["max-period"])
@@ -510,8 +510,8 @@ def _cmd_examples(cfg: dict) -> dict:
 
 def _cmd_entropy(cfg: dict) -> dict:
     x = resolve_example_name(cfg["set"])
-    _within_budget(x.dim, cfg["kind"], [cfg["N"]], sum(k**x.dim for k in cfg["sizes"]))
     F = make_box_folner(x.dim, cfg["kind"])
+    _within_budget(F, [cfg["N"]], sum(k**x.dim for k in cfg["sizes"]))
     values = block_entropy(x, F.set_at(cfg["N"]), cfg["sizes"])
     return {"bits_per_site": [[k, v] for k, v in values]}
 

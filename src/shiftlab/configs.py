@@ -368,20 +368,7 @@ def periodic_config(lattice: Lattice, table: Mapping[Point, int], alphabet: int 
     if len(canon) != len(domain):
         raise ValueError("table has entries outside the fundamental domain")
     bulk = _tiled_rows(lattice, canon) if lattice.dim <= 2 else None
-    moduli = lattice.moduli
-    if moduli is not None and len(moduli) == 1:
-        m = moduli[0]
-        row = tuple(canon[(i,)] for i in range(m))
-        return Configuration(1, a, lambda g: row[g[0] % m], kind="periodic",
-                             period_lattice=lattice, rows=bulk)
-    if moduli is not None:
-        table_c = dict(canon)
-        def rule(g: Point, _m=moduli, _t=table_c) -> int:
-            return _t[tuple(c % m for c, m in zip(g, _m))]
-        return Configuration(lattice.dim, a, rule, kind="periodic", period_lattice=lattice,
-                             rows=bulk)
-    table_c = dict(canon)
-    return Configuration(lattice.dim, a, lambda g: table_c[lattice.reduce(g)],
+    return Configuration(lattice.dim, a, lambda g: canon[lattice.reduce(g)],
                          kind="periodic", period_lattice=lattice, rows=bulk)
 
 

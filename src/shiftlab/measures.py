@@ -2,10 +2,14 @@
 
 A PatternDistribution is an exact rational probability vector over the
 patterns of a fixed finite window, held as integer counts over one
-denominator.  Prokhorov distances are exact: by Strassen's theorem they
+denominator.  `_pattern_counts` is the one reader of joint W-patterns,
+behind both empirical measures and the transport module's pair joinings.
+Prokhorov distances are exact: by Strassen's theorem they
 are read from the coupled mass, 1 minus the value of a 0/1-cost
 transport problem that the transport module's integer simplex solves at
-the common denominator of the masses.  The coupled mass
+the common denominator of the masses.  The pattern distances and the
+levels are integers over one denominator, scaled by `_integer_costs` as
+transport's costs are.  The coupled mass
 changes only at the pairwise pattern distances, so a binary search over
 those finitely many levels returns the infimum itself, not an
 approximation to it.  Equal distributions compare at literal distance 0.
@@ -249,29 +253,37 @@ class MeasureSet:
 def empirical_measure(
     x: Configuration, window_set: FiniteSubset, W: FiniteSubset
 ) -> PatternDistribution:
-    """Pattern frequencies of { (f.x)|_W : f in window_set }, exact.
+    """Pattern frequencies of { (f.x)|_W : f in window_set }, exact, as read
+    by `_pattern_counts`."""
+    return PatternDistribution.from_counts(W, _pattern_counts([x], window_set, W))
 
-    For box sets and a binary x, each window's W-pattern is an integer
-    code whose bit k is site k of W in W's site order (W's rows, each left
-    to right); `_box_pattern_codes` counts the codes in C, and each
-    distinct code is decoded once.  Other windows and alphabets are read
-    site by site, the reference path.
+
+def _pattern_counts(
+    configs: Sequence[Configuration], window_set: FiniteSubset, W: FiniteSubset
+) -> dict[str | Pattern, int]:
+    """Counts of the joint W-patterns (f.x)|_W of the configurations, f in
+    window_set: each key is the configurations' patterns concatenated in
+    order, each in W's site order.
+
+    This is the one reader of W-patterns.  For box sets and binary
+    configurations the patterns are integer codes counted in C by
+    `_box_pattern_codes`, and each distinct code is decoded once into
+    '0'/'1' text.  Other windows and alphabets are read site by site into
+    tuples, the reference path.
     """
     if len(window_set) == 0 or len(W) == 0:
-        raise ValueError("empirical measure needs non-empty sets")
-    if rows_available(window_set, x) and rows_available(W, x):
-        m = len(W)
-        codes = _box_pattern_codes([x], window_set, W)
-        return PatternDistribution.from_counts(
-            W, {row_bits(code, m): c for code, c in codes.items()}
-        )
+        raise ValueError("pattern counts need a non-empty window set and window")
+    if rows_available(window_set, *configs) and rows_available(W, *configs):
+        bits = len(configs) * len(W)
+        codes = _box_pattern_codes(configs, window_set, W)
+        return {row_bits(code, bits): c for code, c in codes.items()}
     sites = W.sorted_points()
-    xv = x.value
+    values = [x.value for x in configs]
     counts: dict[Pattern, int] = {}
     for f in window_set:
-        pat = tuple(xv(compose(w, f)) for w in sites)
+        pat = tuple(xv(compose(w, f)) for xv in values for w in sites)
         counts[pat] = counts.get(pat, 0) + 1
-    return PatternDistribution.from_counts(W, counts)
+    return counts
 
 
 # '0'/'1' characters to the byte values 0/1
@@ -373,17 +385,45 @@ def pattern_metric(
     return dist
 
 
+def _as_cost_fn(cost: PatternCost | Mapping[tuple[Pattern, Pattern], Fraction]) -> PatternCost:
+    """A pattern cost as a function returning Fractions: a callable's values
+    are coerced exactly, and a table is looked up by pattern tuples."""
+    if callable(cost):
+
+        def exact(p: Pattern, q: Pattern) -> Fraction:
+            c = cost(p, q)
+            return c if isinstance(c, Fraction) else Fraction(c)
+
+        return exact
+    table = {(tuple(p), tuple(q)): Fraction(w) for (p, q), w in cost.items()}
+
+    def fn(p: Pattern, q: Pattern) -> Fraction:
+        try:
+            return table[(p, q)]
+        except KeyError:
+            raise ValueError(f"cost table misses pair {(p, q)}") from None
+
+    return fn
+
+
+def _integer_costs(C: list[list[Fraction]]) -> tuple[int, list[list[int]]]:
+    """E = the lcm of the costs' denominators and the costs scaled by it."""
+    E = lcm(*(c.denominator for row in C for c in row))
+    return E, [[c.numerator * (E // c.denominator) for c in row] for row in C]
+
+
 def _coupled_mass(
     a: list[int],
     b: list[int],
-    d: Sequence[Sequence[Fraction]],
-    eps: Fraction,
+    d: Sequence[Sequence[int | Fraction]],
+    eps: int | Fraction,
 ) -> Fraction:
     """Largest mass a coupling of the integer mass vectors a and b, over
     their common total L, can put on the pairs (i, j) with d[i][j] <= eps:
     1 minus the optimal transport cost when each pair farther than eps
     costs 1 and every other pair 0, solved exactly by the integer
-    transport simplex."""
+    transport simplex.  d and eps may be Fractions or integers in one
+    common unit."""
     # transport imports this module, so its kernel is imported at call time
     from .transport import _simplex
 
@@ -391,19 +431,6 @@ def _coupled_mass(
     K = [[int(dij > eps) for dij in row] for row in d]
     _, _, value = _simplex(a, b, K)
     return Fraction(L - value, L)
-
-
-def _resolve_cost(
-    mu: PatternDistribution,
-    nu: PatternDistribution,
-    metric: AdmissibleMetric | None,
-    dist_fn: PatternCost | None,
-) -> PatternCost:
-    if not mu.same_window(nu):
-        raise IncompatibleWindowsError("distributions on different windows")
-    if dist_fn is not None:
-        return lambda p, q: Fraction(dist_fn(p, q))
-    return pattern_metric(mu.sites, metric)
 
 
 def prokhorov_distance(
@@ -417,17 +444,21 @@ def prokhorov_distance(
     coupling puts mass >= 1 - eps on pairs at distance <= eps.
 
     The default pattern metric is the truncated admissible metric on the
-    common window; pass dist_fn to override.  The coupled mass M(eps) is a
-    step function that moves only at the pairwise distances, so a binary
-    search over those levels (and 0) finds the first feasible level k; the
-    infimum is then min(level k, 1 - M(level k-1)), attained either way,
-    with level k read as 1 when no level is feasible.
+    common window; pass dist_fn to override.  The distances are scaled by
+    `_integer_costs` to integers over the lcm E of their denominators, as
+    transport scales its costs.  The coupled mass M(eps) is a step function
+    that moves only at the pairwise distances, so a binary search over
+    those integer levels (and 0) finds the first feasible level k; the
+    infimum is then min(level k / E, 1 - M(level k-1)), attained either
+    way, with level k read as 1 when no level is feasible.
     """
-    dist = _resolve_cost(mu, nu, metric, dist_fn)
+    if not mu.same_window(nu):
+        raise IncompatibleWindowsError("distributions on different windows")
+    dist = pattern_metric(mu.sites, metric) if dist_fn is None else _as_cost_fn(dist_fn)
     left, right = mu.support(), nu.support()
     _, a, b = _common_masses(mu, nu, left, right)
-    d = [[dist(p, q) for q in right] for p in left]
-    levels = [Fraction(0)] + sorted({x for row in d for x in row if 0 < x < 1})
+    E, d = _integer_costs([[dist(p, q) for q in right] for p in left])
+    levels = [0] + sorted({x for row in d for x in row if 0 < x < E})
     mass: dict[int, Fraction] = {}
 
     def coupled(k: int) -> Fraction:
@@ -435,15 +466,15 @@ def prokhorov_distance(
             mass[k] = _coupled_mass(a, b, d, levels[k])
         return mass[k]
 
-    # feasibility, levels[k] >= 1 - M(levels[k]), is monotone in k
+    # feasibility, levels[k] / E >= 1 - M(levels[k] / E), is monotone in k
     lo, hi = 0, len(levels)
     while lo < hi:
         mid = (lo + hi) // 2
-        if levels[mid] >= 1 - coupled(mid):
+        if Fraction(levels[mid], E) >= 1 - coupled(mid):
             hi = mid
         else:
             lo = mid + 1
-    best = levels[lo] if lo < len(levels) else Fraction(1)
+    best = Fraction(levels[lo], E) if lo < len(levels) else Fraction(1)
     if lo > 0:
         best = min(best, 1 - coupled(lo - 1))
     return best

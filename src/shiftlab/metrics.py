@@ -140,18 +140,22 @@ def _site_lower_sums(
     window: FiniteSubset,
     metric: AdmissibleMetric,
     radius: int,
-) -> list[Fraction]:
-    """Truncated distance lower bounds d_lo(g x, g z), one per g in window."""
+) -> tuple[list[int], int]:
+    """Truncated distance lower bounds d_lo(g x, g z), one per g in window,
+    as integer numerators over den, the lcm of the ball's weight
+    denominators."""
     ball = metric.ball_weights(radius)
+    den = lcm(*(w.denominator for _, w in ball))
+    terms = [(h, w.numerator * (den // w.denominator)) for h, w in ball]
     mm = _mismatch_memo(x, z)
     out = []
     for g in window:
-        acc = Fraction(0)
-        for h, w in ball:
+        acc = 0
+        for h, k in terms:
             if mm(compose(g, h)):
-                acc += w
+                acc += k
         out.append(acc)
-    return out
+    return out, den
 
 
 def _box_lower_sums(
@@ -211,9 +215,7 @@ def _lower_sums(
     over one common denominator: in bulk when possible, else per site."""
     if metric.shell_weight is not None and rows_available(window, x, z):
         return _box_lower_sums(x, z, window, metric.shell_weight, radius)
-    los = _site_lower_sums(x, z, window, metric, radius)
-    den = lcm(*(f.denominator for f in los))
-    return [f.numerator * (den // f.denominator) for f in los], den
+    return _site_lower_sums(x, z, window, metric, radius)
 
 
 def besicovitch_estimate(

@@ -4,7 +4,9 @@ pseudometric machinery built on it.
 A `Coupling` is held as a pattern distribution is, integer counts over one
 denominator with a Fraction `weights` view, and gluing runs in integers.
 The solver is a transportation simplex in integers, with masses scaled to
-their common denominator D and costs by the lcm E of theirs: northwest
+their common denominator D and costs by the lcm E of theirs
+(`measures._integer_costs`, the one cost scale, which `Coupling.cost`,
+the oracle and Prokhorov's levels also use): northwest
 corner start, one walk of the basis tree per pivot for both the duals and
 the entering cycle, Bland-rule pivoting, and a complementary slackness
 certificate checked on every solve.  Its integer kernel, `_simplex`, also
@@ -16,7 +18,8 @@ exhaustive for the optimum) by branch and bound in integers, cutting a
 branch only on admissible row and column lower bounds.  The general
 joining infimum is computed only two honest ways: a monotone lower-bound
 chain from finite windows and an exact shift-enumeration oracle for
-periodic orbit measures.
+periodic orbit measures.  Pair joinings read their joint patterns through
+`measures._pattern_counts`, the reader behind empirical measures.
 """
 
 from __future__ import annotations
@@ -28,27 +31,22 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Mapping, Sequence
 
-from .configs import (
-    AdmissibleMetric,
-    Configuration,
-    Lattice,
-    row_bits,
-    rows_available,
-    shift,
-)
+from .configs import AdmissibleMetric, Configuration, Lattice, rows_available, shift
 from .errors import (
     IncompatibleMiddleError,
     IncompatibleWindowsError,
     InvalidDimensionError,
     InvalidFamilyError,
 )
-from .groups import FiniteSubset, FolnerSequence, Point, compose
+from .groups import FiniteSubset, FolnerSequence, Point
 from .measures import (
     PatternDistribution,
-    _box_pattern_codes,
+    _as_cost_fn,
     _common_masses,
     _FractionView,
+    _integer_costs,
     _lowest_terms,
+    _pattern_counts,
     empirical_measure,
     pattern_metric,
 )
@@ -129,11 +127,9 @@ class Coupling:
 
     def cost(self, cost_fn: CostFn) -> Fraction:
         fn = _as_cost_fn(cost_fn)
-        costs = [fn(p, q) for p, q in self.counts]
         # exact in integers: counts over den, costs over the lcm S of theirs
-        S = lcm(*(c.denominator for c in costs))
-        total = sum(n * c.numerator * (S // c.denominator)
-                    for n, c in zip(self.counts.values(), costs))
+        S, (costs,) = _integer_costs([[fn(p, q) for p, q in self.counts]])
+        total = sum(n * c for n, c in zip(self.counts.values(), costs))
         return Fraction(total, self.den * S)
 
     def to_dict(self) -> dict:
@@ -150,25 +146,6 @@ class Coupling:
 
     def __repr__(self) -> str:
         return f"Coupling({len(self.counts)} atoms)"
-
-
-def _as_cost_fn(cost: CostFn | Mapping[tuple[Pattern, Pattern], Fraction]) -> CostFn:
-    if callable(cost):
-
-        def exact(p: Pattern, q: Pattern) -> Fraction:
-            c = cost(p, q)
-            return c if isinstance(c, Fraction) else Fraction(c)
-
-        return exact
-    table = {(tuple(p), tuple(q)): Fraction(w) for (p, q), w in cost.items()}
-
-    def fn(p: Pattern, q: Pattern) -> Fraction:
-        try:
-            return table[(p, q)]
-        except KeyError:
-            raise ValueError(f"cost table misses pair {(p, q)}") from None
-
-    return fn
 
 
 def hamming_per_site_cost(sites: Sequence[Point]) -> CostFn:
@@ -331,12 +308,6 @@ def min_cost_transport(
     )
 
 
-def _integer_costs(C: list[list[Fraction]]) -> tuple[int, list[list[int]]]:
-    """E = the lcm of the costs' denominators and the costs scaled by it."""
-    E = lcm(*(c.denominator for row in C for c in row))
-    return E, [[c.numerator * (E // c.denominator) for c in row] for row in C]
-
-
 def verify_transport_certificate(
     result: TransportResult,
     cost: CostFn | Mapping[tuple[Pattern, Pattern], Fraction],
@@ -480,32 +451,17 @@ def pair_empirical_joining(
 ) -> Coupling:
     """Empirical distribution of joint W-patterns of (f.x, f.z), f in F_n.
 
-    For box sets and binary x and z, the joint pattern is one integer code
-    counted in C by `measures._box_pattern_codes`: its low |W| bits are x's
-    pattern and the next |W| bits z's, each in W's site order (W's rows,
-    each left to right), and each distinct code is split and decoded once.
-    Other windows and alphabets are read site by site, the reference path.
-    Each pattern is read once: both marginals are taken from the joint
-    counts, and the coupling is checked against them in integers."""
-    if len(F_n) == 0 or len(W) == 0:
-        raise ValueError("pair joining needs non-empty sets")
-    counts: dict[tuple[Pattern, Pattern], int] = defaultdict(int)
-    if rows_available(F_n, x, z) and rows_available(W, x, z):
-        m = len(W)
-        low = (1 << m) - 1
-        for code, c in _box_pattern_codes([x, z], F_n, W).items():
-            p, q = row_bits(code & low, m), row_bits(code >> m, m)
-            counts[(tuple(map(int, p)), tuple(map(int, q)))] = c
-    else:
-        sites = W.sorted_points()
-        xv, zv = x.value, z.value
-        for f in F_n:
-            p = tuple(xv(compose(w, f)) for w in sites)
-            q = tuple(zv(compose(w, f)) for w in sites)
-            counts[(p, q)] += 1
+    `measures._pattern_counts` reads each joint pattern once, x's pattern
+    followed by z's; each key is split at |W|, both marginals are taken
+    from the joint counts, and the coupling is checked against them in
+    integers."""
+    m = len(W)
+    counts: dict[tuple[Pattern, Pattern], int] = {}
     left: dict[Pattern, int] = defaultdict(int)
     right: dict[Pattern, int] = defaultdict(int)
-    for (p, q), c in counts.items():
+    for key, c in _pattern_counts([x, z], F_n, W).items():
+        p, q = tuple(map(int, key[:m])), tuple(map(int, key[m:]))
+        counts[(p, q)] = c
         left[p] += c
         right[q] += c
     mu = PatternDistribution.from_counts(W, left)

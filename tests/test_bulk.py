@@ -31,7 +31,7 @@ from shiftlab.configs import (
     shift,
 )
 from shiftlab.examples import random_config, resolve_example_name
-from shiftlab.groups import FiniteSubset, custom_folner, make_box_folner
+from shiftlab.groups import FiniteSubset, box_set, custom_folner, make_box_folner
 from shiftlab.measures import empirical_measure
 from shiftlab.metrics import (
     besicovitch_estimate,
@@ -600,4 +600,35 @@ def test_pattern_code_measures_are_pinned():
     # computed with the string-keyed row reader and the per-site pair loop
     assert pinned_measures() == (
         "043d250aa3cfc0a03188866f4ffa2cd3b498bb1b377ca7238ca6dc175c46f0c1"
+    )
+
+
+def pinned_site_measures():
+    """(den, sorted counts) of empirical measures and to_dict() of pair
+    joinings read site by site: ternary random configurations over boxes,
+    and binary ones over explicit point sets or a window that is no box."""
+    three = {d: [random_config(d, s, alphabet=3) for s in (21, 22)] for d in (1, 2)}
+    two = {1: [resolve_example_name("rf-sub:3"), random_config(1, 23)],
+           2: [resolve_example_name("visible"), random_config(2, 24)]}
+    boxes = {1: FiniteSubset.box((-19,), (44,)), 2: FiniteSubset.box((-4, -6), (5, 3))}
+    gaps = {1: FiniteSubset([(0,), (2,), (5,)]), 2: FiniteSubset([(0, 0), (1, 2), (-1, 1)])}
+    out = []
+    for d in (1, 2):
+        box, points = boxes[d], FiniteSubset(boxes[d].points())
+        Ws = [box_set(d, k) for k in (0, 1, 2)] + [gaps[d]]
+        cases = [(three[d][0], three[d][1], box), (three[d][0], two[d][0], box),
+                 (two[d][0], two[d][1], points), (two[d][1], three[d][1], points)]
+        for W in Ws:
+            for x, z, window in cases:
+                m = empirical_measure(x, window, W)
+                out.append((m.den, sorted(m.counts.items())))
+                out.append(pair_empirical_joining(x, z, window, W).to_dict())
+    return hashlib.sha256(repr(out).encode()).hexdigest()
+
+
+def test_site_pattern_measures_are_pinned():
+    # computed with the per-site loops of empirical_measure and
+    # pair_empirical_joining before they became one reader
+    assert pinned_site_measures() == (
+        "e5f2c7d66782c2522b872f99e91b594894307cd9c994f573e87c2584e8ed602d"
     )

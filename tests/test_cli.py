@@ -448,6 +448,9 @@ _BUDGET_JOBS = [
      10**2 * 2 * 2**2),
     (["omega", "--set", "rf-sub:2", "--n-list", "8,16", "--window", "2"], (9 + 17) * 2),
     (["entropy", "--set", "visible", "--N", "9", "--sizes", "1,2"], 10**2 * (1 + 2**2)),
+    # {0..2519} is a whole number of joint periods, so every pair passes
+    (["nowy-check", "--pairs", "random:3", "--n", "2519", "--max-period", "10", "--k-max", "2"],
+     3 * 2520),
 ]
 
 

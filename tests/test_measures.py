@@ -1,5 +1,6 @@
 """Empirical pattern distributions, Prokhorov distances, genericity checks."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -262,6 +263,38 @@ def test_prokhorov_shift_consistency_bound():
             emp_shift = empirical_measure(shift(g, x), Fn, W0)
             bound = Fraction(Fn.sym_diff_size(Fn.translate(g)), len(Fn))
             assert prokhorov_distance(emp, emp_shift) <= bound
+
+
+def pinned_prokhorov_values():
+    """sha256 of seeded Prokhorov distances on windows of 1-3 sites under
+    the default metric, a random table of twelfths, and a float dist_fn."""
+    rng = random.Random(1611)
+    digest = hashlib.sha256()
+    for trial in range(240):
+        width = rng.randint(1, 3)
+        W = FiniteSubset.box((0,), (width - 1,))
+        patterns = list(itertools.product((0, 1), repeat=width))
+        mu, nu = (_random_distribution(rng, W, rng.sample(patterns, rng.randint(1, len(patterns))))
+                  for _ in range(2))
+        kind = trial % 3
+        if kind == 0:
+            value = prokhorov_distance(mu, nu)
+        elif kind == 1:
+            table = {(p, q): Fraction(rng.randint(0, 14), 12) for p in patterns for q in patterns}
+            value = prokhorov_distance(mu, nu, dist_fn=lambda p, q: table[p, q])
+        else:
+            value = prokhorov_distance(
+                mu, nu, dist_fn=lambda p, q: 0.3 * sum(a != b for a, b in zip(p, q)))
+        digest.update(repr(value).encode())
+    return digest.hexdigest()
+
+
+def test_prokhorov_distances_are_pinned():
+    # computed with the Fraction levels of prokhorov_distance before they
+    # became integers over the costs' lcm
+    assert pinned_prokhorov_values() == (
+        "bad079fed9433df701cab492a0cae16aa98d3b07963e4d72cb5340e920edf045"
+    )
 
 
 def _feasible(mu, nu, dist, eps):
