@@ -404,9 +404,12 @@ def patched_config(base: Configuration, patch: Mapping[Point, int]) -> Configura
     fixed = {tuple(k): base.alphabet.check(v) for k, v in patch.items()}
     if any(len(k) != base.dim for k in fixed):
         raise InvalidDimensionError("patch key of wrong dimension")
+    # the base's rule itself, so that a site read is one `value` frame
+    base_rule = base._rule
+
     def rule(g: Point) -> int:
         hit = fixed.get(g)
-        return base.value(g) if hit is None else hit
+        return base_rule(g) if hit is None else hit
 
     def rows(lo: Point, hi: Point) -> list[int]:
         out = base.rows(FiniteSubset.box(lo, hi))
@@ -425,13 +428,15 @@ def shift(g: Point, x: Configuration) -> Configuration:
     """Left shift action: (g.x)(h) = x(h + g)."""
     if len(g) != x.dim:
         raise InvalidDimensionError("shift by point of wrong dimension")
+    x_rule = x._rule
+
     def rows(lo: Point, hi: Point) -> list[int]:
         return x.rows(FiniteSubset.box(compose(lo, g), compose(hi, g)))
 
     return Configuration(
         x.dim,
         x.alphabet,
-        lambda h: x.value(compose(h, g)),
+        lambda h: x_rule(compose(h, g)),
         kind=x.kind,
         period_lattice=x.period_lattice,
         rows=rows,

@@ -292,26 +292,50 @@ def random_config(dim: int, seed: int, alphabet: int = 2) -> Configuration:
     """Deterministic point-addressable noise: each site's symbol is a
     splitmix64 hash of (seed, site).  Same seed, same configuration.
 
-    The hash folds in the seed, then one coordinate at a time, so a binary
-    configuration of dimension 1 or 2 also has a bulk rows rule: the hash
-    of the seed (and in 2-D of the row coordinate) is shared by the whole
-    row, and the row's columns then run splitmix64 together, as 128-bit
-    lanes of one int per chunk of up to 1024 columns.
+    The hash folds in the seed, then one coordinate at a time.  In 1-D and
+    2-D the hash of every coordinate but the last is the site's row head:
+    the start hash in 1-D, and in 2-D one splitmix64 of the row coordinate,
+    kept in a memo of at most 1024 rows that the site rule and the bulk
+    rows rule share, so a site costs one splitmix64.  A binary
+    configuration of dimension 1 or 2 also has that bulk rows rule: each
+    row's columns run splitmix64 together from the row head, as 128-bit
+    lanes of one int per chunk of up to 1024 columns.  In higher
+    dimensions the site rule folds every coordinate in turn.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
     start = _mix64(seed & _MASK)
+    # 2-D row coordinate -> row head; cleared when full
+    memo: dict[int, int] = {}
+
+    def head(a: int) -> int:
+        h = memo.get(a)
+        if h is None:
+            if len(memo) >= _CHUNK:
+                memo.clear()
+            h = memo[a] = _mix64(start ^ (a & _MASK))
+        return h
 
     def rule(g: Point) -> int:
-        h = start
-        for c in g:
-            h = _mix64(h ^ (c & _MASK))
-        return h % alphabet
+        if dim == 2:
+            # the call is skipped on a hit; a head of 0 just takes it
+            h = memo.get(g[0]) or head(g[0])
+        elif dim == 1:
+            h = start
+        else:
+            h = start
+            for c in g:
+                h = _mix64(h ^ (c & _MASK))
+            return h % alphabet
+        # _mix64 of the last coordinate, inlined
+        v = ((h ^ (g[-1] & _MASK)) + _GAMMA) & _MASK
+        v = ((v ^ (v >> 30)) * _M1) & _MASK
+        v = ((v ^ (v >> 27)) * _M2) & _MASK
+        return (v ^ (v >> 31)) % alphabet
 
     def rows(lo: Point, hi: Point) -> list[int]:
         # bit j is column lo + j, as in `configs._pack`
-        heads = [start] if dim == 1 else [_mix64(start ^ (a & _MASK))
-                                          for a in range(lo[0], hi[0] + 1)]
+        heads = [start] if dim == 1 else [head(a) for a in range(lo[0], hi[0] + 1)]
         out = [0] * len(heads)
         width = hi[-1] - lo[-1] + 1
         for off in range(0, width, _CHUNK):

@@ -10,7 +10,9 @@ On box windows over binary configurations the estimators read bulk rows
 (`Configuration.rows`): mismatches are XORed rows counted with
 `int.bit_count`, and radial metrics sum shell counts from a summed-area
 table over one integer denominator.  Other inputs take the per-site loops,
-which remain the reference the bulk path must match exactly.
+which remain the reference the bulk path must match exactly.  The density
+loop reads nested box windows once: each window adds the count of its
+shell outside the previous one.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import ceil, lcm
-from operator import add, sub
+from operator import add, sub, truth
 from typing import Callable, Sequence
 
 from .configs import (
@@ -99,22 +101,47 @@ def _mismatches(x: Configuration, z: Configuration, box: FiniteSubset) -> int:
     )
 
 
+def _shell_boxes(outer: FiniteSubset, inner: FiniteSubset) -> list[FiniteSubset]:
+    """outer minus inner, for boxes with inner inside outer, as at most
+    2 dim disjoint boxes: along axis i, the slabs below and above inner,
+    taken within inner's extent on the axes before i."""
+    (olo, ohi), (ilo, ihi) = outer.bounds, inner.bounds
+    out = []
+    for i in range(outer.dim):
+        for a, b in ((olo[i], ilo[i] - 1), (ihi[i] + 1, ohi[i])):
+            if a <= b:
+                out.append(FiniteSubset.box(ilo[:i] + (a,) + olo[i + 1:],
+                                            ihi[:i] + (b,) + ohi[i + 1:]))
+    return out
+
+
 def upper_density(
     rule: Callable[[Point], bool], F: FolnerSequence, n_list: Sequence[int]
 ) -> EstimateTrace:
     """Exact |A cap F_n| / |F_n| for the membership rule, per n.
 
     A `Configuration.indicator` rule on box windows is counted from bulk
-    rows; any other rule is called once per site.
+    rows.  Any other rule is called once per site of the union of nested
+    box windows: when F_n and the previous window are boxes and F_n holds
+    it, the previous count carries over and only the sites of F_n outside
+    it are read (`_shell_boxes`); any other window is read in full.
     """
     rows = []
+    # the previous window and its count
+    prev, hits = None, 0
     for n in _checked_n_list(n_list):
         window = F.set_at(n)
         if isinstance(rule, Indicator) and rows_available(window, rule.config):
             ones = _ones(rule.config, window)
             hits = {1: ones, 0: len(window) - ones}.get(rule.symbol, 0)
         else:
-            hits = sum(1 for g in window if rule(g))
+            if prev is not None and prev.is_box and window.is_box and window.contains_set(prev):
+                shells = _shell_boxes(window, prev)
+            else:
+                # a window that is not nested is its own shell over a base of 0
+                shells, hits = [window], 0
+            hits += sum(sum(map(truth, map(rule, shell))) for shell in shells)
+        prev = window
         val = Fraction(hits, len(window))
         rows.append(TraceRow(n, val, val, val))
     return EstimateTrace(rows)

@@ -6,6 +6,7 @@ explicit point set (not a box), or a metric without shell weights.
 """
 
 import hashlib
+import itertools
 import random
 import re
 from collections import Counter
@@ -380,6 +381,43 @@ def test_random_config_of_three_symbols_is_read_site_by_site():
     assert got == (Fraction(sum(xs[g] != hashed(6, g, 3) for g in box), len(box)),
                    Fraction(sum(xs[g] == 2 for g in box), len(box)),
                    {p: Fraction(c, len(box)) for p, c in patterns.items()})
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_random_sites_match_an_independent_hash(dim):
+    for seed in (0, -5, 2**70):
+        x = random_config(dim, seed)
+        for g in itertools.product(CORNERS, repeat=dim):
+            assert x.value(g) == hashed(seed, g)
+
+
+def test_random_row_heads_survive_memo_eviction():
+    """Read sites of more distinct rows than the row-head memo holds, each
+    followed by a site of an early row, then rows over a box taller than
+    the memo, then sites again."""
+    x = random_config(2, 17)
+    rows = range(-CHUNK - 300, CHUNK + 300)
+    sites = []
+    for i, a in enumerate(rows):
+        sites += [(a, i % 7 - 3), (rows[i % 50], a)]
+    assert [x.value(g) for g in sites] == [hashed(17, g) for g in sites]
+    box = FiniteSubset.box((-CHUNK - 5, -3), (CHUNK + 5, 3))
+    assert x.rows(box) == hashed_rows(17, box)
+    assert [x.value(g) for g in sites[::40]] == [hashed(17, g) for g in sites[::40]]
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_patched_and_shifted_sites_read_their_base(dim):
+    rng = random.Random(dim)
+    patch = {tuple(rng.randint(-4, 4) for _ in range(dim)): rng.randint(0, 1)
+             for _ in range(20)}
+    x = patched_config(random_config(dim, 23), patch)
+    g0 = (5, -3, 2)[:dim]
+    y = shift(g0, x)
+    for g in FiniteSubset.box((-6,) * dim, (6,) * dim):
+        assert x.value(g) == patch.get(g, hashed(23, g))
+        h = tuple(a + b for a, b in zip(g, g0))
+        assert y.value(g) == patch.get(h, hashed(23, h))
 
 
 def test_tiles_partition_large_boxes():

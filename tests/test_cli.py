@@ -466,6 +466,32 @@ def test_site_budget_is_checked_against_the_estimate(monkeypatch, capsys, argv, 
     )
 
 
+_CELL_JOBS = [
+    # (argv, cells: the support sizes of its two measures multiplied)
+    (["transport", "--x", "visible", "--z", "prime-approx:2", "--N", "9", "--window", "2"],
+     11 * 10),
+    (["prokhorov", "--x", "rf-sub:3", "--z", "rf-sub:4", "--N", "30", "--window", "3"], 7 * 7),
+]
+
+
+@pytest.mark.parametrize("argv, cells", _CELL_JOBS, ids=[a[0] for a, _ in _CELL_JOBS])
+def test_cell_budget_is_checked_against_the_support_sizes(monkeypatch, capsys, argv, cells):
+    monkeypatch.setattr(cli, "CELL_BUDGET", cells)
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, "CELL_BUDGET", cells - 1)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: solve would have {cells} cells, over the limit of {cells - 1}\n"
+
+
+def test_oversized_solve_is_refused_before_solving(capsys):
+    # 3x3 patterns: 233 of visible against 211 of prime-approx:5
+    code, out, err = run(capsys, "transport", "--x", "visible", "--z", "prime-approx:5",
+                         "--N", "100", "--window", "3")
+    assert code == 1 and out == ""
+    assert err == f"error: solve would have 49163 cells, over the limit of {cli.CELL_BUDGET}\n"
+
+
 @pytest.mark.parametrize("n", ["0", "1"])
 def test_tempered_refuses_fewer_than_two_windows(capsys, n):
     code, out, err = run(capsys, "tempered", "--n", n)

@@ -2,9 +2,12 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab.configs import (
     Lattice,
@@ -18,11 +21,12 @@ from shiftlab.configs import (
 from shiftlab.errors import InvalidDimensionError
 from shiftlab.examples import (
     SubstitutionStage,
+    random_config,
     random_periodic_pair,
     rf_substitution,
     visible_points_config,
 )
-from shiftlab.groups import make_box_folner
+from shiftlab.groups import BOX_KINDS, FiniteSubset, custom_folner, make_box_folner
 from shiftlab.metrics import (
     DPrimeEstimate,
     EstimateTrace,
@@ -35,6 +39,7 @@ from shiftlab.metrics import (
     default_delta_grid,
     exact_mismatch_density,
     joint_period_box,
+    _shell_boxes,
     upper_density,
 )
 from shiftlab.transport import PeriodicOrbitMeasure, periodic_rho_oracle
@@ -67,6 +72,71 @@ def test_density_of_singleton_vanishes():
     trace = upper_density(rule, FC2, [500, 1000])
     assert trace.summary() == Fraction(1, 2001**2)
     assert float(trace.summary()) < 1e-6
+
+
+class CountingRule:
+    """A membership rule that counts its calls per site."""
+
+    def __init__(self, rule):
+        self.rule = rule
+        self.calls = Counter()
+
+    def __call__(self, g):
+        self.calls[g] += 1
+        return self.rule(g)
+
+
+def recount(rule, window):
+    return Fraction(sum(1 for g in window if rule(g)), len(window))
+
+
+@pytest.mark.parametrize("kind", BOX_KINDS)
+@pytest.mark.parametrize("dim, ns", [(1, [1, 2, 5, 30, 31]), (2, [1, 3, 4, 9]), (3, [1, 2, 3])])
+def test_nested_box_windows_read_each_site_once(dim, ns, kind):
+    x = random_config(dim, 31)
+    F = make_box_folner(dim, kind)
+    member = lambda g: x.value(g) == 1  # noqa: E731
+    rule = CountingRule(member)
+    trace = upper_density(rule, F, ns)
+    assert rule.calls == Counter(F.set_at(ns[-1]))
+    assert [r.value for r in trace.rows] == [recount(member, F.set_at(n)) for n in ns]
+
+
+def test_windows_that_are_not_nested_boxes_are_recounted():
+    x = random_config(2, 41)
+    member = lambda g: x.value(g) == 1  # noqa: E731
+    big = FiniteSubset.box((-4, -4), (14, 14))
+    sets = [
+        FiniteSubset.box((0, 0), (5, 5)),
+        FiniteSubset.box((3, 3), (9, 9)),        # overlaps the last, not nested
+        FiniteSubset.box((-1, -1), (12, 12)),    # nested: reads 14^2 - 7^2 sites
+        FiniteSubset([(a, b) for a in range(-2, 13) for b in range(-2, 13) if (a + b) % 3]),
+        big,                                     # holds a set that is no box
+        big,                                     # nested with nothing new
+        FiniteSubset.box((0, 0), (2, 2)),        # inside the last, not around it
+    ]
+    rule = CountingRule(member)
+    trace = upper_density(rule, custom_folner(sets), range(1, len(sets) + 1))
+    assert [r.value for r in trace.rows] == [recount(member, s) for s in sets]
+    reads = [len(s) for s in sets]
+    reads[2] -= len(sets[1])
+    reads[5] = 0
+    assert sum(rule.calls.values()) == sum(reads)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 3), data=st.data())
+def test_shell_boxes_partition_the_difference(dim, data):
+    olo = tuple(data.draw(st.integers(-5, 5)) for _ in range(dim))
+    ohi = tuple(a + data.draw(st.integers(0, 6)) for a in olo)
+    ilo = tuple(data.draw(st.integers(a, b)) for a, b in zip(olo, ohi))
+    ihi = tuple(data.draw(st.integers(a, b)) for a, b in zip(ilo, ohi))
+    outer, inner = FiniteSubset.box(olo, ohi), FiniteSubset.box(ilo, ihi)
+    shells = _shell_boxes(outer, inner)
+    assert len(shells) <= 2 * dim and all(s.is_box for s in shells)
+    seen = Counter(g for s in shells for g in s)
+    assert set(seen.values()) <= {1}
+    assert set(seen) == outer.points() - inner.points()
 
 
 def test_density_rejects_bad_index_lists():
