@@ -18,7 +18,6 @@ from .errors import (
 from .groups import (
     FiniteSubset,
     FolnerSequence,
-    ZdGroup,
     box_set,
     check_tempered,
     compose,

@@ -28,8 +28,7 @@ from random import Random
 from typing import Callable, NamedTuple, Sequence
 
 from . import __version__
-from .configs import DEFAULT_RADIUS, default_metric
-from .errors import StageExhaustedError
+from .configs import DEFAULT_RADIUS, Configuration, default_metric
 from .examples import (
     SubstitutionStage,
     block_entropy,
@@ -85,10 +84,9 @@ PRIME_SQUARE_TAILS = (
 
 
 # A window job whose estimated site reads exceed this is refused before it
-# reads any: the sites of its Folner sets, times the ball's (2 radius + 1)^d
-# sites where a ball applies, the pattern window's sites for an empirical
-# measure (twice for two measures), the block sides' k^d summed for block
-# entropy, or the number of pairs for nowy-check's dbar windows.
+# reads any: the sites of its Folner sets times the sites s^d summed over
+# the box sides s it reads around each site (see `_window_inputs`), or
+# times the number of pairs for nowy-check's dbar windows.
 SITE_BUDGET = 10**8
 
 
@@ -101,9 +99,9 @@ def _within_budget(F: FolnerSequence, ns: Sequence[int], per_site: int = 1) -> N
         )
 
 
-# A transport or Prokhorov job whose two measures have more support pairs
-# than this is refused before it solves: the simplex over 10,379 cells took
-# 1.4 s (2 vCPU, Python 3.11.7), and its time grows faster than the cells.
+# A job whose largest solve has more support pairs than this is refused
+# before it solves: the simplex over 10,379 cells took 1.4 s (2 vCPU,
+# Python 3.11.7), and its time grows faster than the cells.
 CELL_BUDGET = 10_000
 
 
@@ -296,37 +294,51 @@ def _report(command: str, config: dict, body: dict) -> str:
 # computed or the body of its JSON report; `main` writes either one.
 
 
+def _window_inputs(
+    cfg: dict, ns: Sequence[int], sides: Sequence[int] = (1,)
+) -> tuple[Configuration | FolnerSequence, ...]:
+    """(x, F) for a job on `set`, or (x, z, F) for one on `x` and `z`: the
+    named examples and the `kind` box Folner sequence in x's dimension d,
+    once the job's sum over n of |F_n|, times the sum over the sides s of
+    s^d, is checked against SITE_BUDGET."""
+    names = [cfg["set"]] if "set" in cfg else [cfg["x"], cfg["z"]]
+    configs = [resolve_example_name(name) for name in names]
+    d = configs[0].dim
+    F = make_box_folner(d, cfg["kind"])
+    _within_budget(F, ns, sum(s**d for s in sides))
+    return (*configs, F)
+
+
+def _two_measures(cfg: dict) -> tuple[PatternDistribution, PatternDistribution]:
+    """The window-W empirical measures of x and z on F_N, under both budgets."""
+    x, z, F = _window_inputs(cfg, [cfg["N"]], (cfg["window"],) * 2)
+    W = box_set(x.dim, cfg["window"] - 1)
+    mu = empirical_measure(x, F.set_at(cfg["N"]), W)
+    nu = empirical_measure(z, F.set_at(cfg["N"]), W)
+    _within_cell_budget(mu, nu)
+    return mu, nu
+
+
 def _cmd_density(cfg: dict) -> EstimateTrace:
-    x = resolve_example_name(cfg["set"])
     n_list = cfg["n-list"] or _ladder(cfg["N"])
-    F = make_box_folner(x.dim, cfg["kind"])
-    _within_budget(F, n_list)
+    x, F = _window_inputs(cfg, n_list)
     return upper_density(x.indicator(cfg["symbol"]), F, n_list)
 
 
 def _cmd_besicovitch(cfg: dict) -> EstimateTrace:
-    x = resolve_example_name(cfg["x"])
-    z = resolve_example_name(cfg["z"])
     n_list = cfg["n-list"] or _ladder(cfg["N"])
-    F = make_box_folner(x.dim, cfg["kind"])
-    _within_budget(F, n_list, (2 * cfg["radius"] + 1) ** x.dim)
+    x, z, F = _window_inputs(cfg, n_list, (2 * cfg["radius"] + 1,))
     return besicovitch_trace(x, z, F, n_list, radius=cfg["radius"])
 
 
 def _cmd_dbar(cfg: dict) -> EstimateTrace:
-    x = resolve_example_name(cfg["x"])
-    z = resolve_example_name(cfg["z"])
     n_list = cfg["n-list"] or _ladder(cfg["N"])
-    F = make_box_folner(x.dim, cfg["kind"])
-    _within_budget(F, n_list)
+    x, z, F = _window_inputs(cfg, n_list)
     return dbar_trace(x, z, F, n_list)
 
 
 def _cmd_dprime(cfg: dict) -> dict:
-    x = resolve_example_name(cfg["x"])
-    z = resolve_example_name(cfg["z"])
-    F = make_box_folner(x.dim, cfg["kind"])
-    _within_budget(F, [cfg["N"]], (2 * cfg["radius"] + 1) ** x.dim)
+    x, z, F = _window_inputs(cfg, [cfg["N"]], (2 * cfg["radius"] + 1,))
     grid = default_delta_grid()
     if cfg["grid-cap"] is not None:
         grid = tuple(d for d in grid if d <= cfg["grid-cap"])
@@ -335,43 +347,28 @@ def _cmd_dprime(cfg: dict) -> dict:
 
 
 def _cmd_empirical(cfg: dict) -> dict:
-    x = resolve_example_name(cfg["set"])
-    F = make_box_folner(x.dim, cfg["kind"])
-    _within_budget(F, [cfg["N"]], cfg["window"] ** x.dim)
+    x, F = _window_inputs(cfg, [cfg["N"]], (cfg["window"],))
     dist = empirical_measure(x, F.set_at(cfg["N"]), box_set(x.dim, cfg["window"] - 1))
     return {"distribution": dist.to_dict()}
 
 
 def _cmd_prokhorov(cfg: dict) -> dict:
-    x = resolve_example_name(cfg["x"])
-    z = resolve_example_name(cfg["z"])
-    F = make_box_folner(x.dim, cfg["kind"])
-    _within_budget(F, [cfg["N"]], 2 * cfg["window"] ** x.dim)
-    W = box_set(x.dim, cfg["window"] - 1)
-    mu = empirical_measure(x, F.set_at(cfg["N"]), W)
-    nu = empirical_measure(z, F.set_at(cfg["N"]), W)
-    _within_cell_budget(mu, nu)
-    return {"distance": _frac(prokhorov_distance(mu, nu))}
+    return {"distance": _frac(prokhorov_distance(*_two_measures(cfg)))}
 
 
 def _cmd_omega(cfg: dict) -> dict:
-    x = resolve_example_name(cfg["set"])
-    F = make_box_folner(x.dim, cfg["kind"])
-    _within_budget(F, cfg["n-list"], cfg["window"] ** x.dim)
+    x, F = _window_inputs(cfg, cfg["n-list"], (cfg["window"],))
     W = box_set(x.dim, cfg["window"] - 1)
+    # the boxes are nested, so the support at the largest index holds every
+    # pattern that any of the Prokhorov solves can meet
+    last = empirical_measure(x, F.set_at(max(cfg["n-list"])), W)
+    _within_cell_budget(last, last)
     reps = omega_hat_approx(x, F, cfg["n-list"], W, cfg["merge-tol"])
     return {"representatives": [m.to_dict() for m in reps.members], "count": len(reps.members)}
 
 
 def _cmd_transport(cfg: dict) -> dict:
-    x = resolve_example_name(cfg["x"])
-    z = resolve_example_name(cfg["z"])
-    F = make_box_folner(x.dim, cfg["kind"])
-    _within_budget(F, [cfg["N"]], 2 * cfg["window"] ** x.dim)
-    W = box_set(x.dim, cfg["window"] - 1)
-    mu = empirical_measure(x, F.set_at(cfg["N"]), W)
-    nu = empirical_measure(z, F.set_at(cfg["N"]), W)
-    _within_cell_budget(mu, nu)
+    mu, nu = _two_measures(cfg)
     ham = cfg["cost"] == "hamming"
     cost = hamming_per_site_cost(mu.sites) if ham else pattern_metric(mu.sites)
     res = min_cost_transport(mu, nu, cost)
@@ -389,7 +386,10 @@ def _cmd_rho_chain(cfg: dict) -> dict:
     ob = PeriodicOrbitMeasure.from_config(z)
     windows = [box_set(x.dim, k - 1) for k in range(1, cfg["k-max"] + 1)]
     kind = {"hamming": "hamming-per-site", "admissible": "admissible"}[cfg["cost"]]
-    chain = rho_bar_lower(oa.marginal_family(windows), ob.marginal_family(windows), kind)
+    mus, nus = oa.marginal_family(windows), ob.marginal_family(windows)
+    # marginals of nested windows only merge patterns: the last solve is the largest
+    _within_cell_budget(mus[-1], nus[-1])
+    chain = rho_bar_lower(mus, nus, kind)
     oracle = periodic_rho_oracle(oa, ob)
     body: dict = {"chain": [_frac(c) for c in chain]}
     if kind == "hamming-per-site":
@@ -526,9 +526,7 @@ def _cmd_examples(cfg: dict) -> dict:
 
 
 def _cmd_entropy(cfg: dict) -> dict:
-    x = resolve_example_name(cfg["set"])
-    F = make_box_folner(x.dim, cfg["kind"])
-    _within_budget(F, [cfg["N"]], sum(k**x.dim for k in cfg["sizes"]))
+    x, F = _window_inputs(cfg, [cfg["N"]], cfg["sizes"])
     values = block_entropy(x, F.set_at(cfg["N"]), cfg["sizes"])
     return {"bits_per_site": [[k, v] for k, v in values]}
 
@@ -748,7 +746,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         _emit(_report(args.command, cfg, result), out)
         # a failed check or an uncertified solution exits 2
         return 2 if False in (result.get("passed"), result.get("certified")) else 0
-    except (ValueError, StageExhaustedError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

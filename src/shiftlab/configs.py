@@ -177,6 +177,17 @@ def rows_available(window: FiniteSubset, *configs: "Configuration") -> bool:
     )
 
 
+def _same_dimension(windows: Sequence[FiniteSubset], configs: Sequence["Configuration"]) -> None:
+    """Refuse, before any site is read, configurations and windows not all
+    of one dimension: a rule may answer points of any length."""
+    dims = sorted({c.dim for c in configs}), sorted({w.dim for w in windows})
+    if len(dims[1]) > 1 or dims[0] != dims[1]:
+        c, w = ("/".join(map(str, d)) for d in dims)
+        raise InvalidDimensionError(
+            f"configurations of dimension {c} read on windows of dimension {w}"
+        )
+
+
 def box_tiles(box: FiniteSubset, divisor: int = 1) -> Iterator[FiniteSubset]:
     """Sub-boxes of at most TILE_SITES // divisor sites (and at least one)
     that partition a 1-D or 2-D box.  A reader that holds `divisor` bytes

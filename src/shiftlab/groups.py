@@ -215,32 +215,6 @@ def sorted_sites(window: FiniteSubset | Iterable[Point]) -> tuple[Point, ...]:
     return tuple(sorted(tuple(p) for p in window))
 
 
-@dataclass(frozen=True)
-class ZdGroup:
-    """Minimal interface of the acting group Z^d."""
-
-    dim: int
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise InvalidDimensionError(f"dimension must be >= 1, got {self.dim}")
-
-    def identity(self) -> Point:
-        return (0,) * self.dim
-
-    def compose(self, g: Point, h: Point) -> Point:
-        return compose(g, h)
-
-    def inverse(self, g: Point) -> Point:
-        return inverse(g)
-
-    def ball(self, radius: int) -> FiniteSubset:
-        """Closed sup-norm ball of the given radius around the identity."""
-        if radius < 0:
-            raise ValueError(f"radius must be >= 0, got {radius}")
-        return FiniteSubset.box((-radius,) * self.dim, (radius,) * self.dim)
-
-
 def box_set(dim: int, n: int, centered: bool = False) -> FiniteSubset:
     """{0..n}^dim, or {-n..n}^dim when centered; n >= 0."""
     if dim < 1:

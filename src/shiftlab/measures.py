@@ -7,9 +7,9 @@ behind both empirical measures and the transport module's pair joinings.
 Prokhorov distances are exact: by Strassen's theorem they
 are read from the coupled mass, 1 minus the value of a 0/1-cost
 transport problem that the transport module's integer simplex solves at
-the common denominator of the masses.  The pattern distances and the
-levels are integers over one denominator, scaled by `_integer_costs` as
-transport's costs are.  The coupled mass
+the common denominator of the masses.  `_integer_problem` builds that
+problem, the masses and the pattern distances in integers, as it builds
+transport's own problems.  The coupled mass
 changes only at the pairwise pattern distances, so a binary search over
 those finitely many levels returns the infimum itself, not an
 approximation to it.  Equal distributions compare at literal distance 0.
@@ -30,6 +30,7 @@ from typing import Callable, Iterable, Sequence
 from .configs import (
     AdmissibleMetric,
     Configuration,
+    _same_dimension,
     box_tiles,
     default_metric,
     row_bits,
@@ -227,15 +228,6 @@ def _lowest_terms(den: int, counts: dict[Pattern, int]) -> tuple[int, dict[Patte
     return den // g, {pat: c // g for pat, c in counts.items()}
 
 
-def _common_masses(
-    mu: PatternDistribution, nu: PatternDistribution, rows: list[Pattern], cols: list[Pattern]
-) -> tuple[int, list[int], list[int]]:
-    """D = lcm(mu.den, nu.den) and the masses of rows and cols scaled by it."""
-    D = lcm(mu.den, nu.den)
-    s, t = D // mu.den, D // nu.den
-    return D, [mu.counts[p] * s for p in rows], [nu.counts[q] * t for q in cols]
-
-
 @dataclass
 class MeasureSet:
     """Finite list of distributions over a common window."""
@@ -273,6 +265,7 @@ def _pattern_counts(
     """
     if len(window_set) == 0 or len(W) == 0:
         raise ValueError("pattern counts need a non-empty window set and window")
+    _same_dimension([window_set, W], configs)
     if rows_available(window_set, *configs) and rows_available(W, *configs):
         bits = len(configs) * len(W)
         codes = _box_pattern_codes(configs, window_set, W)
@@ -412,6 +405,26 @@ def _integer_costs(C: list[list[Fraction]]) -> tuple[int, list[list[int]]]:
     return E, [[c.numerator * (E // c.denominator) for c in row] for row in C]
 
 
+def _integer_problem(
+    mu: PatternDistribution,
+    nu: PatternDistribution,
+    cost: PatternCost | Mapping[tuple[Pattern, Pattern], Fraction],
+) -> tuple:
+    """(rows, cols, D, a, b, E, K): the two supports, their counts a and b
+    at D = lcm(mu.den, nu.den), and the costs K of their pairs at the lcm
+    E of the costs' denominators.  The windows must agree; a cost may have
+    any sign."""
+    if not mu.same_window(nu):
+        raise IncompatibleWindowsError("transport across different windows")
+    cost_fn = _as_cost_fn(cost)
+    rows, cols = mu.support(), nu.support()
+    D = lcm(mu.den, nu.den)
+    a = [mu.counts[p] * (D // mu.den) for p in rows]
+    b = [nu.counts[q] * (D // nu.den) for q in cols]
+    E, K = _integer_costs([[cost_fn(p, q) for q in cols] for p in rows])
+    return rows, cols, D, a, b, E, K
+
+
 def _coupled_mass(
     a: list[int],
     b: list[int],
@@ -444,20 +457,16 @@ def prokhorov_distance(
     coupling puts mass >= 1 - eps on pairs at distance <= eps.
 
     The default pattern metric is the truncated admissible metric on the
-    common window; pass dist_fn to override.  The distances are scaled by
-    `_integer_costs` to integers over the lcm E of their denominators, as
-    transport scales its costs.  The coupled mass M(eps) is a step function
+    common window; pass dist_fn to override.  `_integer_problem` scales
+    the distances to integers over the lcm E of their denominators, as it
+    scales transport's costs.  The coupled mass M(eps) is a step function
     that moves only at the pairwise distances, so a binary search over
     those integer levels (and 0) finds the first feasible level k; the
     infimum is then min(level k / E, 1 - M(level k-1)), attained either
     way, with level k read as 1 when no level is feasible.
     """
-    if not mu.same_window(nu):
-        raise IncompatibleWindowsError("distributions on different windows")
-    dist = pattern_metric(mu.sites, metric) if dist_fn is None else _as_cost_fn(dist_fn)
-    left, right = mu.support(), nu.support()
-    _, a, b = _common_masses(mu, nu, left, right)
-    E, d = _integer_costs([[dist(p, q) for q in right] for p in left])
+    dist = pattern_metric(mu.sites, metric) if dist_fn is None else dist_fn
+    _, _, _, a, b, E, d = _integer_problem(mu, nu, dist)
     levels = [0] + sorted({x for row in d for x in row if 0 < x < E})
     mass: dict[int, Fraction] = {}
 

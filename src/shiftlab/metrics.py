@@ -34,6 +34,7 @@ from .configs import (
     Configuration,
     Indicator,
     Lattice,
+    _same_dimension,
     box_tiles,
     common_metric,
     row_bits,
@@ -337,6 +338,7 @@ def besicovitch_prime_estimate(
 
 def mismatch_density(x: Configuration, z: Configuration, window: FiniteSubset) -> Fraction:
     """Exact |{f in window : x(f) != z(f)}| / |window|."""
+    _same_dimension([window], [x, z])
     if rows_available(window, x, z):
         return Fraction(_mismatches(x, z, window), len(window))
     xv, zv = x.value, z.value

@@ -3,10 +3,11 @@ pseudometric machinery built on it.
 
 A `Coupling` is held as a pattern distribution is, integer counts over one
 denominator with a Fraction `weights` view, and gluing runs in integers.
-The solver is a transportation simplex in integers, with masses scaled to
-their common denominator D and costs by the lcm E of theirs
-(`measures._integer_costs`, the one cost scale, which `Coupling.cost`,
-the oracle and Prokhorov's levels also use): northwest
+The solver is a transportation simplex in integers, on the problem that
+`measures._integer_problem` builds for it, for the oracle and for
+Prokhorov's levels alike: masses scaled to their common denominator D and
+costs by the lcm E of theirs (`measures._integer_costs`, the one cost
+scale, which `Coupling.cost` also uses).  It runs from a northwest
 corner start, one walk of the basis tree per pivot for both the duals and
 the entering cycle, Bland-rule pivoting, and a complementary slackness
 certificate checked on every solve.  Its integer kernel, `_simplex`, also
@@ -42,9 +43,9 @@ from .groups import FiniteSubset, FolnerSequence, Point
 from .measures import (
     PatternDistribution,
     _as_cost_fn,
-    _common_masses,
     _FractionView,
     _integer_costs,
+    _integer_problem,
     _lowest_terms,
     _pattern_counts,
     empirical_measure,
@@ -277,25 +278,18 @@ def min_cost_transport(
 ) -> TransportResult:
     """Exact optimal coupling and cost, with a dual certificate.
 
-    The simplex (`_simplex`) runs in integers: the counts of mu and nu
-    scaled to D = lcm(mu.den, nu.den), costs by the lcm E of their
-    denominators (the problem is totally unimodular, so every basic
+    The simplex (`_simplex`) runs on `measures._integer_problem`: the
+    counts of mu and nu scaled to D = lcm(mu.den, nu.den), costs by the lcm
+    E of their denominators (the problem is totally unimodular, so every basic
     solution is integral at D).  The returned potentials satisfy
     u_i + v_j <= c_ij everywhere with equality on the support, and the
     primal value equals the dual value; the kernel asserts both before
     returning, and `Coupling.from_counts` checks the integer flows' row
     and column sums against mu and nu.
     """
-    if not mu.same_window(nu):
-        raise IncompatibleWindowsError("transport across different windows")
-    cost_fn = _as_cost_fn(cost)
-    rows = mu.support()
-    cols = nu.support()
-    C = [[cost_fn(p, q) for q in cols] for p in rows]
-    if any(c < 0 for row in C for c in row):
+    rows, cols, D, a, b, E, K = _integer_problem(mu, nu, cost)
+    if any(c < 0 for row in K for c in row):
         raise ValueError("costs must be nonnegative")
-    D, a, b = _common_masses(mu, nu, rows, cols)
-    E, K = _integer_costs(C)
     flows, pot, value = _simplex(a, b, K)
     m = len(rows)
     return TransportResult(
@@ -358,9 +352,10 @@ def brute_force_min_cost(
 
     At the common denominator D of all marginal masses the transportation
     polytope has integer-numerator vertices, so scanning integer tables
-    with the prescribed margins finds the exact optimum.  Costs are scaled
-    to integers by the lcm E of their denominators and the search runs in
-    ints, returning best / (D E).  A branch is cut only when an admissible
+    with the prescribed margins finds the exact optimum.  The masses at D
+    and the costs at the lcm E of their denominators come from
+    `measures._integer_problem`; the search runs in ints and returns
+    best / (D E).  A branch is cut only when an admissible
     lower bound on its completions reaches the incumbent: the larger of
     the row bound (every unit left in rows i.. at its row's minimum cost)
     and the column bound (every unit a column still needs at that column's
@@ -370,12 +365,7 @@ def brute_force_min_cost(
     nothing from the simplex.  Exponential in the support sizes; intended
     as an oracle for small instances.
     """
-    if not mu.same_window(nu):
-        raise IncompatibleWindowsError("transport across different windows")
-    cost_fn = _as_cost_fn(cost)
-    rows, cols = mu.support(), nu.support()
-    D, r, rem = _common_masses(mu, nu, rows, cols)
-    E, K = _integer_costs([[cost_fn(p, q) for q in cols] for p in rows])
+    rows, cols, D, r, rem, E, K = _integer_problem(mu, nu, cost)
     m, n = len(rows), len(cols)
     order = [sorted(range(n), key=row.__getitem__) for row in K]
     # row_tail[i]: the row bound of rows i..; col_min[i][j]: min of column j over rows i..

@@ -1,0 +1,82 @@
+"""The benchmark's contract with the package: every name its tracer wraps
+exists and is put back, and every workload's jobs pass their checks."""
+
+import importlib.util
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import shiftlab
+import shiftlab.cli  # noqa: F401  (the tracer wraps names in every layer)
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings() -> dict:
+    """Every attribute of the package's modules and of the classes the
+    tracer wraps methods on, as (owner, name) -> the object bound there."""
+    out = {}
+    for key, mod in list(sys.modules.items()):
+        if mod is not None and (key == "shiftlab" or key.startswith("shiftlab.")):
+            out.update({(key, attr): val for attr, val in vars(mod).items()})
+    for cls in (shiftlab.configs.Configuration, shiftlab.transport.PeriodicOrbitMeasure):
+        out.update({(cls, attr): val for attr, val in vars(cls).items()})
+    return out
+
+
+def test_tracer_wraps_every_traced_name_and_puts_it_back():
+    tracing = _load_tracing()
+    before = _bindings()
+    tracer = tracing.Tracer(shiftlab)
+    tracer.install()
+    try:
+        for layer, names in tracing.SPANS.items():
+            home = getattr(shiftlab, layer)
+            for name in names:
+                owner, _, attr = name.rpartition(".")
+                fn = getattr(getattr(home, owner) if owner else home, attr)
+                assert hasattr(fn, "__wrapped__"), f"{layer}.{name} is not wrapped"
+    finally:
+        tracer.uninstall()
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[k] is v for k, v in before.items())
+
+
+@pytest.fixture(scope="module")
+def bench_copy(tmp_path_factory):
+    """src/, bench/ and BENCHMARK.json in a fresh directory, as the
+    benchmark is run from a checkout of them."""
+    root = tmp_path_factory.mktemp("checkout")
+    skip = shutil.ignore_patterns("out", "__pycache__", "*.egg-info")
+    shutil.copytree(ROOT / "src", root / "src", ignore=skip)
+    shutil.copytree(ROOT / "bench", root / "bench", ignore=skip)
+    shutil.copy(ROOT / "BENCHMARK.json", root / "BENCHMARK.json")
+    return root
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_tiny_untraced_run_is_correct(bench_copy, workload):
+    # untraced only: the traced runs' timing checks are noisy on a shared machine
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seconds", "0",
+         "--trace", "0", "--tiny"],
+        cwd=bench_copy, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stderr

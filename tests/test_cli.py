@@ -471,6 +471,10 @@ _CELL_JOBS = [
     (["transport", "--x", "visible", "--z", "prime-approx:2", "--N", "9", "--window", "2"],
      11 * 10),
     (["prokhorov", "--x", "rf-sub:3", "--z", "rf-sub:4", "--N", "30", "--window", "3"], 7 * 7),
+    # the chain's largest solve, on its 3x3 marginals
+    (["rho-chain", "--x", "prime-approx:2", "--z", "prime-approx:3", "--k-max", "3"], 31 * 108),
+    # every solve's patterns are among the 10 of the box at the largest index
+    (["omega", "--set", "prime-approx:2", "--window", "2", "--n-list", "6,12"], 10 * 10),
 ]
 
 
@@ -482,6 +486,18 @@ def test_cell_budget_is_checked_against_the_support_sizes(monkeypatch, capsys, a
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err == f"error: solve would have {cells} cells, over the limit of {cells - 1}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["transport", "--x", "visible", "--z", "rf-sub:1", "--N", "3"],
+    ["prokhorov", "--x", "visible", "--z", "rf-sub:1", "--N", "3"],
+    ["transport", "--x", "visible", "--z", "rf-sub:2", "--N", "5"],
+], ids=["transport-constant", "prokhorov-constant", "transport"])
+def test_examples_of_different_dimensions_are_refused(capsys, argv):
+    # rf-sub:1 is a constant rule, which answers a point of any length
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: configurations of dimension 1 read on windows of dimension 2\n"
 
 
 def test_oversized_solve_is_refused_before_solving(capsys):

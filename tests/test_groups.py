@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from shiftlab.errors import InvalidConstantError, InvalidDimensionError
 from shiftlab.groups import (
     FiniteSubset,
-    ZdGroup,
     box_set,
     check_tempered,
     compose,
@@ -83,13 +82,6 @@ def test_group_operation_laws(g, h):
     assert compose(g, inverse(g)) == e
     assert compose(g, h) == compose(h, g)
     assert sup_norm(compose(g, h)) <= sup_norm(g) + sup_norm(h)
-
-
-def test_zd_group_ball_is_centered_box():
-    G = ZdGroup(2)
-    assert G.ball(1) == box_set(2, 1, centered=True)
-    assert G.compose((1, 2), (3, -1)) == (4, 1)
-    assert G.inverse((4, 1)) == (-4, -1)
 
 
 def test_folner_defect_examples():

@@ -24,6 +24,7 @@ from shiftlab.measures import (
     MeasureSet,
     PatternDistribution,
     _coupled_mass,
+    _pattern_counts,
     empirical_measure,
     genericity_check,
     hausdorff_prokhorov,
@@ -228,6 +229,23 @@ def test_metric_of_the_wrong_dimension_is_refused():
         rho_bar_lower([mu], [nu], "admissible", default_metric(1))
     with pytest.raises(InvalidDimensionError):
         pattern_metric(W, default_metric(3))
+
+
+def test_pattern_reader_refuses_mixed_dimensions_before_reading():
+    # a rule may answer points of any length, so only an up-front check sees this
+    reads = []
+    x = predicate_config(1, lambda g: reads.append(g) or True)
+    y = predicate_config(2, lambda g: reads.append(g) or True)
+    box2, site2 = FiniteSubset.box((0, 0), (2, 2)), FiniteSubset.box((0, 0), (0, 0))
+    with pytest.raises(
+        InvalidDimensionError, match="^configurations of dimension 1 read on windows of dimension 2$"
+    ):
+        empirical_measure(x, box2, site2)
+    with pytest.raises(InvalidDimensionError, match="dimension 2 read on windows of dimension 1/2$"):
+        _pattern_counts([y], FiniteSubset.box((0,), (2,)), site2)
+    with pytest.raises(InvalidDimensionError, match="dimension 1/2 read on windows of dimension 2$"):
+        _pattern_counts([y, x], box2, site2)
+    assert reads == []
 
 
 def _random_distribution(rng, window, patterns):

@@ -39,6 +39,7 @@ from shiftlab.metrics import (
     default_delta_grid,
     exact_mismatch_density,
     joint_period_box,
+    mismatch_density,
     _shell_boxes,
     upper_density,
 )
@@ -336,3 +337,17 @@ def test_trace_validation_and_csv():
     assert len(lines) == 3
     assert lines[1].startswith("1,0.5,")
     assert trace.summary() == Fraction(1, 3)
+
+
+def test_mismatch_density_refuses_mixed_dimensions_before_reading():
+    # a rule may answer points of any length, so only an up-front check sees this
+    reads = []
+    x = predicate_config(1, lambda g: reads.append(g) or True)
+    y = predicate_config(2, lambda g: reads.append(g) or True)
+    with pytest.raises(
+        InvalidDimensionError, match="^configurations of dimension 1 read on windows of dimension 2$"
+    ):
+        mismatch_density(x, x, FiniteSubset.box((0, 0), (2, 2)))
+    with pytest.raises(InvalidDimensionError, match="dimension 1/2 read on windows of dimension 1$"):
+        mismatch_density(x, y, FiniteSubset([(0,), (3,)]))
+    assert reads == []
