@@ -361,9 +361,10 @@ def _cmd_omega(cfg: dict) -> dict:
     W = box_set(x.dim, cfg["window"] - 1)
     # the boxes are nested, so the support at the largest index holds every
     # pattern that any of the Prokhorov solves can meet
-    last = empirical_measure(x, F.set_at(max(cfg["n-list"])), W)
+    top = max(cfg["n-list"])
+    last = empirical_measure(x, F.set_at(top), W)
     _within_cell_budget(last, last)
-    reps = omega_hat_approx(x, F, cfg["n-list"], W, cfg["merge-tol"])
+    reps = omega_hat_approx(x, F, cfg["n-list"], W, cfg["merge-tol"], measures={top: last})
     return {"representatives": [m.to_dict() for m in reps.members], "count": len(reps.members)}
 
 

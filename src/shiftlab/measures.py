@@ -379,16 +379,12 @@ def pattern_metric(
 
 
 def _as_cost_fn(cost: PatternCost | Mapping[tuple[Pattern, Pattern], Fraction]) -> PatternCost:
-    """A pattern cost as a function returning Fractions: a callable's values
-    are coerced exactly, and a table is looked up by pattern tuples."""
+    """A pattern cost as a function of (p, q): a callable as it is, and a
+    table looked up by pattern tuples.  Its values may be any exact
+    numbers; `_integer_costs` makes each one a Fraction."""
     if callable(cost):
-
-        def exact(p: Pattern, q: Pattern) -> Fraction:
-            c = cost(p, q)
-            return c if isinstance(c, Fraction) else Fraction(c)
-
-        return exact
-    table = {(tuple(p), tuple(q)): Fraction(w) for (p, q), w in cost.items()}
+        return cost
+    table = {(tuple(p), tuple(q)): w for (p, q), w in cost.items()}
 
     def fn(p: Pattern, q: Pattern) -> Fraction:
         try:
@@ -399,10 +395,25 @@ def _as_cost_fn(cost: PatternCost | Mapping[tuple[Pattern, Pattern], Fraction]) 
     return fn
 
 
-def _integer_costs(C: list[list[Fraction]]) -> tuple[int, list[list[int]]]:
-    """E = the lcm of the costs' denominators and the costs scaled by it."""
-    E = lcm(*(c.denominator for row in C for c in row))
-    return E, [[c.numerator * (E // c.denominator) for c in row] for row in C]
+def _integer_costs(costs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """E = the lcm of the costs' denominators and the costs scaled by it,
+    in one pass: the scale grows to each new denominator, and the costs
+    scaled so far grow with it.  Each cost is read exactly as its integer
+    ratio (Fractions, ints, floats and Decimals have one); any other value
+    is made a Fraction first."""
+    E = 1
+    out: list[int] = []
+    for c in costs:
+        try:
+            num, den = c.as_integer_ratio()
+        except AttributeError:
+            num, den = Fraction(c).as_integer_ratio()
+        if E % den:
+            grow = den // gcd(E, den)
+            E *= grow
+            out = [x * grow for x in out]
+        out.append(num * (E // den))
+    return E, out
 
 
 def _integer_problem(
@@ -412,17 +423,19 @@ def _integer_problem(
 ) -> tuple:
     """(rows, cols, D, a, b, E, K): the two supports, their counts a and b
     at D = lcm(mu.den, nu.den), and the costs K of their pairs at the lcm
-    E of the costs' denominators.  The windows must agree; a cost may have
-    any sign."""
-    if not mu.same_window(nu):
+    E of the costs' denominators, one list per row.  The windows must
+    agree; a cost may have any sign."""
+    if mu.sites != nu.sites:
         raise IncompatibleWindowsError("transport across different windows")
-    cost_fn = _as_cost_fn(cost)
-    rows, cols = mu.support(), nu.support()
+    fn = _as_cost_fn(cost)
+    rows, cols = sorted(mu.counts), sorted(nu.counts)
     D = lcm(mu.den, nu.den)
-    a = [mu.counts[p] * (D // mu.den) for p in rows]
-    b = [nu.counts[q] * (D // nu.den) for q in cols]
-    E, K = _integer_costs([[cost_fn(p, q) for q in cols] for p in rows])
-    return rows, cols, D, a, b, E, K
+    s, t = D // mu.den, D // nu.den
+    a = [mu.counts[p] * s for p in rows]
+    b = [nu.counts[q] * t for q in cols]
+    E, flat = _integer_costs([fn(p, q) for p in rows for q in cols])
+    n = len(cols)
+    return rows, cols, D, a, b, E, [flat[k : k + n] for k in range(0, len(flat), n)]
 
 
 def _coupled_mass(
@@ -517,21 +530,25 @@ def omega_hat_approx(
     W: FiniteSubset,
     merge_tol: Fraction | float,
     metric: AdmissibleMetric | None = None,
+    *,
+    measures: Mapping[int, PatternDistribution] | None = None,
 ) -> MeasureSet:
     """Greedy cluster representatives of the empirical measures along n_list.
 
     A new empirical measure joins an existing cluster when its Prokhorov
     distance to the representative (the cluster's first member) is at most
-    merge_tol; otherwise it opens a new cluster.
+    merge_tol; otherwise it opens a new cluster.  `measures` may hold some
+    of the empirical measures, already read, by n; the others are read here.
     """
     if not n_list:
         raise ValueError("n_list must be non-empty")
     merge_tol = Fraction(merge_tol)
     if merge_tol <= 0:
         raise ValueError("merge tolerance must be positive")
+    measures = measures or {}
     reps: list[PatternDistribution] = []
     for n in n_list:
-        emp = empirical_measure(x, F.set_at(n), W)
+        emp = measures[n] if n in measures else empirical_measure(x, F.set_at(n), W)
         if all(prokhorov_distance(emp, rep, metric) > merge_tol for rep in reps):
             reps.append(emp)
     return MeasureSet(reps)

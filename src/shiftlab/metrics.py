@@ -40,7 +40,6 @@ from .configs import (
     row_bits,
     rows_available,
 )
-from .errors import InvalidDimensionError
 from .groups import FiniteSubset, FolnerSequence, Point, compose
 
 
@@ -347,8 +346,6 @@ def mismatch_density(x: Configuration, z: Configuration, window: FiniteSubset) -
 
 def dbar_estimate(x: Configuration, z: Configuration, F: FolnerSequence, n: int) -> Fraction:
     """Exact mismatch density |{f in F_n : x(f) != z(f)}| / |F_n|."""
-    if x.dim != z.dim:
-        raise InvalidDimensionError("configurations of different dimension")
     return mismatch_density(x, z, F.set_at(n))
 
 
@@ -377,8 +374,6 @@ def joint_period_box(la: Lattice, lb: Lattice) -> FiniteSubset:
 def exact_mismatch_density(x: Configuration, z: Configuration) -> Fraction:
     """Exact dbar limit for two periodic configurations: the mismatch
     density over one joint period box of their declared lattices."""
-    if x.dim != z.dim:
-        raise InvalidDimensionError("configurations of different dimension")
     if x.period_lattice is None or z.period_lattice is None:
         raise ValueError("exact density needs two periodic configurations")
     return mismatch_density(x, z, joint_period_box(x.period_lattice, z.period_lattice))

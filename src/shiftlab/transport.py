@@ -8,19 +8,25 @@ The solver is a transportation simplex in integers, on the problem that
 Prokhorov's levels alike: masses scaled to their common denominator D and
 costs by the lcm E of theirs (`measures._integer_costs`, the one cost
 scale, which `Coupling.cost` also uses).  It runs from a northwest
-corner start, one walk of the basis tree per pivot for both the duals and
-the entering cycle, Bland-rule pivoting, and a complementary slackness
-certificate checked on every solve.  Its integer kernel, `_simplex`, also
-gives the coupled masses of `measures.prokhorov_distance`, whose levels
-thereby pass the same duality checks.  An independent oracle searches
-every integer contingency table at the common mass denominator (the
-transportation polytope has integral vertices there, so the search is
-exhaustive for the optimum) by branch and bound in integers, cutting a
-branch only on admissible row and column lower bounds.  The general
-joining infimum is computed only two honest ways: a monotone lower-bound
-chain from finite windows and an exact shift-enumeration oracle for
-periodic orbit measures.  Pair joinings read their joint patterns through
-`measures._pattern_counts`, the reader behind empirical measures.
+corner start that comes with its potentials, walks the basis tree once
+per pivot for the entering cycle and the next duals, pivots by Bland's
+rule, and has a complementary slackness certificate checked on every
+solve.  Its integer kernel, `_simplex`, also gives the coupled masses of
+`measures.prokhorov_distance`, whose levels thereby pass the same duality
+checks.  An independent oracle searches every integer contingency table
+at the common mass denominator (the transportation polytope has integral
+vertices there, so the search is exhaustive for the optimum) by branch
+and bound in integers, cutting a branch only on admissible row and column
+lower bounds.  Costs are read from the cost function as Fractions (or any
+exact numbers); every other Fraction is built at the edge, once per
+result: a solve's value and potentials, the oracle's value, and, in
+`hamming_per_site_cost`, one Fraction per mismatch count when the cost is
+made.  The general joining infimum is computed only two honest ways: a
+monotone lower-bound chain from finite windows and an exact
+shift-enumeration oracle for periodic orbit measures, which reads each
+binary configuration once, as bulk rows.  Pair joinings read their joint
+patterns through `measures._pattern_counts`, the reader behind empirical
+measures.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add, gt, mul, ne
 from typing import Callable, Mapping, Sequence
 
 from .configs import AdmissibleMetric, Configuration, Lattice, rows_available, shift
@@ -129,7 +136,7 @@ class Coupling:
     def cost(self, cost_fn: CostFn) -> Fraction:
         fn = _as_cost_fn(cost_fn)
         # exact in integers: counts over den, costs over the lcm S of theirs
-        S, (costs,) = _integer_costs([[fn(p, q) for p, q in self.counts]])
+        S, costs = _integer_costs([fn(p, q) for p, q in self.counts])
         total = sum(n * c for n, c in zip(self.counts.values(), costs))
         return Fraction(total, self.den * S)
 
@@ -150,13 +157,20 @@ class Coupling:
 
 
 def hamming_per_site_cost(sites: Sequence[Point]) -> CostFn:
-    """Mismatch count divided by window size."""
+    """Mismatch count divided by window size.  Patterns of another length
+    than the window are refused."""
     size = len(sites)
     if size == 0:
         raise ValueError("empty window")
+    # one Fraction per mismatch count, built with the cost, not per call
+    by_count = [Fraction(k, size) for k in range(size + 1)]
 
     def fn(p: Pattern, q: Pattern) -> Fraction:
-        return Fraction(sum(1 for a, b in zip(p, q) if a != b), size)
+        if len(p) != size or len(q) != size:
+            raise ValueError(
+                f"patterns of {len(p)} and {len(q)} sites on a window of {size}"
+            )
+        return by_count[sum(map(ne, p, q))]
 
     return fn
 
@@ -169,24 +183,37 @@ class TransportResult:
     col_potentials: dict[Pattern, Fraction]
 
 
-def _northwest_corner(a: list[int], b: list[int]) -> dict[tuple[int, int], int]:
-    """Initial basic feasible staircase with exactly m+n-1 cells; the keys
-    of the returned flows are the basis."""
+def _northwest_corner(
+    a: list[int], b: list[int], K: list[list[int]]
+) -> tuple[dict[tuple[int, int], int], list[int]]:
+    """Initial basic feasible staircase with exactly m+n-1 cells, and its
+    potentials.  The keys of the returned flows are the basis; ra and rb
+    are what row i still supplies and column j still needs.  Each cell
+    after (0, 0) brings in one new row or column, whose potential the
+    cell's cost fixes, so the potentials are those of `_basis_tree`."""
     m, n = len(a), len(b)
-    rem_a, rem_b = a[:], b[:]
     flows: dict[tuple[int, int], int] = {}
+    pot = [0] * (m + n)
+    pot[m] = K[0][0]
     i = j = 0
+    ra, rb = a[0], b[0]
     while True:
-        t = min(rem_a[i], rem_b[j])
+        t = ra if ra < rb else rb
         flows[(i, j)] = t
-        rem_a[i] -= t
-        rem_b[j] -= t
-        if i == m - 1 and j == n - 1:
-            return flows
-        if rem_a[i] == 0 and i < m - 1:
+        ra -= t
+        rb -= t
+        if not ra and i < m - 1:
             i += 1
-        else:
+            ra = a[i]
+            pot[i] = K[i][j] - pot[m + j]
+        elif j < n - 1:
             j += 1
+            rb = b[j]
+            pot[m + j] = K[i][j] - pot[i]
+        elif i < m - 1:
+            raise AssertionError("supplies and demands have different totals")
+        else:
+            return flows, pot
 
 
 def _basis_tree(basis, K, m: int, n: int) -> tuple[list[int], list[int], list[int]]:
@@ -222,17 +249,19 @@ def _simplex(
     optimal basis for supplies a, demands b (equal totals) and costs K.
 
     Flows map the basic cells (i, j) to their integer flows; potentials
-    are u_0..u_{m-1} then v_0..v_{n-1}.  Each pivot walks the basis tree
-    once; its potentials are the duals, and its parent pointers give the
-    entering cycle.  Pivoting uses Bland's rule (first negative reduced
-    cost in row-major order; lexicographically smallest leaving cell), so
-    the solve is deterministic and cannot cycle.  Dual feasibility and
-    strong duality are asserted, exactly, before returning.
+    are u_0..u_{m-1} then v_0..v_{n-1}.  The northwest-corner start comes
+    with its potentials, so a start that is already optimal walks no tree.
+    Each pivot walks the basis tree once: its parent pointers give the
+    entering cycle, and the walk of the new basis gives its potentials.
+    Pivoting uses Bland's rule (first negative reduced cost in row-major
+    order; lexicographically smallest leaving cell), so the solve is
+    deterministic and cannot cycle.  Dual feasibility and strong duality
+    are asserted, exactly, before returning.
     """
     m, n = len(a), len(b)
-    flows = _northwest_corner(a, b)
+    flows, pot = _northwest_corner(a, b, K)
+    parent = depth = None
     for _ in range(MAX_PIVOTS):
-        pot, parent, depth = _basis_tree(flows, K, m, n)
         u, v = pot[:m], pot[m:]
         # basic cells have reduced cost 0, so the scan needs no basis test
         enter = next(
@@ -240,6 +269,9 @@ def _simplex(
         )
         if enter is None:
             break
+        if parent is None:
+            # the staircase start has potentials but no tree yet
+            _, parent, depth = _basis_tree(flows, K, m, n)
         # tree path from row i0 and from column j0 up to their common
         # ancestor; signs alternate, -1 on the edge at row i0
         x, y = enter[0], m + enter[1]
@@ -259,6 +291,7 @@ def _simplex(
         for cell, sign in cycle:
             flows[cell] += sign * theta
         del flows[leaving]
+        pot, parent, depth = _basis_tree(flows, K, m, n)
     else:
         raise AssertionError("pivot limit exceeded; Bland's rule should prevent this")
 
@@ -266,7 +299,7 @@ def _simplex(
     # complementary slackness + strong duality, exact
     if any(K[i][j] < u[i] + v[j] for i in range(m) for j in range(n)):
         raise AssertionError("dual infeasibility after termination")
-    if sum(x * y for x, y in zip(pot, a + b)) != value:
+    if sum(map(mul, pot, a + b)) != value:
         raise AssertionError("strong duality violated; solver bug")
     return flows, pot, value
 
@@ -288,17 +321,18 @@ def min_cost_transport(
     and column sums against mu and nu.
     """
     rows, cols, D, a, b, E, K = _integer_problem(mu, nu, cost)
-    if any(c < 0 for row in K for c in row):
+    if min(map(min, K)) < 0:
         raise ValueError("costs must be nonnegative")
     flows, pot, value = _simplex(a, b, K)
     m = len(rows)
+    potentials = [Fraction(x, E) for x in pot]
     return TransportResult(
         coupling=Coupling.from_counts(
             mu, nu, {(rows[i], cols[j]): f for (i, j), f in flows.items()}
         ),
         value=Fraction(value, D * E),
-        row_potentials={p: Fraction(ui, E) for p, ui in zip(rows, pot[:m])},
-        col_potentials={q: Fraction(vj, E) for q, vj in zip(cols, pot[m:])},
+        row_potentials=dict(zip(rows, potentials)),
+        col_potentials=dict(zip(cols, potentials[m:])),
     )
 
 
@@ -314,31 +348,37 @@ def verify_transport_certificate(
     marginals and of the coupling.  It checks dual feasibility
     (u_p + v_q <= c_pq on every pair), tightness on the coupling's support
     and primal = value = dual, and reads nothing else of the solver.
+    Rows and columns are indexed in the supports' own order.
     """
-    cost_fn = _as_cost_fn(cost)
     coupling = result.coupling
-    mu, nu, counts = coupling.left, coupling.right, coupling.counts
+    mu, nu = coupling.left, coupling.right
     u, v = result.row_potentials, result.col_potentials
-    rows, cols = mu.support(), nu.support()
-    table = {(p, q): cost_fn(p, q) for p in rows for q in cols}
-    S = lcm(
-        *(c.denominator for c in table.values()),
-        *(u[p].denominator for p in rows),
-        *(v[q].denominator for q in cols),
-    )
-    M = lcm(mu.den, nu.den, coupling.den)
-    us = {p: u[p].numerator * (S // u[p].denominator) for p in rows}
-    vs = {q: v[q].numerator * (S // v[q].denominator) for q in cols}
-    cs = {pq: c.numerator * (S // c.denominator) for pq, c in table.items()}
-    if any(us[p] + vs[q] > c for (p, q), c in cs.items()):
+    rows, cols = list(mu.counts), list(nu.counts)
+    m, n = len(rows), len(cols)
+    fn = _as_cost_fn(cost)
+    # the costs row by row, then the potentials: one scale S for all
+    values = [fn(p, q) for p in rows for q in cols]
+    values += map(u.__getitem__, rows)
+    values += map(v.__getitem__, cols)
+    S, ints = _integer_costs(values)
+    us, vs = ints[m * n : m * n + m], ints[m * n + m :]
+    # dual feasibility, u_p + v_q <= c_pq on every pair, in one pass: each
+    # u repeated n times and the v's m times line up with the m n costs
+    if any(map(gt, map(add, [ui for ui in us for _ in cols], vs * m), ints)):
         return False
+    row_of, col_of = dict(zip(rows, range(m))), dict(zip(cols, range(n)))
+    primal = 0
     # a Coupling's counts are positive, so every key is in the support
-    if any(us[p] + vs[q] != cs[(p, q)] for p, q in counts):
-        return False
-    primal = (M // coupling.den) * sum(n * cs[pq] for pq, n in counts.items())
-    dual = sum(us[p] * c * (M // mu.den) for p, c in mu.counts.items()) + sum(
-        vs[q] * c * (M // nu.den) for q, c in nu.counts.items()
-    )
+    for (p, q), count in coupling.counts.items():
+        i, j = row_of[p], col_of[q]
+        c = ints[i * n + j]
+        if us[i] + vs[j] != c:
+            return False
+        primal += count * c
+    M = lcm(mu.den, nu.den, coupling.den)
+    primal *= M // coupling.den
+    dual = sum(map(mul, us, map(mu.counts.__getitem__, rows))) * (M // mu.den)
+    dual += sum(map(mul, vs, map(nu.counts.__getitem__, cols))) * (M // nu.den)
     value = result.value
     return primal == dual and primal * value.denominator == value.numerator * M * S
 
@@ -376,7 +416,7 @@ def brute_force_min_cost(
     for i in reversed(range(m - 1)):
         col_min[i] = list(map(min, K[i], col_min[i + 1]))
     # strictly above the cost of every table
-    unset = best = sum(ri * max(row) for ri, row in zip(r, K)) + 1
+    unset = best = sum(map(mul, r, map(max, K))) + 1
 
     def fill(i: int, acc: int) -> None:
         nonlocal best
@@ -384,20 +424,26 @@ def brute_force_min_cost(
             if not any(rem):
                 best = acc
             return
-        need = sum(x * cm for x, cm in zip(rem, col_min[i]))
+        need = sum(map(mul, rem, col_min[i]))
         if acc + max(row_tail[i], need) < best:
             place(i, 0, r[i], acc)
 
     def place(i: int, k: int, left: int, acc: int) -> None:
         j = order[i][k]
         cij = K[i][j]
-        last = k + 1 == n
-        nxt = 0 if last else K[i][order[i][k + 1]]
+        if k + 1 == n:
+            # the row's last column takes all that is left, if it can
+            if rem[j] >= left:
+                rem[j] -= left
+                fill(i + 1, acc + left * cij)
+                rem[j] += left
+            return
+        nxt = K[i][order[i][k + 1]]
         tail = row_tail[i + 1]
         for t in range(min(left, rem[j]), -1, -1):
             rest, cur = left - t, acc + t * cij
             # cutting here cuts every smaller t: cur + rest * nxt only grows
-            if rest and (last or cur + rest * nxt + tail >= best):
+            if rest and cur + rest * nxt + tail >= best:
                 break
             rem[j] -= t
             if rest:
@@ -520,20 +566,42 @@ def periodic_rho_oracle(a: PeriodicOrbitMeasure, b: PeriodicOrbitMeasure) -> Fra
     Every ergodic joining of two periodic systems is the uniform orbit
     measure of some relative shift, so the minimum of per-site mismatch
     frequency over one joint period, taken over all shifts in a joint
-    fundamental domain, is the exact value.
+    fundamental domain, is the exact value.  On bulk rows each
+    configuration is read once: x over the joint period box, z over the
+    box widened by one period, and shift s compares x's rows with z's rows
+    from s_0 on, each moved down by s_1 bits.  Otherwise every shift is
+    counted site by site.  The search stops at the first shift with no
+    mismatch.
     """
     if a.lattice.dim != b.lattice.dim:
         raise InvalidDimensionError("orbit measures in different dimensions")
+    x, z = a.config, b.config
     box = joint_period_box(a.lattice, b.lattice)
-    limit = ORACLE_ROW_PAIRS if rows_available(box, a.config, b.config) else ORACLE_SITE_PAIRS
+    on_rows = rows_available(box, x, z)
+    limit = ORACLE_ROW_PAIRS if on_rows else ORACLE_SITE_PAIRS
     if len(box) ** 2 > limit:
         raise ValueError(f"joint period {len(box)} too large for shift enumeration")
-    best = Fraction(1)
-    for s in box:
-        best = min(best, mismatch_density(a.config, shift(s, b.config), box))
-        if best == 0:
-            break
-    return best
+    if not on_rows:
+        best = Fraction(1)
+        for s in box:
+            best = min(best, mismatch_density(x, shift(s, z), box))
+            if best == 0:
+                break
+        return best
+    hi = box.bounds[1]
+    xs = x.rows(box)
+    zs = z.rows(FiniteSubset.box(box.bounds[0], tuple(2 * h for h in hi)))
+    height, width = len(xs), hi[-1] + 1
+    mask = (1 << width) - 1
+    best = len(box)
+    # a 1-D box is one row, so its shifts all move bits
+    for s0 in range(len(zs) - height + 1):
+        rows = zs[s0 : s0 + height]
+        for s1 in range(width):
+            best = min(best, sum((u ^ (w >> s1 & mask)).bit_count() for u, w in zip(xs, rows)))
+            if best == 0:
+                return Fraction(0)
+    return Fraction(best, len(box))
 
 
 def rho_bar_lower(

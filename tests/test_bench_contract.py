@@ -68,15 +68,27 @@ def bench_copy(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_tiny_untraced_run_is_correct(bench_copy, workload):
-    # untraced only: the traced runs' timing checks are noisy on a shared machine
+def _tiny_run(bench_copy, workload: str, trace: int) -> None:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seconds", "0",
-         "--trace", "0", "--tiny"],
+         "--trace", str(trace), "--tiny"],
         cwd=bench_copy, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["correct"] is True and result["failed"] == 0, proc.stderr
+    assert result["correct"] is True and result["failed"] == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_tiny_untraced_run_is_correct(bench_copy, workload):
+    # the CLI workloads run untraced only: the traced check on cli.main's own
+    # time is noisy on a shared machine
+    _tiny_run(bench_copy, workload, 0)
+
+
+def test_tiny_traced_oracle_run_is_correct(bench_copy):
+    # library calls only, so the traced span checks have milliseconds of
+    # headroom; the tracer's hooks read min_cost_transport's arguments, which
+    # only a traced run exercises
+    _tiny_run(bench_copy, "oracle-crosscheck", 1)

@@ -138,6 +138,25 @@ def test_omega_report_counts_clusters(capsys):
     assert len(report["representatives"]) == 2
 
 
+def test_omega_reads_each_empirical_measure_once(capsys, monkeypatch):
+    # the measure at max(n-list) is read once, for the cell budget, and is
+    # then clustered without a second read
+    from shiftlab import measures
+
+    sizes = []
+    pattern_counts = measures._pattern_counts
+
+    def counted(configs, window_set, W):
+        sizes.append(len(window_set))
+        return pattern_counts(configs, window_set, W)
+
+    monkeypatch.setattr(measures, "_pattern_counts", counted)
+    report = run_json(capsys, "omega", "--set", "visible", "--window", "2",
+                      "--n-list", "10,20,40")
+    assert sorted(sizes) == [11**2, 21**2, 41**2]
+    assert report["count"] == len(report["representatives"])
+
+
 def test_tempered_passes_at_two(capsys):
     report = run_json(capsys, "tempered", "--group", "z:1", "--n", "20", "--c", "2")
     assert report["passed"] is True
@@ -498,6 +517,12 @@ def test_examples_of_different_dimensions_are_refused(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err == "error: configurations of dimension 1 read on windows of dimension 2\n"
+
+
+def test_dbar_of_different_dimensions_is_refused_by_the_shared_check(capsys):
+    code, out, err = run(capsys, "dbar", "--x", "visible", "--z", "rf-sub:1")
+    assert code == 1 and out == ""
+    assert err == "error: configurations of dimension 1/2 read on windows of dimension 2\n"
 
 
 def test_oversized_solve_is_refused_before_solving(capsys):

@@ -1,6 +1,7 @@
 """Exact couplings: simplex solver, brute-force oracle, gluing, orbit chains."""
 
 import hashlib
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -10,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab.configs import Lattice, constant_config, periodic_config, shift, word_config
+from shiftlab.configs import (
+    Configuration,
+    Lattice,
+    constant_config,
+    periodic_config,
+    shift,
+    word_config,
+)
 from shiftlab.errors import (
     IncompatibleMiddleError,
     IncompatibleWindowsError,
@@ -18,6 +26,7 @@ from shiftlab.errors import (
 )
 from shiftlab.groups import FiniteSubset, make_box_folner
 from shiftlab.measures import PatternDistribution, empirical_measure
+from shiftlab.metrics import joint_period_box, mismatch_density
 from shiftlab.transport import (
     Coupling,
     PeriodicOrbitMeasure,
@@ -190,6 +199,23 @@ def test_transport_degenerate_instance():
     ham = hamming_per_site_cost(W2.sorted_points())
     result = min_cost_transport(m3, m4, ham)
     assert result.value == Fraction(1, 2) == brute_force_min_cost(m3, m4, ham)
+
+
+def test_hamming_cost_is_the_mismatch_share():
+    # every pair of patterns over three symbols, on windows of 1 to 4 sites
+    for size in range(1, 5):
+        cost = hamming_per_site_cost([(k,) for k in range(size)])
+        for p, q in itertools.product(itertools.product(range(3), repeat=size), repeat=2):
+            got = cost(p, q)
+            assert type(got) is Fraction
+            assert got == Fraction(sum(a != b for a, b in zip(p, q)), size)
+
+
+def test_hamming_cost_refuses_patterns_of_another_length():
+    cost = hamming_per_site_cost([(0,), (1,)])
+    for p, q in (((0,), (0, 1)), ((0, 1), (1,)), ((0, 1, 1), (1, 0, 0)), ((), ())):
+        with pytest.raises(ValueError, match="window of 2"):
+            cost(p, q)
 
 
 def test_transport_matches_brute_force_on_seeded_instances():
@@ -489,21 +515,77 @@ def _oracle_shaped(rng):
 SEEDED_SOLVES_SHA256 = "3d465037e03a0e44a495b8c66d28186fe02bce096c8718b0606f42796d97e9d8"
 
 
-def test_seeded_solves_hash_is_unchanged():
+def _seeded_instances():
+    """The 300 seeded criterion-05-shaped instances, Hamming and table costs
+    alternating."""
     rng = random.Random(1205)
-    digest = hashlib.sha256()
     for trial in range(300):
         mu, nu = _oracle_shaped(rng), _oracle_shaped(rng)
         cost = HAM0
         if trial % 2:
             cost = {((a,), (b,)): F(0) if a == b else F(rng.randint(0, 12), 12)
                     for a in range(6) for b in range(6)}
+        yield mu, nu, cost
+
+
+def test_seeded_solves_hash_is_unchanged():
+    digest = hashlib.sha256()
+    for mu, nu, cost in _seeded_instances():
         r = min_cost_transport(mu, nu, cost)
         digest.update(repr((
             r.value, r.coupling.to_dict(),
             sorted(r.row_potentials.items()), sorted(r.col_potentials.items()),
         )).encode())
     assert digest.hexdigest() == SEEDED_SOLVES_SHA256
+
+
+def _moved_off_a_tight_cell(result, cost):
+    """The optimal coupling with mass theta moved from (p, q2) and (p2, q)
+    onto (p, q), a cell that is not tight, and (p2, q2): the first such
+    exchange in sorted order, or None when there is none."""
+    fn = _cost_fn(cost)
+    u, v, w = result.row_potentials, result.col_potentials, result.coupling.weights
+    for (p, q2), (p2, q) in itertools.product(sorted(w), repeat=2):
+        if p == p2 or q == q2 or u[p] + v[q] == fn(p, q):
+            continue
+        theta = min(w[(p, q2)], w[(p2, q)])
+        moved = dict(w)
+        for cell, sign in (((p, q), 1), ((p2, q2), 1), ((p, q2), -1), ((p2, q), -1)):
+            moved[cell] = moved.get(cell, 0) + sign * theta
+        coupling = Coupling(result.coupling.left, result.coupling.right, moved)
+        return replace(result, coupling=coupling)
+    return None
+
+
+# sha256 over the exhaustive oracle's value and the certificate's verdicts on
+# each of the 300 seeded instances: the solver's result, then three forged
+# ones (the first row potential raised by 1/E, the value raised by 1/(D E),
+# mass moved off a tight cell), taken from the checkers of the commit before
+# their per-call work was cut
+CHECKERS_SHA256 = "6774d305d1b43ecc92ed2bfc2989eeded2b2bf9f1034446e7249f50f97bc5721"
+
+
+def test_seeded_checker_verdicts_are_unchanged():
+    digest = hashlib.sha256()
+    rejected = 0
+    for mu, nu, cost in _seeded_instances():
+        D, E = _scales(mu, nu, cost)
+        r = min_cost_transport(mu, nu, cost)
+        raised = dict(r.row_potentials)
+        raised[min(raised)] += F(1, E)
+        forged = [
+            replace(r, row_potentials=raised),
+            replace(r, value=r.value + F(1, D * E)),
+            _moved_off_a_tight_cell(r, cost),
+        ]
+        verdicts = [verify_transport_certificate(r, cost)] + [
+            None if f is None else verify_transport_certificate(f, cost) for f in forged
+        ]
+        assert verdicts[0] is True and True not in verdicts[1:]
+        rejected += sum(v is False for v in verdicts[1:])
+        digest.update(repr((brute_force_min_cost(mu, nu, cost), verdicts)).encode())
+    assert rejected > 600
+    assert digest.hexdigest() == CHECKERS_SHA256
 
 
 # --- glue_couplings ---------------------------------------------------------
@@ -641,6 +723,48 @@ def test_orbit_oracle_aligns_two_dimensional_checkerboards():
     o1 = PeriodicOrbitMeasure.from_config(checker)
     o2 = PeriodicOrbitMeasure.from_config(flipped)
     assert periodic_rho_oracle(o1, o2) == 0
+
+
+def _counting_rows(monkeypatch):
+    """Count Configuration.rows calls per configuration."""
+    calls: dict[int, int] = {}
+    rows = Configuration.rows
+
+    def counted(self, box):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return rows(self, box)
+
+    monkeypatch.setattr(Configuration, "rows", counted)
+    return calls
+
+
+@pytest.mark.parametrize("lattice, symbols", [
+    (Lattice.diagonal(7, dim=1), 2),
+    (Lattice.diagonal((3, 4)), 2),
+    (Lattice([[12, 1], [0, 12]]), 2),
+    (Lattice.diagonal(5, dim=1), 3),
+])
+def test_orbit_oracle_matches_per_shift_recounts(monkeypatch, lattice, symbols):
+    rng = random.Random(lattice.index * symbols)
+    box = joint_period_box(lattice, lattice)
+    for trial in range(3):
+        tables = [
+            {p: rng.randrange(symbols) for p in lattice.fundamental_domain()} for _ in range(2)
+        ]
+        x = periodic_config(lattice, tables[0], symbols)
+        # the last pair is a shifted copy, so its minimum is 0
+        base = periodic_config(lattice, tables[0 if trial == 2 else 1], symbols)
+        z = shift(tuple(rng.randint(-30, 30) for _ in range(lattice.dim)), base)
+        want = min(mismatch_density(x, shift(s, z), box) for s in box)
+        oa, oz = PeriodicOrbitMeasure(x, lattice), PeriodicOrbitMeasure(z, lattice)
+        calls = _counting_rows(monkeypatch)
+        assert periodic_rho_oracle(oa, oz) == want
+        monkeypatch.undo()
+        if trial == 2:
+            assert want == 0
+        if symbols == 2:
+            # one bulk read of each configuration
+            assert calls[id(x)] == calls[id(z)] == 1
 
 
 # --- rho_bar_lower ----------------------------------------------------------
