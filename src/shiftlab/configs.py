@@ -7,15 +7,20 @@ lower-triangular integer basis of itself, so its fundamental domain is
 always the box of that basis's diagonal and reduction into it needs no
 fractions.  A binary configuration also reads out in bulk over a 1-D or
 2-D box as bit-packed rows (`Configuration.rows`), which the estimators
-count with XOR and `int.bit_count`.  The metric machinery at the bottom
-implements summable translation weights with certified tail bounds, so
-truncated distances come back as exact [lo, hi] Fraction intervals.
+count with XOR and `int.bit_count`.  When it has such rows, its site
+reads (`Configuration.value`) come from memoized 64-column chunks of
+them too; the site rule it was built with stays the per-site reference,
+and configurations without rows read sites through it.  The metric
+machinery at the bottom implements summable translation weights with
+certified tail bounds, so truncated distances come back as exact
+[lo, hi] Fraction intervals.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -165,6 +170,9 @@ RowsRule = Callable[[Point, Point], list[int]]
 # rows they hold stay small however large the window is
 TILE_SITES = 1 << 20
 
+# a site read from bulk rows keeps at most this many 64-column row chunks
+CHUNK_MEMO = 1024
+
 
 def rows_available(window: FiniteSubset, *configs: "Configuration") -> bool:
     """Can the configurations be read as bulk rows over this window?
@@ -226,6 +234,50 @@ def _tile(period: str, start: int, width: int) -> int:
     return int(text[:width][::-1], 2)
 
 
+def _chunk_reader(dim: int, rows: RowsRule) -> Callable[[Point], int]:
+    """Site rule of a binary 1-D or 2-D configuration that answers from its
+    bulk rule: bit c & 63 of chunk (row, c >> 6), the aligned 64 columns of
+    the row from (c >> 6) << 6 on, is the site in column c of that row (a
+    1-D site c is in row 0).  Each chunk is read once, by `rows`, and kept
+    in a memo that is cleared when it holds CHUNK_MEMO chunks."""
+    memo: dict = {}
+    # the chunk last read, which a scan along a row reads again at once;
+    # it is always in the memo, since a clear comes just before a new one
+    last_a = last_k = chunk = None
+
+    if dim == 1:
+        def site(g: Point) -> int:
+            nonlocal last_k, chunk
+            (c,) = g
+            k = c >> 6
+            if k != last_k:
+                got = memo.get(k)
+                if got is None:
+                    if len(memo) >= CHUNK_MEMO:
+                        memo.clear()
+                    got = memo[k] = rows((k << 6,), ((k << 6) + 63,))[0]
+                last_k, chunk = k, got
+            return chunk >> (c & 63) & 1
+
+        return site
+
+    def site(g: Point) -> int:
+        nonlocal last_a, last_k, chunk
+        a, c = g
+        k = c >> 6
+        if k != last_k or a != last_a:
+            key = (a, k)
+            got = memo.get(key)
+            if got is None:
+                if len(memo) >= CHUNK_MEMO:
+                    memo.clear()
+                got = memo[key] = rows((a, k << 6), (a, (k << 6) + 63))[0]
+            last_a, last_k, chunk = a, k, got
+        return chunk >> (c & 63) & 1
+
+    return site
+
+
 def _grid(lo: Point, hi: Point) -> tuple[int, int, int, int]:
     """(first row coordinate, row count, first column, width) of a 1-D or
     2-D box; a 1-D box is a single row at coordinate 0."""
@@ -241,10 +293,13 @@ class Configuration:
     under translation by that sublattice; exact-orbit tooling relies on it,
     and `PeriodicOrbitMeasure` checks it.  `rows` is an optional bulk rule
     that must agree with `rule` on every site; constructors that know their
-    structure supply one.
+    structure supply one.  On a binary configuration of dimension 1 or 2,
+    `value` then answers from chunks of those rows (`_chunk_reader`), so
+    the agreement governs site reads too; `_rule` stays the per-site
+    reference.
     """
 
-    __slots__ = ("dim", "alphabet", "kind", "period_lattice", "_rule", "_rows")
+    __slots__ = ("dim", "alphabet", "kind", "period_lattice", "_rule", "_rows", "_site")
 
     def __init__(
         self,
@@ -264,9 +319,11 @@ class Configuration:
         self.period_lattice = period_lattice
         self._rule = rule
         self._rows = rows
+        chunked = rows is not None and dim <= 2 and self.alphabet.size == 2
+        self._site = _chunk_reader(dim, rows) if chunked else rule
 
     def value(self, g: Point) -> int:
-        return self._rule(g)
+        return self._site(g)
 
     def rows(self, box: FiniteSubset) -> list[int]:
         """Bit-packed rows of a binary configuration over a 1-D or 2-D box.
@@ -415,34 +472,47 @@ def patched_config(base: Configuration, patch: Mapping[Point, int]) -> Configura
     fixed = {tuple(k): base.alphabet.check(v) for k, v in patch.items()}
     if any(len(k) != base.dim for k in fixed):
         raise InvalidDimensionError("patch key of wrong dimension")
-    # the base's rule itself, so that a site read is one `value` frame
-    base_rule = base._rule
+    # the base's own rules, so that a site read is one `value` frame and a
+    # bulk read skips the base's box check, which the caller's has made
+    base_rule, base_rows = base._rule, base._rows
 
     def rule(g: Point) -> int:
         hit = fixed.get(g)
         return base_rule(g) if hit is None else hit
 
+    # row coordinate (0 in 1-D) -> the patch's (column, symbol) in that row,
+    # sorted, so that a read touches only the entries of its own columns
+    by_row: dict[int, list[tuple[int, int]]] = {}
+    for g, v in sorted(fixed.items()):
+        by_row.setdefault(g[0] if len(g) == 2 else 0, []).append((g[-1], v))
+
     def rows(lo: Point, hi: Point) -> list[int]:
-        out = base.rows(FiniteSubset.box(lo, hi))
-        a0, _, c0, _ = _grid(lo, hi)
-        for g, v in fixed.items():
-            if all(a <= c <= b for c, a, b in zip(g, lo, hi)):
-                i = g[0] - a0 if len(g) == 2 else 0
-                bit = 1 << (g[-1] - c0)
-                out[i] = out[i] | bit if v else out[i] & ~bit
+        out = base_rows(lo, hi)
+        a0, height, c0, width = _grid(lo, hi)
+        for i in range(height):
+            entries = by_row.get(a0 + i)
+            if not entries:
+                continue
+            row = out[i]
+            first, end = bisect_left(entries, (c0,)), bisect_left(entries, (c0 + width,))
+            for c, v in entries[first:end]:
+                bit = 1 << (c - c0)
+                row = row | bit if v else row & ~bit
+            out[i] = row
         return out
 
-    return Configuration(base.dim, base.alphabet, rule, kind=f"patched:{base.kind}", rows=rows)
+    return Configuration(base.dim, base.alphabet, rule, kind=f"patched:{base.kind}",
+                         rows=rows if base_rows is not None else None)
 
 
 def shift(g: Point, x: Configuration) -> Configuration:
     """Left shift action: (g.x)(h) = x(h + g)."""
     if len(g) != x.dim:
         raise InvalidDimensionError("shift by point of wrong dimension")
-    x_rule = x._rule
+    x_rule, x_rows = x._rule, x._rows
 
     def rows(lo: Point, hi: Point) -> list[int]:
-        return x.rows(FiniteSubset.box(compose(lo, g), compose(hi, g)))
+        return x_rows(compose(lo, g), compose(hi, g))
 
     return Configuration(
         x.dim,
@@ -450,7 +520,7 @@ def shift(g: Point, x: Configuration) -> Configuration:
         lambda h: x_rule(compose(h, g)),
         kind=x.kind,
         period_lattice=x.period_lattice,
-        rows=rows,
+        rows=rows if x_rows is not None else None,
     )
 
 

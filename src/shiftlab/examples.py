@@ -65,7 +65,9 @@ def _coprime_sieve(primes: tuple[int, ...] | None) -> RowsRule:
 
     Row m starts full and loses the multiples of each listed prime that
     divides m.  Every prime divides 0, so for None row 0 is its own case:
-    gcd(0, n) = |n| is 1 only at n = +-1.
+    gcd(0, n) = |n| is 1 only at n = +-1; and a row with |m| above the
+    square of its width takes one gcd per column instead of factoring m,
+    so a row costs O(width) however far out it lies.
     """
     def rows(lo: Point, hi: Point) -> list[int]:
         (m0, n0), (m1, n1) = lo, hi
@@ -78,6 +80,11 @@ def _coprime_sieve(primes: tuple[int, ...] | None) -> RowsRule:
                 divisors = [p for p in primes if m % p == 0]
             elif m == 0:
                 out.append(sum(1 << (n - n0) for n in (-1, 1) if n0 <= n <= n1))
+                continue
+            elif abs(m) > width * width:
+                # factoring m by trial division would cost more than a gcd
+                # per column
+                out.append(sum(1 << (n - n0) for n in range(n0, n1 + 1) if gcd(m, n) == 1))
                 continue
             else:
                 divisors = _prime_divisors(abs(m))

@@ -2,7 +2,10 @@
 reads rows returns the same Fraction as its per-site path.
 
 The per-site path is reached by handing an estimator the same window as an
-explicit point set (not a box), or a metric without shell weights.
+explicit point set (not a box), or a metric without shell weights.  Its
+configurations are rows-free twins (`twin`) that call the rule at every
+site, since a binary 1-D or 2-D configuration's own `value` reads chunks
+of the very rows under test.
 """
 
 import hashlib
@@ -104,12 +107,18 @@ def windows(draw, dim, side):
     return make_box_folner(dim, kind), draw(st.integers(1, max(1, top)))
 
 
+def twin(x):
+    """x without its bulk rule: `value` is the per-site rule itself."""
+    return Configuration(x.dim, x.alphabet, x._rule)
+
+
 def per_site(F, n):
     """The same window as an explicit point set, which the bulk layer skips."""
     return custom_folner([FiniteSubset(F.set_at(n).points())])
 
 
 def site_rows(x, box):
+    x = twin(x)
     lo, hi = box.bounds
     if box.dim == 1:
         return [sum(x.value((c,)) << j for j, c in enumerate(range(lo[0], hi[0] + 1)))]
@@ -138,13 +147,23 @@ def test_sieve_rows_across_the_axes(name):
         assert x.rows(box) == site_rows(x, box)
 
 
+def test_visible_rows_far_from_the_origin_match_the_rule():
+    # rows with |m| above their width squared take a gcd per column; trial
+    # division of 2^61 - 1 alone would take hours
+    x = resolve_example_name("visible")
+    for m in (4097, -4099, 2**40, -(3**30), 10**12 + 39, -(2**61 - 1)):
+        box = FiniteSubset.box((m, -70), (m, 70))
+        assert x.rows(box) == site_rows(x, box)
+        assert [x.value(g) for g in box] == [x._rule(g) for g in box]
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_dbar_matches_per_site(data):
     dim, x, z = data.draw(pairs())
     F, n = data.draw(windows(dim, 200 if dim == 1 else 30))
     assert rows_available(F.set_at(n), x, z)
-    assert dbar_estimate(x, z, F, n) == dbar_estimate(x, z, per_site(F, n), 1)
+    assert dbar_estimate(x, z, F, n) == dbar_estimate(twin(x), twin(z), per_site(F, n), 1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -153,7 +172,8 @@ def test_indicator_density_matches_per_site(data, symbol):
     dim, x, _ = data.draw(pairs())
     F, n = data.draw(windows(dim, 200 if dim == 1 else 30))
     bulk = upper_density(x.indicator(symbol), F, [n]).rows[0].value
-    sites = upper_density(lambda g: x.value(g) == symbol, F, [n]).rows[0].value
+    ref = twin(x)
+    sites = upper_density(lambda g: ref.value(g) == symbol, F, [n]).rows[0].value
     assert bulk == sites
 
 
@@ -163,7 +183,8 @@ def test_exact_mismatch_density_matches_per_site(data):
     dim, x, z = data.draw(pairs(PERIODIC))
     axes = tuple(lcm(a, b) for a, b in zip(x.period_lattice.moduli, z.period_lattice.moduli))
     box = FiniteSubset.box((0,) * dim, tuple(m - 1 for m in axes))
-    bad = sum(1 for g in box if x.value(g) != z.value(g))
+    rx, rz = twin(x), twin(z)
+    bad = sum(1 for g in box if rx.value(g) != rz.value(g))
     assert exact_mismatch_density(x, z) == Fraction(bad, len(box))
 
 
@@ -177,9 +198,10 @@ def test_periodic_oracle_matches_per_site_minimum(data):
     z = shift(tuple(data.draw(st.integers(-20, 20)) for _ in range(dim)), z)
     axes = tuple(lcm(a, b) for a, b in zip(x.period_lattice.moduli, z.period_lattice.moduli))
     box = FiniteSubset.box((0,) * dim, tuple(m - 1 for m in axes))
-    xs = {g: x.value(g) for g in box}
+    rz = twin(z)
+    xs = {g: twin(x).value(g) for g in box}
     best = min(
-        sum(1 for g in box if xs[g] != z.value(tuple(a + b for a, b in zip(g, s))))
+        sum(1 for g in box if xs[g] != rz.value(tuple(a + b for a, b in zip(g, s))))
         for s in box
     )
     oa, oz = PeriodicOrbitMeasure.from_config(x), PeriodicOrbitMeasure.from_config(z)
@@ -192,14 +214,15 @@ def test_besicovitch_estimates_match_per_site(data, radius):
     dim, x, z = data.draw(pairs())
     F, n = data.draw(windows(dim, 60 if dim == 1 else 7))
     ref = per_site(F, n)
+    rx, rz = twin(x), twin(z)
     metric = default_metric(dim)
     plain = AdmissibleMetric(dim, metric.weight, metric.tail_bound)  # no shell weights
     got = besicovitch_estimate(x, z, F, n, radius=radius)
-    assert got == besicovitch_estimate(x, z, ref, 1, radius=radius)
-    assert got == besicovitch_estimate(x, z, F, n, plain, radius)
+    assert got == besicovitch_estimate(rx, rz, ref, 1, radius=radius)
+    assert got == besicovitch_estimate(rx, rz, F, n, plain, radius)
     dp = besicovitch_prime_estimate(x, z, F, n, radius=radius)
-    assert dp == besicovitch_prime_estimate(x, z, ref, 1, radius=radius)
-    assert dp == besicovitch_prime_estimate(x, z, F, n, plain, radius)
+    assert dp == besicovitch_prime_estimate(rx, rz, ref, 1, radius=radius)
+    assert dp == besicovitch_prime_estimate(rx, rz, F, n, plain, radius)
 
 
 @settings(max_examples=80, deadline=None)
@@ -212,7 +235,7 @@ def test_empirical_measure_matches_per_site(data):
     W = FiniteSubset.box(wlo, tuple(a + data.draw(st.integers(0, side - 1)) for a in wlo))
     window = F.set_at(n)
     assert empirical_measure(x, window, W) == empirical_measure(
-        x, FiniteSubset(window.points()), W
+        twin(x), FiniteSubset(window.points()), W
     )
 
 
@@ -242,10 +265,10 @@ def test_tile_seams_change_no_count(data, tile):
         assert len(list(box_tiles(window))) > 1 or len(window) <= tile
         got = (dbar_estimate(x, z, F, n), upper_density(x.indicator(1), F, [n]).rows[0].value,
                empirical_measure(x, window, W))
-    ref = per_site(F, n)
-    assert got == (dbar_estimate(x, z, ref, 1),
-                   upper_density(lambda g: x.value(g) == 1, F, [n]).rows[0].value,
-                   empirical_measure(x, FiniteSubset(window.points()), W))
+    ref, rx, rz = per_site(F, n), twin(x), twin(z)
+    assert got == (dbar_estimate(rx, rz, ref, 1),
+                   upper_density(lambda g: rx.value(g) == 1, F, [n]).rows[0].value,
+                   empirical_measure(rx, FiniteSubset(window.points()), W))
 
 
 def test_every_binary_name_reads_rows_without_site_calls():
@@ -420,6 +443,83 @@ def test_patched_and_shifted_sites_read_their_base(dim):
         assert y.value(g) == patch.get(h, hashed(23, h))
 
 
+# --- site reads from memoized row chunks -------------------------------------
+
+# columns across the chunk seams at -128, -64, 0, 64 and 128
+SEAM_COLUMNS = range(-131, 132)
+
+
+def chunk_sites(dim):
+    """Sites of a few rows across chunk seams, then one site in each of more
+    distinct chunks than the memo holds, then the first sites again."""
+    rows = (0,) if dim == 1 else (-65, -1, 0, 3, 64)
+    sites = [(a, c)[-dim:] for a in rows for c in SEAM_COLUMNS]
+    far = [(i * 64 + i % 64,) if dim == 1 else (i - 40, i % 64 - 32)
+           for i in range(-20, configs.CHUNK_MEMO + 40)]
+    return sites + far + sites[::7]
+
+
+@pytest.mark.parametrize("dim", (1, 2))
+def test_site_reads_match_the_rule(dim):
+    rng = random.Random(dim)
+    sites = chunk_sites(dim)
+    for name in NAMES[dim]:
+        x = make(name, dim, 11)
+        patch = {(rng.choice((-1, 0, 3)), c)[-dim:]: rng.randint(0, 1)
+                 for c in (-129, -128, -65, -64, -1, 0, 63, 64, 127, 128)}
+        for y in (x, shift((-37, 70)[-dim:], x), patched_config(x, patch)):
+            assert [y.value(g) for g in sites] == [y._rule(g) for g in sites], (name, y.kind)
+
+
+def counted(x):
+    """x with a rows rule that logs each call's corners, and that log."""
+    calls = []
+
+    def rows(lo, hi):
+        calls.append((lo, hi))
+        return x._rows(lo, hi)
+
+    return Configuration(x.dim, x.alphabet, x._rule, rows=rows), calls
+
+
+def chunk_memo(x):
+    """The chunk memo that x's site reads keep."""
+    (memo,) = (c.cell_contents for c in x._site.__closure__ if isinstance(c.cell_contents, dict))
+    return memo
+
+
+def test_one_row_read_site_by_site_reads_each_chunk_once():
+    x, calls = counted(random_config(2, 3))
+    row = [(5, c) for c in range(-90, 91)]
+    assert [x.value(g) for g in row] == [hashed(3, g) for g in row]
+    assert len(calls) <= -(-181 // 64) + 1
+    assert all(hi[1] - lo[1] == 63 and lo[1] % 64 == 0 and lo[0] == hi[0] == 5
+               for lo, hi in calls)
+
+
+@pytest.mark.parametrize("dim", (1, 2))
+def test_chunk_memo_stays_within_its_bound(dim):
+    x, calls = counted(random_config(dim, 4))
+    memo = chunk_memo(x)
+    for g in chunk_sites(dim):
+        assert x.value(g) == hashed(4, g)
+        assert len(memo) <= configs.CHUNK_MEMO
+    assert len(calls) > configs.CHUNK_MEMO
+
+
+def test_sites_without_a_two_symbol_rows_rule_are_read_by_the_rule():
+    def no_rows(lo, hi):
+        raise AssertionError("rows rule called")
+
+    x = random_config(2, 5, alphabet=3)
+    assert x._rows is None and x._site is x._rule
+    box = FiniteSubset.box((-3, -70), (3, 70))
+    ternary = Configuration(2, 3, x._rule, rows=no_rows)
+    assert all(x.value(g) == ternary.value(g) == hashed(5, g, 3) for g in box)
+    cube = Configuration(3, 2, lambda g: sum(g) % 2, rows=no_rows)
+    assert all(cube.value(g + (1,)) == (sum(g) + 1) % 2 for g in box)
+
+
 def test_tiles_partition_large_boxes():
     for box in (FiniteSubset.box((-3, -5), (2500, 1200)),
                 FiniteSubset.box((0, -7), (2, 3_000_000)),
@@ -497,8 +597,9 @@ def test_periodic_oracle_under_a_skew_lattice_matches_per_site_minimum():
     rng = random.Random(12)
     x, z = _random_table(lat, rng), _random_table(lat, rng)
     box = joint_period_box(lat, lat)
+    rx, rz = twin(x), twin(z)
     best = min(
-        sum(1 for g in box if x.value(g) != z.value(tuple(a + b for a, b in zip(g, s))))
+        sum(1 for g in box if rx.value(g) != rz.value(tuple(a + b for a, b in zip(g, s))))
         for s in box
     )
     oracle = periodic_rho_oracle(PeriodicOrbitMeasure(x, lat), PeriodicOrbitMeasure(z, lat))
@@ -573,7 +674,7 @@ def test_pattern_codes_match_per_site_across_lanes(corners, monkeypatch):
     for name in NAMES[W.dim]:
         x = make(name, W.dim, 3)
         assert empirical_measure(x, window, W) == empirical_measure(
-            x, FiniteSubset(window.points()), W
+            twin(x), FiniteSubset(window.points()), W
         ), name
 
 
@@ -587,7 +688,7 @@ def test_pair_joining_codes_match_per_site_across_lanes(corners, monkeypatch):
         x, z = make(name, W.dim, 5), make(names[(i + 3) % len(names)], W.dim, 6)
         joint = pair_empirical_joining(x, z, window, W)
         assert joint.to_dict() == pair_empirical_joining(
-            x, z, FiniteSubset(window.points()), W
+            twin(x), twin(z), FiniteSubset(window.points()), W
         ).to_dict(), name
 
 

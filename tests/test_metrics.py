@@ -313,7 +313,8 @@ def test_joint_period_box_of_a_non_product_lattice():
     rng = random.Random(3)
     x, z = (periodic_config(lat, {p: rng.randint(0, 1) for p in lat.fundamental_domain()})
             for _ in range(2))
-    bad = sum(1 for g in box if x.value(g) != z.value(g))
+    # the site rules, not `value`, which reads chunks of the rows under test
+    bad = sum(1 for g in box if x._rule(g) != z._rule(g))
     assert exact_mismatch_density(x, z) == Fraction(bad, len(box))
     # the oracle accepts the pair (the index^2 box made it refuse) and finds shift 0
     orbit = PeriodicOrbitMeasure.from_config(x)

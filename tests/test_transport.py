@@ -489,6 +489,19 @@ def test_certificate_rejects_tight_potentials_that_are_not_feasible():
     assert not verify_transport_certificate(forged, HAM0)
 
 
+def test_certificate_rejects_mass_off_the_tight_cells_of_a_malformed_coupling():
+    # built around `from_counts`, so its row sums are not mu: under feasible
+    # u = (1, 0), v = (-1, 0), primal = dual = value = 1/2, and only the
+    # mass on (1, 0), where u_1 + v_0 = -1 < 1 = c_10, shows it
+    mu, nu = dist({0: F(3, 4), 1: F(1, 4)}), dist({0: F(1, 4), 1: F(3, 4)})
+    forged = Coupling.__new__(Coupling)
+    forged.left, forged.right, forged.den = mu, nu, 2
+    forged.counts = {((1,), (0,)): 1, ((0,), (0,)): 1}
+    u, v = {(0,): F(1), (1,): F(0)}, {(0,): F(-1), (1,): F(0)}
+    result = TransportResult(coupling=forged, value=F(1, 2), row_potentials=u, col_potentials=v)
+    assert not verify_transport_certificate(result, HAM0)
+
+
 def test_certificate_accepts_an_optimal_coupling_finer_than_its_marginals():
     # under a constant cost every coupling is optimal; this one has
     # denominator 6, which does not divide the marginals' denominator 2
