@@ -50,6 +50,7 @@ print(f"  exact joining value {oracle}  (every chain entry is a lower bound)")
 rng = Random(11)
 rx, rz = random_periodic_pair(rng)
 report = check_db_ge_rho(rx, rz, make_box_folner(1), 2000, 3)
-print("\nrandom periodic pair, dbar against the joining value:")
-print(f"  dbar={float(report.dbar):.4f}  oracle={float(report.oracle):.4f}"
-      f"  chain={[str(c) for c in report.chain]}  passed={report.passed}")
+print("\nrandom periodic pair, dbar against the joining value, by exact links:")
+print(f"  chain={[str(c) for c in report.chain]} <= oracle={report.oracle}"
+      f" <= limit={report.limit}")
+print(f"  dbar={report.dbar} >= floor={report.floor}  passed={report.passed}")

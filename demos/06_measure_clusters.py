@@ -38,8 +38,8 @@ osc = predicate_config(1, scale_parity, name="scale-parity")
 sizes = [2**k for k in range(2, 11)]
 clusters = omega_hat_approx(osc, F, sizes, W, Fraction(1, 10))
 print(f"\nscale-parity config, cluster representatives over n in {sizes}:")
-print(f"  {len(clusters.members)} clusters at merge tolerance 1/10")
-for m in clusters.members:
+print(f"  {len(clusters)} clusters at merge tolerance 1/10")
+for m in clusters:
     ones = sum(w for pat, w in m.weights.items() if pat[0] == 1)
     print(f"  representative with one-symbol mass {ones} at the left site")
 print("the averages keep oscillating, so no single limit law exists")

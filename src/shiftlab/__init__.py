@@ -40,8 +40,6 @@ from .configs import (
     config_distance,
     constant_config,
     default_metric,
-    pattern_from_json,
-    pattern_to_json,
     patched_config,
     periodic_config,
     predicate_config,
@@ -65,7 +63,6 @@ from .metrics import (
 )
 from .measures import (
     GenericityReport,
-    MeasureSet,
     PatternDistribution,
     empirical_measure,
     genericity_check,

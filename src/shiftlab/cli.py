@@ -365,7 +365,7 @@ def _cmd_omega(cfg: dict) -> dict:
     last = empirical_measure(x, F.set_at(top), W)
     _within_cell_budget(last, last)
     reps = omega_hat_approx(x, F, cfg["n-list"], W, cfg["merge-tol"], measures={top: last})
-    return {"representatives": [m.to_dict() for m in reps.members], "count": len(reps.members)}
+    return {"representatives": [m.to_dict() for m in reps], "count": len(reps)}
 
 
 def _cmd_transport(cfg: dict) -> dict:
@@ -443,10 +443,12 @@ def _cmd_nowy_check(cfg: dict) -> dict:
     items = []
     for _ in range(count):
         x, z = random_periodic_pair(rng, cfg["max-period"])
-        rep = check_db_ge_rho(x, z, F, cfg["n"], cfg["k-max"], cfg["tol"])
+        rep = check_db_ge_rho(x, z, F, cfg["n"], cfg["k-max"])
         items.append({
             "periods": [x.period_lattice.index, z.period_lattice.index],
             "dbar": _frac(rep.dbar),
+            "dbar_floor": _frac(rep.floor),
+            "dbar_limit": _frac(rep.limit),
             "oracle": _frac(rep.oracle),
             "chain": [_frac(c) for c in rep.chain],
             "passed": rep.passed,
@@ -675,8 +677,6 @@ COMMANDS: list[tuple[str, Callable[[dict], EstimateTrace | dict], str, list[Para
         Param("seed", int, 7),
         Param("n", _at_least(int, 1), 10_000, "window index for the dbar estimate"),
         _K_MAX,
-        Param("tol", _at_least(Fraction, 0), Fraction(1, 100),
-              "allowed shortfall of dbar below the oracle"),
         Param("max-period", _at_least(int, 1), 12),
     ]),
     ("triangle-check", _cmd_triangle_check, "transport triangle inequality on random triples (JSON)", [

@@ -18,7 +18,6 @@ certified tail bounds, so truncated distances come back as exact
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -527,26 +526,6 @@ def shift(g: Point, x: Configuration) -> Configuration:
 def restrict(x: Configuration, window: FiniteSubset | Iterable[Point]) -> tuple[int, ...]:
     """Pattern of x over the window, in ascending lexicographic site order."""
     return tuple(x.value(p) for p in sorted_sites(window))
-
-
-def pattern_to_json(window: FiniteSubset | Iterable[Point], symbols: Sequence[int]) -> str:
-    """Serialize a finite pattern: canonical site list plus symbol list."""
-    sites = sorted_sites(window)
-    symbols = tuple(int(s) for s in symbols)
-    if len(sites) != len(symbols):
-        raise ValueError(f"{len(sites)} sites vs {len(symbols)} symbols")
-    return json.dumps({"window": [list(p) for p in sites], "symbols": list(symbols)})
-
-
-def pattern_from_json(text: str) -> tuple[FiniteSubset, tuple[int, ...]]:
-    obj = json.loads(text)
-    sites = [tuple(int(c) for c in p) for p in obj["window"]]
-    symbols = tuple(int(s) for s in obj["symbols"])
-    if len(sites) != len(symbols):
-        raise ValueError("window/symbols length mismatch")
-    if sites != sorted(sites):
-        raise ValueError("window sites not in canonical order")
-    return FiniteSubset(sites), symbols
 
 
 # --- admissible metric ------------------------------------------------------

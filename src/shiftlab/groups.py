@@ -277,14 +277,8 @@ def custom_folner(sets: Sequence[FiniteSubset]) -> FolnerSequence:
     return FolnerSequence(dim=dim, kind="custom", length=len(sets), _at=lambda n: sets[n - 1])
 
 
-def folner_defect(F: FiniteSubset, g: Point, side: str = "left") -> Fraction:
-    """|gF symdiff F| / |F| (side "left") or |Fg symdiff F| / |F| ("right").
-
-    In Z^d both translates coincide; the parameter is kept so callers can
-    state which version they mean.
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+def folner_defect(F: FiniteSubset, g: Point) -> Fraction:
+    """|gF symdiff F| / |F|; in Z^d the left and right translates coincide."""
     if len(F) == 0:
         raise ValueError("defect of an empty set")
     moved = F.translate(g)

@@ -13,6 +13,9 @@ transport's own problems.  The coupled mass
 changes only at the pairwise pattern distances, so a binary search over
 those finitely many levels returns the infimum itself, not an
 approximation to it.  Equal distributions compare at literal distance 0.
+Sets of measures are plain sequences of distributions: the Hausdorff
+distance takes two, and `omega_hat_approx` returns its cluster
+representatives as a list.
 """
 
 from __future__ import annotations
@@ -226,20 +229,6 @@ def _lowest_terms(den: int, counts: dict[Pattern, int]) -> tuple[int, dict[Patte
     if g == 1:
         return den, counts
     return den // g, {pat: c // g for pat, c in counts.items()}
-
-
-@dataclass
-class MeasureSet:
-    """Finite list of distributions over a common window."""
-
-    members: list[PatternDistribution]
-
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise ValueError("measure set must be non-empty")
-        first = self.members[0]
-        if any(not m.same_window(first) for m in self.members):
-            raise IncompatibleWindowsError("measure set spans several windows")
 
 
 def empirical_measure(
@@ -503,23 +492,18 @@ def prokhorov_distance(
 
 
 def hausdorff_prokhorov(
-    S: MeasureSet | Sequence[PatternDistribution],
-    T: MeasureSet | Sequence[PatternDistribution],
+    S: Sequence[PatternDistribution],
+    T: Sequence[PatternDistribution],
     metric: AdmissibleMetric | None = None,
     *,
     dist_fn: PatternCost | None = None,
 ) -> Fraction:
     """max(sup_s inf_t, sup_t inf_s) of pairwise Prokhorov distances."""
-    s_members = list(S.members if isinstance(S, MeasureSet) else S)
-    t_members = list(T.members if isinstance(T, MeasureSet) else T)
-    if not s_members or not t_members:
+    if not S or not T:
         raise ValueError("Hausdorff distance of an empty measure set")
-    table = [
-        [prokhorov_distance(s, t, metric, dist_fn=dist_fn) for t in t_members]
-        for s in s_members
-    ]
+    table = [[prokhorov_distance(s, t, metric, dist_fn=dist_fn) for t in T] for s in S]
     forward = max(min(row) for row in table)
-    backward = max(min(table[i][j] for i in range(len(s_members))) for j in range(len(t_members)))
+    backward = max(min(col) for col in zip(*table))
     return max(forward, backward)
 
 
@@ -532,7 +516,7 @@ def omega_hat_approx(
     metric: AdmissibleMetric | None = None,
     *,
     measures: Mapping[int, PatternDistribution] | None = None,
-) -> MeasureSet:
+) -> list[PatternDistribution]:
     """Greedy cluster representatives of the empirical measures along n_list.
 
     A new empirical measure joins an existing cluster when its Prokhorov
@@ -551,7 +535,7 @@ def omega_hat_approx(
         emp = measures[n] if n in measures else empirical_measure(x, F.set_at(n), W)
         if all(prokhorov_distance(emp, rep, metric) > merge_tol for rep in reps):
             reps.append(emp)
-    return MeasureSet(reps)
+    return reps
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,12 @@ result: a solve's value and potentials, the oracle's value, and, in
 made.  The general joining infimum is computed only two honest ways: a
 monotone lower-bound chain from finite windows and an exact
 shift-enumeration oracle for periodic orbit measures, which reads each
-binary configuration once, as bulk rows.  Pair joinings read their joint
-patterns through `measures._pattern_counts`, the reader behind empirical
-measures.
+binary configuration once, as bulk rows.  The harness that dbar
+dominates that infimum, `check_db_ge_rho`, is decided by exact links
+alone (chain <= oracle <= the dbar limit, and dbar over a box window >= a
+floor counted from the whole joint periods it holds), never by a
+tolerance.  Pair joinings read their joint patterns through
+`measures._pattern_counts`, the reader behind empirical measures.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from .measures import (
     empirical_measure,
     pattern_metric,
 )
-from .metrics import dbar_estimate, joint_period_box, mismatch_density
+from .metrics import dbar_estimate, exact_mismatch_density, joint_period_box, mismatch_density
 
 Pattern = tuple[int, ...]
 CostFn = Callable[[Pattern, Pattern], Fraction]
@@ -650,9 +653,10 @@ class DbRhoReport:
     dbar: Fraction
     oracle: Fraction
     chain: tuple[Fraction, ...]
+    limit: Fraction
+    floor: Fraction
     n: int
     k_max: int
-    tol: Fraction
     passed: bool
 
 
@@ -662,13 +666,23 @@ def check_db_ge_rho(
     F: FolnerSequence,
     n: int,
     k_max: int,
-    tol: Fraction | float = Fraction(1, 100),
 ) -> DbRhoReport:
     """Finite-scale harness for: Besicovitch dbar dominates the joining
-    infimum.  Needs periodic configurations so the infimum is computable."""
-    tol = Fraction(tol)
+    infimum.  Needs periodic configurations so the infimum is computable.
+
+    Passes on exact links only: every chain entry is at most the oracle;
+    the oracle is at most `limit`, the dbar limit `exact_mismatch_density`,
+    since shift 0 is one of the oracle's shifts; and dbar over the box F_n
+    is at least `floor` = limit * whole / |F_n|.  `whole` counts the sites
+    of F_n covered by whole translates of the joint period box (side_i less
+    side_i mod M_i on each axis), and every translate of that box holds
+    exactly limit * |box| mismatches.
+    """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    window = F.set_at(n)
+    if not window.is_box:
+        raise ValueError("the dbar floor needs a box window F_n")
     oa = PeriodicOrbitMeasure.from_config(x)
     ob = PeriodicOrbitMeasure.from_config(z)
     windows = [
@@ -679,9 +693,17 @@ def check_db_ge_rho(
     )
     oracle = periodic_rho_oracle(oa, ob)
     dbar = dbar_estimate(x, z, F, n)
-    passed = dbar >= oracle - tol and all(c <= oracle for c in chain)
+    limit = exact_mismatch_density(x, z)
+    period = [h + 1 for h in joint_period_box(oa.lattice, ob.lattice).bounds[1]]
+    whole = 1
+    for lo, hi, m in zip(*window.bounds, period):
+        side = hi - lo + 1
+        whole *= side - side % m
+    floor = limit * whole / len(window)
+    passed = all(c <= oracle for c in chain) and oracle <= limit and dbar >= floor
     return DbRhoReport(
-        dbar=dbar, oracle=oracle, chain=chain, n=n, k_max=k_max, tol=tol, passed=passed
+        dbar=dbar, oracle=oracle, chain=chain, limit=limit, floor=floor,
+        n=n, k_max=k_max, passed=passed,
     )
 
 

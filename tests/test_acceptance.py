@@ -238,10 +238,12 @@ def test_criterion_07_dbar_dominates_oracle():
         rng = random.Random(7)
         for _ in range(20):
             x, z = random_periodic_pair(rng)
-            report = check_db_ge_rho(x, z, F1, 10_000, 3, tol=ORACLE_TOL)
+            report = check_db_ge_rho(x, z, F1, 10_000, 3)
             assert report.passed
             assert report.dbar >= report.oracle - ORACLE_TOL
             assert all(c <= report.oracle for c in report.chain)
+            assert report.floor <= report.dbar
+            assert report.oracle <= report.limit
         assert time.monotonic() - t0 < 60.0
 
     _record(7, "20 seeded pairs: dbar at n=10^4 >= oracle - 0.01, chain <= oracle, under 60s", body)

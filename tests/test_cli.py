@@ -4,9 +4,11 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import shutil
 import subprocess
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -202,6 +204,25 @@ def test_nowy_check_on_seeded_pairs(capsys):
         assert item["passed"] is True
 
 
+def test_nowy_check_is_decided_by_exact_links(capsys):
+    # at n = 50 some dbar values lie more than 1/100 below the oracle; the
+    # floor from the whole joint periods in {0..50} still bounds each one
+    report = run_json(capsys, "nowy-check", "--n", "50", "--seed", "3", "--pairs", "random:20")
+    assert report["passed"] is True and len(report["items"]) == 20
+    assert "tol" not in report["config"]
+    frac = lambda v: Fraction(v["fraction"])
+    for item in report["items"]:
+        assert item["passed"] is True
+        assert all(frac(c) <= frac(item["oracle"]) for c in item["chain"])
+        assert frac(item["oracle"]) <= frac(item["dbar_limit"])
+        assert frac(item["dbar_floor"]) <= frac(item["dbar"])
+    assert any(frac(it["dbar"]) < frac(it["oracle"]) - Fraction(1, 100) for it in report["items"])
+
+
+def test_nowy_check_has_no_tolerance_flag(capsys):
+    assert run(capsys, "nowy-check", "--tol", "0.01")[0] == 1
+
+
 def test_convergence_reduced_run_passes(capsys):
     code, out, _ = run(
         capsys, "convergence", "--N", "240", "--n-max", "3",
@@ -223,7 +244,8 @@ def test_convergence_reduced_run_passes(capsys):
     ["rho-chain", "--x", "rf-sub:2", "--z", "rf-sub:3", "--k-max", "2"],
     ["glue-check", "--trials", "5", "--seed", "3"],
     ["nowy-check", "--pairs", "random:2", "--seed", "7", "--n", "2000", "--max-period", "6"],
-    # dbar over 3 sites is 1/3, below the joining infimum 3/5: the check fails
+    # dbar over 3 sites is 1/3, below the joining infimum 3/5, but no whole
+    # joint period fits in 3 sites, so the floor is 0 and the check passes
     ["nowy-check", "--pairs", "random:1", "--seed", "6", "--n", "2", "--max-period", "6"],
 ], ids=" ".join)
 def test_exit_code_is_two_exactly_when_the_report_fails(capsys, argv):
@@ -393,7 +415,6 @@ _RF_PAIR = ["--x", "rf-sub:1", "--z", "rf-sub:2"]
         (["convergence"], "n-max", "0"),
         (["convergence"], "n-max", "6"),
         (["convergence"], "stages", "7"),
-        (["nowy-check"], "tol", "-1"),
         (["nowy-check"], "n", "0"),
         (["nowy-check"], "max-period", "0"),
         (["nowy-check"], "pairs", "random:0"),
@@ -544,6 +565,22 @@ def test_help_and_version_exit_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     code, out, _ = run(capsys, "--version")
     assert code == 0 and "0.1.0" in out
+
+
+def test_readme_names_only_declared_flags():
+    # every `COMMAND --flag ...` span outside the fenced examples names a
+    # subcommand and flags it declares, or the shared --config and --out
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    flags = {name: {f"--{p.key}" for p in params} | {"--config", "--out"}
+             for name, _, _, params in cli.COMMANDS}
+    prose = re.sub(r"```.*?```", "", readme, flags=re.S)
+    spans = [s.split() for s in re.findall(r"`([^`]+)`", prose)]
+    checked = [w for w in spans if len(w) > 1 and w[1].startswith("--")]
+    assert checked
+    for words in checked:
+        assert words[0] in flags, " ".join(words)
+        unknown = [w for w in words if w.startswith("--") and w not in flags[words[0]]]
+        assert not unknown, " ".join(words)
 
 
 def test_console_script_is_installed():

@@ -13,8 +13,6 @@ from shiftlab.configs import (
     constant_config,
     default_metric,
     patched_config,
-    pattern_from_json,
-    pattern_to_json,
     periodic_config,
     predicate_config,
     restrict,
@@ -152,18 +150,6 @@ def test_restrict_of_shift_is_translated_restrict(g):
     shifted = restrict(shift(g, x), W)
     translated = tuple(x.value(compose(p, g)) for p in W.sorted_points())
     assert shifted == translated
-
-
-def test_pattern_json_round_trip():
-    W = FiniteSubset([(0, 0), (1, 0), (0, 1)])
-    symbols = (1, 0, 1)
-    text = pattern_to_json(W, symbols)
-    W2, symbols2 = pattern_from_json(text)
-    assert W2 == W and symbols2 == symbols
-    with pytest.raises(ValueError):
-        pattern_to_json(W, (1, 0))
-    with pytest.raises(ValueError):
-        pattern_from_json('{"window": [[1], [0]], "symbols": [0, 1]}')
 
 
 def test_shell_sizes():

@@ -88,9 +88,6 @@ def test_folner_defect_examples():
     A = FiniteSubset.box((0,), (9,))
     assert folner_defect(A, (1,)) == Fraction(1, 5)
     assert folner_defect(A, (0,)) == 0
-    assert folner_defect(A, (1,), side="right") == folner_defect(A, (1,), side="left")
-    with pytest.raises(ValueError):
-        folner_defect(A, (1,), side="up")
 
 
 def test_folner_defect_formula_and_decay():

@@ -21,7 +21,6 @@ from shiftlab.errors import IncompatibleWindowsError, InvalidDimensionError
 from shiftlab.examples import resolve_example_name
 from shiftlab.groups import FiniteSubset, make_box_folner
 from shiftlab.measures import (
-    MeasureSet,
     PatternDistribution,
     _coupled_mass,
     _pattern_counts,
@@ -411,16 +410,16 @@ def test_hausdorff_examples():
 def test_omega_of_constant_is_single_point_mass():
     x = constant_config(1, 0)
     reps = omega_hat_approx(x, F1, [4, 8, 16], W0, Fraction(1, 20))
-    assert len(reps.members) == 1
-    assert reps.members[0] == PatternDistribution(W0, {(0,): ONE})
+    assert len(reps) == 1
+    assert reps[0] == PatternDistribution(W0, {(0,): ONE})
 
 
 def test_omega_of_periodic_at_period_multiples():
     x = word_config((0, 1, 1))
     n_list = [3 * j - 1 for j in (2, 4, 8)]  # window sizes are period multiples
     reps = omega_hat_approx(x, F1, n_list, W0, Fraction(1, 20))
-    assert len(reps.members) == 1
-    assert reps.members[0] == PatternDistribution(
+    assert len(reps) == 1
+    assert reps[0] == PatternDistribution(
         W0, {(0,): Fraction(1, 3), (1,): Fraction(2, 3)}
     )
 
@@ -434,12 +433,7 @@ def test_omega_of_oscillating_config_splits():
 
     x = predicate_config(1, osc)
     reps = omega_hat_approx(x, F1, [2**j for j in range(2, 11)], W0, Fraction(1, 10))
-    assert len(reps.members) >= 2
-
-
-def test_measure_set_requires_members():
-    with pytest.raises(ValueError):
-        MeasureSet([])
+    assert len(reps) >= 2
 
 
 # --- genericity_check -------------------------------------------------------

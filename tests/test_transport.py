@@ -24,7 +24,8 @@ from shiftlab.errors import (
     IncompatibleWindowsError,
     InvalidFamilyError,
 )
-from shiftlab.groups import FiniteSubset, make_box_folner
+from shiftlab.examples import random_periodic_pair
+from shiftlab.groups import FiniteSubset, custom_folner, make_box_folner
 from shiftlab.measures import PatternDistribution, empirical_measure
 from shiftlab.metrics import joint_period_box, mismatch_density
 from shiftlab.transport import (
@@ -807,8 +808,6 @@ def test_chain_saturates_for_disjoint_constants():
 
 def test_chain_stays_below_orbit_oracle_on_periodic_families():
     rng = random.Random(41)
-    from shiftlab.examples import random_periodic_pair
-
     for _ in range(10):
         x, z = random_periodic_pair(rng)
         ox = PeriodicOrbitMeasure.from_config(x)
@@ -875,6 +874,45 @@ def test_db_ge_rho_for_equal_configs():
     x = word_config((0, 1))
     report = check_db_ge_rho(x, x, F1, 100, 2)
     assert report.passed and report.dbar == 0 and report.oracle == 0
+
+
+def _assert_exact_links(x, z, F, n):
+    report = check_db_ge_rho(x, z, F, n, 2)
+    assert report.passed
+    assert all(c <= report.oracle for c in report.chain)
+    assert report.oracle <= report.limit
+    assert report.floor <= report.dbar
+    lo, hi = F.set_at(n).bounds
+    period = joint_period_box(x.period_lattice, z.period_lattice).bounds[1]
+    aligned = all((b - a + 1) % (m + 1) == 0 for a, b, m in zip(lo, hi, period))
+    if aligned:
+        assert report.floor == report.limit == report.dbar
+    return aligned
+
+
+@pytest.mark.parametrize("n", [50, 997, 2519, 10_000])
+def test_db_ge_rho_links_hold_on_seeded_pairs(n):
+    # {0..2519} is a whole number of joint periods for periods up to 10
+    rng = random.Random(n)
+    aligned = [_assert_exact_links(*random_periodic_pair(rng, 10), F1, n) for _ in range(12)]
+    assert all(aligned) if n == 2519 else not all(aligned)
+
+
+def test_db_ge_rho_links_hold_on_a_2d_pair():
+    rng = random.Random(5)
+    x, z = (
+        periodic_config(lat, {p: rng.randrange(2) for p in lat.fundamental_domain()})
+        for lat in (Lattice([[3, 1], [0, 3]]), Lattice.diagonal((5, 3)))
+    )
+    F2 = make_box_folner(2, "centered")
+    # the joint period box is 15 x 9, so sides 15 and 21 are not whole periods and 45 is
+    assert [_assert_exact_links(x, z, F2, n) for n in (7, 10, 22)] == [False, False, True]
+
+
+def test_db_ge_rho_refuses_a_window_that_is_not_a_box():
+    gappy = custom_folner([FiniteSubset([(0,), (2,)])])
+    with pytest.raises(ValueError, match="box"):
+        check_db_ge_rho(constant_config(1, 0), word_config((0, 1)), gappy, 1, 2)
 
 
 # --- rho_triangle_check -----------------------------------------------------
