@@ -339,9 +339,10 @@ def _cmd_dbar(cfg: dict) -> EstimateTrace:
 
 def _cmd_dprime(cfg: dict) -> dict:
     x, z, F = _window_inputs(cfg, [cfg["N"]], (2 * cfg["radius"] + 1,))
-    grid = default_delta_grid()
+    # None is the default grid, whose integer scaling metrics caches
+    grid = None
     if cfg["grid-cap"] is not None:
-        grid = tuple(d for d in grid if d <= cfg["grid-cap"])
+        grid = tuple(d for d in default_delta_grid() if d <= cfg["grid-cap"])
     est = besicovitch_prime_estimate(x, z, F, cfg["N"], radius=cfg["radius"], delta_grid=grid)
     return {"value": _frac(est.value), "saturated": est.saturated}
 

@@ -219,6 +219,15 @@ def row_bits(row: int, width: int) -> str:
     return format(row, "b").zfill(width)[::-1]
 
 
+# A lane row is an int with one L-byte lane per column, lane j in bits
+# [8Lj, 8Lj + 8L): row_bits(row, width).encode().translate(_DIGIT) written
+# into every L-th byte of a buffer that int.from_bytes reads little-endian.
+# _DIGIT maps the characters '0'/'1' to the byte values 0/1.
+_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
+# memoryview formats of 1-, 2-, 4- and 8-byte unsigned lanes
+_LANE_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
 def _pack(bits: Iterable[int]) -> int:
     """Row whose bit j is set when the j-th item is."""
     text = "".join("1" if b else "0" for b in bits)
@@ -553,8 +562,9 @@ class AdmissibleMetric:
     although its exact tail is 2^-(R+1)).
 
     shell_weight, when given, declares the metric radial: weight(g) equals
-    shell_weight(sup_norm(g)) for every g.  Estimators then sum shell
-    counts from a summed-area table instead of one weight per site.
+    shell_weight(sup_norm(g)) for every g, and is nonnegative.  Estimators
+    then sum shell counts from a summed-area table instead of one weight
+    per site.
     """
 
     dim: int

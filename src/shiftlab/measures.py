@@ -33,6 +33,8 @@ from typing import Callable, Iterable, Sequence
 from .configs import (
     AdmissibleMetric,
     Configuration,
+    _DIGIT,
+    _LANE_FORMAT,
     _same_dimension,
     box_tiles,
     default_metric,
@@ -266,12 +268,6 @@ def _pattern_counts(
         pat = tuple(xv(compose(w, f)) for xv in values for w in sites)
         counts[pat] = counts.get(pat, 0) + 1
     return counts
-
-
-# '0'/'1' characters to the byte values 0/1
-_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
-# memoryview formats of 1-, 2-, 4- and 8-byte unsigned lanes
-_LANE_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _box_pattern_codes(

@@ -8,9 +8,12 @@ exact [lo, hi] interval, never as a hidden float tolerance.
 
 On box windows over binary configurations the estimators read bulk rows
 (`Configuration.rows`): mismatches are XORed rows counted with
-`int.bit_count`, and radial metrics sum shell counts from a summed-area
-table over one integer denominator.  Other inputs take the per-site loops,
-which remain the reference the bulk path must match exactly.  The density
+`int.bit_count`, and radial metrics sum shell counts, over one integer
+denominator, from a summed-area table whose rows are ints with one lane
+per column, so each big-int operation serves a whole window row.  D'
+scales its delta grid to integers over one denominator and decides each
+delta in integers.  Other inputs take the per-site loops, which remain
+the reference the bulk path must match exactly.  The density
 loop reads nested box windows once: each window adds the count of its
 shell outside the previous one.
 """
@@ -19,13 +22,13 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from math import ceil, lcm
-from operator import add, sub, truth
+from math import lcm
+from operator import truth
 from typing import Callable, Sequence
 
 from .configs import (
@@ -34,11 +37,14 @@ from .configs import (
     Configuration,
     Indicator,
     Lattice,
+    _DIGIT,
+    _LANE_FORMAT,
     _same_dimension,
     box_tiles,
     common_metric,
     row_bits,
     rows_available,
+    shell_size,
 )
 from .groups import FiniteSubset, FolnerSequence, Point, compose
 
@@ -197,38 +203,71 @@ def _box_lower_sums(
 
     With C_r(g) the mismatch count in the sup-norm box of radius r around
     g, the lower sum is sum_r w_r (C_r - C_{r-1}) = sum_r (w_r - w_{r+1}) C_r
-    (w_{radius+1} = 0), and every C_r is four lookups in a summed-area
-    table of the mismatch rows over window + ball.
+    (w_{radius+1} = 0), and every C_r is read from a summed-area table of
+    the mismatch rows over window + ball.
+
+    Each table row is one int with an L-byte lane per column (the layout
+    of `configs._DIGIT`): lane j counts the mismatches in the rows above
+    and the columns left of j.  A row is the previous one plus the prefix
+    sums of the XORed bulk row, taken by log2(width) lane shift-adds.  For
+    one window row, C_r of every column is a difference of two table rows
+    shifted down by two lane offsets, and the coefficients scale and sum
+    these whole rows at once.  Table lanes never decrease along a row, so
+    no borrow crosses a lane below the window's columns; L holds every
+    table entry and every lower sum, so every lane of the result is exact.
+    Lanes of 1, 2, 4 or 8 bytes are read through `memoryview.cast`, wider
+    ones with `int.from_bytes`.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     shells = [Fraction(shell_weight(r)) for r in range(radius + 1)]
     den = lcm(*(w.denominator for w in shells))
     nums = [w.numerator * (den // w.denominator) for w in shells] + [0]
+    if min(nums) < 0:
+        raise ValueError("shell weights must be nonnegative")
     coef = [nums[r] - nums[r + 1] for r in range(radius + 1)]
     lo, hi = window.bounds
     big = FiniteSubset.box(tuple(c - radius for c in lo), tuple(c + radius for c in hi))
-    width = hi[-1] - lo[-1] + 1 + 2 * radius
-    # table[i][j]: mismatches in rows < i and columns < j of the big box
-    table = [[0] * (width + 1)]
+    cols = hi[-1] - lo[-1] + 1
+    width = cols + 2 * radius
+    # the largest table entry is |big|, the largest lower sum
+    # sum_r num_r |shell r|
+    top = max(len(big), sum(k * shell_size(x.dim, r) for r, k in enumerate(nums[:-1])))
+    L = next((n for n in _LANE_FORMAT if 8 * n >= top.bit_length()), -(-top.bit_length() // 8))
+    lane = 8 * L
+    # shift-adds by 1, 2, 4, ... lanes, until each of the lanes 1..width
+    # (the row's columns) sums itself and every lane below it
+    steps = [lane << k for k in range((width - 1).bit_length())]
+    row_mask = (1 << lane * (width + 1)) - 1
+    # table[i], lane j: mismatches in rows < i and columns < j of the big box
+    table = [0]
+    buf = bytearray(L * (width + 1))
     for a, b in zip(x.rows(big), z.rows(big)):
-        prefix = accumulate(map(int, row_bits(a ^ b, width)), initial=0)
-        table.append(list(map(add, table[-1], prefix)))
+        buf[L::L] = row_bits(a ^ b, width).encode().translate(_DIGIT)
+        row = int.from_bytes(buf, "little")
+        for step in steps:
+            row += row << step
+        table.append(table[-1] + (row & row_mask))
     two_d = x.dim == 2
     base = radius if two_d else 0
     height = hi[0] - lo[0] + 1 if two_d else 1
-    cols = hi[-1] - lo[-1] + 1
-    out: list[int] = []
+    # column c's radius-r box spans the table columns [c + radius - r,
+    # c + radius + r + 1)
+    edges = [(lane * (radius + r + 1), lane * (radius - r)) for r in range(radius + 1)]
+    out_mask = (1 << lane * cols) - 1
+    raw = bytearray()
     for i in range(base, base + height):
-        acc = [0] * cols
+        acc = 0
         for r, c in enumerate(coef):
             dr = r if two_d else 0
-            strip = list(map(sub, table[i + dr + 1], table[i - dr]))
-            counts = map(sub, strip[radius + r + 1 : radius + r + 1 + cols],
-                         strip[radius - r : radius - r + cols])
-            acc = [s + c * k for s, k in zip(acc, counts)]
-        out.extend(acc)
-    return out, den
+            strip = table[i + dr + 1] - table[i - dr]
+            right, left = edges[r]
+            acc += c * ((strip >> right) - (strip >> left))
+        # lanes at and above `cols` hold borrows; the ones below are exact
+        raw += (acc & out_mask).to_bytes(L * cols, "little")
+    if L in _LANE_FORMAT and sys.byteorder == "little":
+        return memoryview(raw).cast(_LANE_FORMAT[L]).tolist(), den
+    return [int.from_bytes(raw[k : k + L], "little") for k in range(0, len(raw), L)], den
 
 
 def _lower_sums(
@@ -255,8 +294,9 @@ def besicovitch_estimate(
 ) -> tuple[Fraction, Fraction]:
     """Folner average of truncated distances: interval [lo, hi], hi-lo <= tail.
 
-    Summands are exact rationals, so the reduction order is immaterial and
-    per-g terms could be evaluated in parallel without changing the result.
+    lo averages the integer lower sums d_lo(g x, g z) over the window; hi
+    averages min(d_lo + tail, 1), summed as scale * sum(k) + tail * count
+    less the excess over 1 of the sites that reach the cap.
     """
     metric = common_metric(x, z, metric)
     window = F.set_at(n)
@@ -266,9 +306,12 @@ def besicovitch_estimate(
     hi_den = lcm(den, tail.denominator)
     scale = hi_den // den
     tail_num = tail.numerator * (hi_den // tail.denominator)
-    hi_total = sum(min(k * scale + tail_num, hi_den) for k in nums)
-    count = len(nums)
-    return Fraction(sum(nums), den * count), Fraction(hi_total, hi_den * count)
+    total, count = sum(nums), len(nums)
+    # k * scale + tail_num > hi_den exactly when k exceeds this
+    capped = list(filter(((hi_den - tail_num) // scale).__lt__, nums))
+    excess = sum(capped) * scale + (tail_num - hi_den) * len(capped)
+    hi_total = total * scale + tail_num * count - excess
+    return Fraction(total, den * count), Fraction(hi_total, hi_den * count)
 
 
 def besicovitch_trace(
@@ -299,6 +342,24 @@ def default_delta_grid() -> tuple[Fraction, ...]:
     return (Fraction(10001, 10000),) + tuple(Fraction(k, 200) for k in range(200, 0, -1))
 
 
+def _grid_numerators(delta_grid: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """(G, ascending numerators over G) of a grid of positive rationals,
+    G the lcm of their denominators."""
+    grid = [d if isinstance(d, Fraction) else Fraction(d) for d in delta_grid]
+    if not grid:
+        raise ValueError("delta grid must be non-empty")
+    G = lcm(*(d.denominator for d in grid))
+    nums = tuple(sorted(d.numerator * (G // d.denominator) for d in grid))
+    if nums[0] <= 0:
+        raise ValueError("delta grid values must be positive")
+    return G, nums
+
+
+@lru_cache(maxsize=1)
+def _default_grid_numerators() -> tuple[int, tuple[int, ...]]:
+    return _grid_numerators(default_delta_grid())
+
+
 def besicovitch_prime_estimate(
     x: Configuration,
     z: Configuration,
@@ -313,26 +374,25 @@ def besicovitch_prime_estimate(
     A site counts toward the density only when the truncation LOWER bound
     already clears delta.  Feasibility is monotone in delta, so the minimum
     is well defined; when no grid value is feasible the grid maximum comes
-    back with saturated=True.
+    back with saturated=True.  The grid is scaled once to integers g over
+    one denominator G, and each delta = g / G is decided in integers.
     """
     metric = common_metric(x, z, metric)
     if delta_grid is None:
-        delta_grid = default_delta_grid()
-    grid = sorted(Fraction(d) for d in delta_grid)
-    if not grid:
-        raise ValueError("delta grid must be non-empty")
-    if grid[0] <= 0:
-        raise ValueError("delta grid values must be positive")
+        G, grid = _default_grid_numerators()
+    else:
+        G, grid = _grid_numerators(delta_grid)
     window = F.set_at(n)
     nums, den = _lower_sums(x, z, window, metric, radius)
     nums.sort()
     count = len(nums)
-    for delta in grid:
-        # k / den >= delta exactly when the integer k >= ceil(delta * den)
-        dens = Fraction(count - bisect_left(nums, ceil(delta * den)), count)
-        if dens < delta:
-            return DPrimeEstimate(delta, False)
-    return DPrimeEstimate(grid[-1], True)
+    for g in grid:
+        # k / den >= g / G exactly when the integer k >= ceil(g * den / G),
+        # and the density above / count < g / G when above * G < g * count
+        above = count - bisect_left(nums, -(-g * den // G))
+        if above * G < g * count:
+            return DPrimeEstimate(Fraction(g, G), False)
+    return DPrimeEstimate(Fraction(grid[-1], G), True)
 
 
 def mismatch_density(x: Configuration, z: Configuration, window: FiniteSubset) -> Fraction:

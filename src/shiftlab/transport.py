@@ -39,7 +39,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add, gt, mul, ne
+from operator import add, gt, mul, ne, sub
 from typing import Callable, Mapping, Sequence
 
 from .configs import AdmissibleMetric, Configuration, Lattice, rows_available, shift
@@ -258,20 +258,23 @@ def _simplex(
     entering cycle, and the walk of the new basis gives its potentials.
     Pivoting uses Bland's rule (first negative reduced cost in row-major
     order; lexicographically smallest leaving cell), so the solve is
-    deterministic and cannot cycle.  Dual feasibility and strong duality
-    are asserted, exactly, before returning.
+    deterministic and cannot cycle.  The loop ends only on a dual-feasible
+    basis (the scan finds no negative reduced cost), and strong duality is
+    asserted, exactly, before returning.
     """
     m, n = len(a), len(b)
     flows, pot = _northwest_corner(a, b, K)
     parent = depth = None
     for _ in range(MAX_PIVOTS):
         u, v = pot[:m], pot[m:]
-        # basic cells have reduced cost 0, so the scan needs no basis test
-        enter = next(
-            ((i, j) for i in range(m) for j in range(n) if K[i][j] - u[i] - v[j] < 0), None
-        )
-        if enter is None:
+        # basic cells have reduced cost 0, so the scan needs no basis test;
+        # a row enters where some K[i][j] - v[j] < u[i], at its first such j
+        i = next((i for i in range(m) if min(map(sub, K[i], v)) < u[i]), None)
+        if i is None:
+            # u_i + v_j <= K[i][j] on every cell: the basis is dual feasible
             break
+        ui = u[i]
+        enter = i, next(j for j, k in enumerate(map(sub, K[i], v)) if k < ui)
         if parent is None:
             # the staircase start has potentials but no tree yet
             _, parent, depth = _basis_tree(flows, K, m, n)
@@ -299,9 +302,7 @@ def _simplex(
         raise AssertionError("pivot limit exceeded; Bland's rule should prevent this")
 
     value = sum(f * K[i][j] for (i, j), f in flows.items())
-    # complementary slackness + strong duality, exact
-    if any(K[i][j] < u[i] + v[j] for i in range(m) for j in range(n)):
-        raise AssertionError("dual infeasibility after termination")
+    # dual feasibility ended the loop; strong duality, exact
     if sum(map(mul, pot, a + b)) != value:
         raise AssertionError("strong duality violated; solver bug")
     return flows, pot, value

@@ -12,9 +12,10 @@ import hashlib
 import itertools
 import random
 import re
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -32,15 +33,20 @@ from shiftlab.configs import (
     periodic_config,
     predicate_config,
     rows_available,
+    shell_size,
     shift,
 )
 from shiftlab.examples import random_config, resolve_example_name
-from shiftlab.groups import FiniteSubset, box_set, custom_folner, make_box_folner
+from shiftlab.groups import FiniteSubset, box_set, custom_folner, make_box_folner, sup_norm
 from shiftlab.measures import empirical_measure
 from shiftlab.metrics import (
+    DPrimeEstimate,
+    _box_lower_sums,
+    _site_lower_sums,
     besicovitch_estimate,
     besicovitch_prime_estimate,
     dbar_estimate,
+    default_delta_grid,
     exact_mismatch_density,
     joint_period_box,
     upper_density,
@@ -223,6 +229,113 @@ def test_besicovitch_estimates_match_per_site(data, radius):
     dp = besicovitch_prime_estimate(x, z, F, n, radius=radius)
     assert dp == besicovitch_prime_estimate(rx, rz, ref, 1, radius=radius)
     assert dp == besicovitch_prime_estimate(rx, rz, F, n, plain, radius)
+
+
+def uneven_metric(dim):
+    """A radial metric whose site weights go up from each even radius to
+    the next (shells of 1 and 5 parts in turn), so the coefficients
+    w_r - w_{r+1} of the shell sums at even r >= 2 are negative; total mass
+    below 3/5, tail outside radius R below 2^-R."""
+    def shell_weight(r):
+        return Fraction(1 + 4 * (r % 2), 2**r * 8 * shell_size(dim, r))
+
+    assert shell_weight(2) < shell_weight(3)
+    return AdmissibleMetric(dim, lambda g: shell_weight(sup_norm(g)),
+                            lambda R: Fraction(1, 2**R), shell_weight)
+
+
+def assert_lower_sums_match(x, z, window, metric, radius):
+    got = _box_lower_sums(x, z, window, metric.shell_weight, radius)
+    assert got == _site_lower_sums(twin(x), twin(z), window, metric, radius)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_lower_sums_on_wide_lanes_match_per_site(data):
+    """Radii whose lower sums need lanes of 8 bytes and more (2-D radius
+    26..40 needs 62..95 bits, 1-D radius 60..80 needs 62..82), on boxes that
+    may sit at negative coordinates, site by site and in window order."""
+    dim, x, z = data.draw(pairs())
+    radius = data.draw(st.integers(26, 40) if dim == 2 else st.integers(60, 80))
+    lo = tuple(data.draw(st.integers(-90, 10)) for _ in range(dim))
+    side = 5 if dim == 2 else 40
+    hi = tuple(a + data.draw(st.integers(0, side - 1)) for a in lo)
+    assert_lower_sums_match(x, z, FiniteSubset.box(lo, hi), default_metric(dim), radius)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), radius=st.integers(0, 9))
+def test_lower_sums_with_negative_coefficients_match_per_site(data, radius):
+    dim, x, z = data.draw(pairs())
+    F, n = data.draw(windows(dim, 50 if dim == 1 else 7))
+    metric = uneven_metric(dim)
+    assert_lower_sums_match(x, z, F.set_at(n), metric, radius)
+    got = besicovitch_estimate(x, z, F, n, metric, radius)
+    assert got == besicovitch_estimate(twin(x), twin(z), per_site(F, n), 1, metric, radius)
+
+
+def test_lower_sums_refuse_negative_shell_weights():
+    x, z = constant_config(1, 0), constant_config(1, 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        _box_lower_sums(x, z, FiniteSubset.box((0,), (9,)), lambda r: Fraction(1 - r, 4), 2)
+
+
+def dprime_by_fractions(nums, den, delta_grid):
+    """besicovitch_prime_estimate's grid walk as it stood in Fractions: a
+    site clears delta when k >= ceil(delta * den)."""
+    grid = sorted(Fraction(d) for d in delta_grid)
+    nums, count = sorted(nums), len(nums)
+    for delta in grid:
+        dens = Fraction(count - bisect_left(nums, ceil(delta * den)), count)
+        if dens < delta:
+            return DPrimeEstimate(delta, False)
+    return DPrimeEstimate(grid[-1], True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), radius=st.integers(0, 6))
+def test_dprime_ties_and_odd_grids_match_the_fraction_walk(data, radius):
+    """Grids drawn from the window's own thresholds k / den and densities
+    a / count, so deltas tie exactly with both sides of each test, shuffled,
+    with duplicates, as ints, Fractions and floats; and the capped default
+    grid the CLI passes."""
+    dim, x, z = data.draw(pairs())
+    F, n = data.draw(windows(dim, 50 if dim == 1 else 6))
+    nums, den = _site_lower_sums(twin(x), twin(z), F.set_at(n), default_metric(dim), radius)
+    count = len(nums)
+    ties = [Fraction(k, den) for k in nums if k] + [Fraction(a, count) for a in range(1, count + 1)]
+    grid = data.draw(st.lists(st.sampled_from(ties), min_size=1, max_size=12))
+    grid += data.draw(st.lists(st.sampled_from([1, 2, 0.5, 0.1, 0.375, 1e-3, Fraction(7, 3)]),
+                               max_size=4))
+    grid += grid[: data.draw(st.integers(0, len(grid)))]
+    data.draw(st.randoms()).shuffle(grid)
+    cap = data.draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(1, 200)]))
+    capped = tuple(d for d in default_delta_grid() if d <= cap)
+    for g in (grid, capped, default_delta_grid()):
+        assert besicovitch_prime_estimate(x, z, F, n, radius=radius, delta_grid=g) == (
+            dprime_by_fractions(nums, den, g)
+        )
+    assert besicovitch_prime_estimate(x, z, F, n, radius=radius) == (
+        dprime_by_fractions(nums, den, default_delta_grid())
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), radius=st.integers(0, 4),
+       tail=st.sampled_from([None, Fraction(1, 3), Fraction(1), Fraction(5, 4)]))
+def test_besicovitch_upper_end_matches_capped_fractions(data, radius, tail):
+    """hi is the mean of min(lo_g + tail, 1): at small radii many sites reach
+    the cap of 1, and a tail of 1 or more caps every site."""
+    dim, x, z = data.draw(pairs())
+    F, n = data.draw(windows(dim, 50 if dim == 1 else 7))
+    metric = default_metric(dim)
+    if tail is not None:
+        metric = AdmissibleMetric(dim, metric.weight, lambda R: tail, metric.shell_weight)
+    nums, den = _site_lower_sums(twin(x), twin(z), F.set_at(n), metric, radius)
+    t = metric.tail_bound(radius)
+    want = (Fraction(sum(nums), den * len(nums)),
+            sum(min(Fraction(k, den) + t, Fraction(1)) for k in nums) / len(nums))
+    assert besicovitch_estimate(x, z, F, n, metric, radius) == want
 
 
 @settings(max_examples=80, deadline=None)
