@@ -7,7 +7,8 @@ lower-triangular integer basis of itself, so its fundamental domain is
 always the box of that basis's diagonal and reduction into it needs no
 fractions.  A binary configuration also reads out in bulk over a 1-D or
 2-D box as bit-packed rows (`Configuration.rows`), which the estimators
-count with XOR and `int.bit_count`.  When it has such rows, its site
+count with XOR and `int.bit_count`, or as lane rows with one L-byte lane
+per column (`lane_rows`, `lane_reader`).  When it has such rows, its site
 reads (`Configuration.value`) come from memoized 64-column chunks of
 them too; the site rule it was built with stays the per-site reference,
 and configurations without rows read sites through it.  The metric
@@ -19,6 +20,7 @@ certified tail bounds, so truncated distances come back as exact
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
@@ -220,12 +222,48 @@ def row_bits(row: int, width: int) -> str:
 
 
 # A lane row is an int with one L-byte lane per column, lane j in bits
-# [8Lj, 8Lj + 8L): row_bits(row, width).encode().translate(_DIGIT) written
-# into every L-th byte of a buffer that int.from_bytes reads little-endian.
+# [8Lj, 8Lj + 8L).  `lane_rows` writes lane rows and `lane_reader` reads
+# them back; this is the one module that knows their byte layout.
 # _DIGIT maps the characters '0'/'1' to the byte values 0/1.
 _DIGIT = bytes.maketrans(b"01", b"\x00\x01")
 # memoryview formats of 1-, 2-, 4- and 8-byte unsigned lanes
 _LANE_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def lane_size(bits: int) -> int:
+    """Bytes L of a lane that holds values of `bits` bits: the least of 1,
+    2, 4 and 8 that does, else exactly ceil(bits / 8)."""
+    return next((n for n in _LANE_FORMAT if 8 * n >= bits), -(-bits // 8))
+
+
+def lane_rows(rows: Iterable[int], width: int, L: int, offset: int = 0) -> Iterator[int]:
+    """Lane rows of bit rows: lane offset + j holds bit j of the row, for
+    j < width, and every other lane is 0."""
+    buf = bytearray(L * (offset + width))
+    for row in rows:
+        buf[L * offset :: L] = row_bits(row, width).encode().translate(_DIGIT)
+        yield int.from_bytes(buf, "little")
+
+
+def lane_reader(L: int, count: int) -> Callable[[int], Sequence[int]]:
+    """Reader of lanes 0..count-1 of an L-byte lane row as ints, in column
+    order; the lanes above them are dropped, borrows included.
+
+    Lanes of 1, 2, 4 or 8 bytes on a little-endian host come back as a
+    `memoryview.cast`, which `Counter.update` counts in C; any other lane
+    row is read lane by lane with `int.from_bytes`.
+    """
+    size = L * count
+    mask = (1 << 8 * size) - 1
+    fmt = _LANE_FORMAT.get(L) if sys.byteorder == "little" else None
+
+    def read(row: int) -> Sequence[int]:
+        raw = (row & mask).to_bytes(size, "little")
+        if fmt:
+            return memoryview(raw).cast(fmt)
+        return [int.from_bytes(raw[k : k + L], "little") for k in range(0, size, L)]
+
+    return read
 
 
 def _pack(bits: Iterable[int]) -> int:
@@ -462,16 +500,15 @@ def predicate_config(
     predicate: Callable[[Point], bool],
     *,
     name: str = "predicate",
-    alphabet: int = 2,
     period_lattice: Lattice | None = None,
     rows: RowsRule | None = None,
 ) -> Configuration:
-    """Indicator configuration: 1 where the predicate holds.
+    """Binary indicator configuration: 1 where the predicate holds.
 
     `rows`, when given, must be the predicate's bulk rule; the declared
     period lattice is never used to derive one.
     """
-    return Configuration(dim, alphabet, lambda g: int(bool(predicate(g))),
+    return Configuration(dim, 2, lambda g: int(bool(predicate(g))),
                          kind=name, period_lattice=period_lattice, rows=rows)
 
 

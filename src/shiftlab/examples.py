@@ -1,7 +1,8 @@
 """Named example configurations: visible lattice points, their periodic
 approximants from finite prime sets, a residually finite substitution
 sequence over the integers, block-entropy evidence, and seeded random
-configurations for negative controls and randomized checks.
+configurations for negative controls and randomized checks, whose site
+rule is a plain splitmix64 fold and whose binary rows hash in lanes.
 """
 
 from __future__ import annotations
@@ -272,7 +273,7 @@ _M2 = 0x94D049BB133111EB
 
 
 def _mix64(v: int) -> int:
-    """splitmix64 finalizer; stable across platforms and runs."""
+    """splitmix64 finalizer of v mod 2^64; stable across platforms and runs."""
     v = (v + _GAMMA) & _MASK
     v = ((v ^ (v >> 30)) * _M1) & _MASK
     v = ((v ^ (v >> 27)) * _M2) & _MASK
@@ -299,50 +300,26 @@ def random_config(dim: int, seed: int, alphabet: int = 2) -> Configuration:
     """Deterministic point-addressable noise: each site's symbol is a
     splitmix64 hash of (seed, site).  Same seed, same configuration.
 
-    The hash folds in the seed, then one coordinate at a time.  In 1-D and
-    2-D the hash of every coordinate but the last is the site's row head:
-    the start hash in 1-D, and in 2-D one splitmix64 of the row coordinate,
-    kept in a memo of at most 1024 rows that the site rule and the bulk
-    rows rule share, so a site costs one splitmix64.  A binary
-    configuration of dimension 1 or 2 also has that bulk rows rule: each
-    row's columns run splitmix64 together from the row head, as 128-bit
-    lanes of one int per chunk of up to 1024 columns.  In higher
-    dimensions the site rule folds every coordinate in turn.
+    The hash folds in the seed, then one coordinate at a time; the site
+    rule does just that.  A binary configuration of dimension 1 or 2 also
+    has a bulk rows rule: the hash of every coordinate but the last is the
+    row head (the start hash in 1-D, one splitmix64 of the row coordinate
+    in 2-D), and each row's columns run splitmix64 together from it, as
+    128-bit lanes of one int per chunk of up to 1024 columns.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    start = _mix64(seed & _MASK)
-    # 2-D row coordinate -> row head; cleared when full
-    memo: dict[int, int] = {}
-
-    def head(a: int) -> int:
-        h = memo.get(a)
-        if h is None:
-            if len(memo) >= _CHUNK:
-                memo.clear()
-            h = memo[a] = _mix64(start ^ (a & _MASK))
-        return h
+    start = _mix64(seed)
 
     def rule(g: Point) -> int:
-        if dim == 2:
-            # the call is skipped on a hit; a head of 0 just takes it
-            h = memo.get(g[0]) or head(g[0])
-        elif dim == 1:
-            h = start
-        else:
-            h = start
-            for c in g:
-                h = _mix64(h ^ (c & _MASK))
-            return h % alphabet
-        # _mix64 of the last coordinate, inlined
-        v = ((h ^ (g[-1] & _MASK)) + _GAMMA) & _MASK
-        v = ((v ^ (v >> 30)) * _M1) & _MASK
-        v = ((v ^ (v >> 27)) * _M2) & _MASK
-        return (v ^ (v >> 31)) % alphabet
+        h = start
+        for c in g:
+            h = _mix64(h ^ c)
+        return h % alphabet
 
     def rows(lo: Point, hi: Point) -> list[int]:
         # bit j is column lo + j, as in `configs._pack`
-        heads = [start] if dim == 1 else [head(a) for a in range(lo[0], hi[0] + 1)]
+        heads = [start] if dim == 1 else [_mix64(start ^ a) for a in range(lo[0], hi[0] + 1)]
         out = [0] * len(heads)
         width = hi[-1] - lo[-1] + 1
         for off in range(0, width, _CHUNK):
@@ -368,16 +345,13 @@ def random_config(dim: int, seed: int, alphabet: int = 2) -> Configuration:
     return Configuration(dim, alphabet, rule, kind=f"random:{seed}", rows=bulk)
 
 
-def random_periodic_pair(
-    rng: Random, max_period: int = 12, alphabet: int = 2
-) -> tuple[Configuration, Configuration]:
-    """Two independent uniformly random word configurations with periods
-    drawn from 1..max_period.  Driven by the caller's seeded Random so
-    sequences are reproducible."""
+def random_periodic_pair(rng: Random, max_period: int = 12) -> tuple[Configuration, Configuration]:
+    """Two independent uniformly random binary word configurations with
+    periods drawn from 1..max_period.  Driven by the caller's seeded Random
+    so sequences are reproducible."""
     def one() -> Configuration:
         period = rng.randint(1, max_period)
-        word = [rng.randrange(alphabet) for _ in range(period)]
-        return word_config(word, alphabet)
+        return word_config([rng.randrange(2) for _ in range(period)])
 
     return one(), one()
 

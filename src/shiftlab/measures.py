@@ -3,7 +3,8 @@
 A PatternDistribution is an exact rational probability vector over the
 patterns of a fixed finite window, held as integer counts over one
 denominator.  `_pattern_counts` is the one reader of joint W-patterns,
-behind both empirical measures and the transport module's pair joinings.
+behind both empirical measures and the transport module's pair joinings;
+on binary box windows it counts integer codes in `configs`' lane rows.
 Prokhorov distances are exact: by Strassen's theorem they
 are read from the coupled mass, 1 minus the value of a 0/1-cost
 transport problem that the transport module's integer simplex solves at
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import json
 import operator
-import sys
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -33,11 +33,12 @@ from typing import Callable, Iterable, Sequence
 from .configs import (
     AdmissibleMetric,
     Configuration,
-    _DIGIT,
-    _LANE_FORMAT,
     _same_dimension,
     box_tiles,
     default_metric,
+    lane_reader,
+    lane_rows,
+    lane_size,
     row_bits,
     rows_available,
 )
@@ -280,61 +281,40 @@ def _box_pattern_codes(
     each left to right), of configs[i]; so for one configuration
     configs.row_bits(code, |W|) is the pattern as '0'/'1' text.
 
-    Each row of a configuration becomes one int with an L-byte lane per
-    column, L the least of 1, 2, 4 and 8 bytes that holds min(k*|W|, 64)
-    bits for k configurations.  A band of rows folds into one int whose
-    lane j is the code of the window at column j: the row shifted down by
-    c lanes and up by the code bit, ORed over W's sites.  Every code bit
-    is below 8L, so no lane spills into the next.  The lanes are handed to
-    Counter.update as a memoryview, so the counting loop runs in C.  Codes
-    of more than 64 bits are cut into 64-bit planes, folded the same way
-    and counted as tuples, and each distinct tuple is joined once.
+    Each row of a configuration becomes a lane row (`configs.lane_rows`)
+    with an L-byte lane per column, L = `configs.lane_size` of the code's
+    k*|W| bits for k configurations.  A band of rows folds into one lane
+    row whose lane j is the code of the window at column j: the row
+    shifted down by c lanes and up by the code bit, ORed over W's sites.
+    Every code bit is below 8L, so no lane spills into the next.  Each
+    band is read back by `configs.lane_reader`, whose memoryview of lanes
+    of at most 8 bytes Counter.update counts in C.
     """
     wlo, whi = W.bounds
     w_rows = whi[0] - wlo[0] + 1 if W.dim == 2 else 1
     w_cols = whi[-1] - wlo[-1] + 1
-    bits = len(configs) * w_rows * w_cols
-    L = next(n for n in (1, 2, 4, 8) if 8 * n >= min(bits, 64))
-    fmt = _LANE_FORMAT[L]
-    # planes[p] lists (config, W row, lane shift, bit in plane) of each code
-    # bit in [64p, 64p + 64)
-    planes: list[list[tuple[int, int, int, int]]] = [[] for _ in range(-(-bits // 64))]
-    for i in range(len(configs)):
-        for r in range(w_rows):
-            for c in range(w_cols):
-                bit = (i * w_rows + r) * w_cols + c
-                planes[bit // 64].append((i, r, 8 * L * c, bit % 64))
+    L = lane_size(len(configs) * w_rows * w_cols)
+    # (config, W row, lane shift, code bit) of each code bit
+    terms = [
+        (i, r, 8 * L * c, (i * w_rows + r) * w_cols + c)
+        for i in range(len(configs))
+        for r in range(w_rows)
+        for c in range(w_cols)
+    ]
     counts: Counter = Counter()
     for tile in box_tiles(window_set, L * len(configs)):
         lo, hi = tile.bounds
         f_rows = hi[0] - lo[0] + 1 if W.dim == 2 else 1
         f_cols = hi[-1] - lo[-1] + 1
         width = f_cols + w_cols - 1
-        buf = bytearray(L * width)
-        lanes = []
-        for x in configs:
-            rows = []
-            for row in x.rows(tile.minkowski(W)):
-                buf[::L] = row_bits(row, width).encode().translate(_DIGIT)
-                rows.append(int.from_bytes(buf, "little"))
-            lanes.append(rows)
-        mask = (1 << 8 * L * f_cols) - 1
-        size = L * f_cols
+        lanes = [list(lane_rows(x.rows(tile.minkowski(W)), width, L)) for x in configs]
+        read = lane_reader(L, f_cols)
         for a in range(f_rows):
-            views = []
-            for terms in planes:
-                band = 0
-                for i, r, shift, bit in terms:
-                    band |= (lanes[i][a + r] >> shift) << bit
-                # native byte order, as memoryview.cast reads it; the order
-                # of the lanes does not matter to a count
-                views.append(memoryview((band & mask).to_bytes(size, sys.byteorder)).cast(fmt))
-            counts.update(views[0] if len(views) == 1 else zip(*views))
-    if len(planes) == 1:
-        return counts
-    return Counter({
-        sum(v << 64 * p for p, v in enumerate(key)): c for key, c in counts.items()
-    })
+            band = 0
+            for i, r, shift, bit in terms:
+                band |= (lanes[i][a + r] >> shift) << bit
+            counts.update(read(band))
+    return counts
 
 
 def pattern_metric(

@@ -9,26 +9,26 @@ exact [lo, hi] interval, never as a hidden float tolerance.
 On box windows over binary configurations the estimators read bulk rows
 (`Configuration.rows`): mismatches are XORed rows counted with
 `int.bit_count`, and radial metrics sum shell counts, over one integer
-denominator, from a summed-area table whose rows are ints with one lane
-per column, so each big-int operation serves a whole window row.  D'
-scales its delta grid to integers over one denominator and decides each
-delta in integers.  Other inputs take the per-site loops, which remain
-the reference the bulk path must match exactly.  The density
-loop reads nested box windows once: each window adds the count of its
-shell outside the previous one.
+denominator, from a summed-area table whose rows are lane rows of
+`configs` (one lane per column), so each big-int operation serves a
+whole window row.  D' scales its delta grid to integers over one
+denominator and decides each delta in integers.  Other inputs take the
+per-site loops, which remain the reference the bulk path must match
+exactly.  The density loop reads nested box windows once: each window
+adds the count of its shell outside the previous one.  A window of
+another dimension than the configurations' is refused before any read.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import truth
+from operator import truth, xor
 from typing import Callable, Sequence
 
 from .configs import (
@@ -37,12 +37,12 @@ from .configs import (
     Configuration,
     Indicator,
     Lattice,
-    _DIGIT,
-    _LANE_FORMAT,
     _same_dimension,
     box_tiles,
     common_metric,
-    row_bits,
+    lane_reader,
+    lane_rows,
+    lane_size,
     rows_available,
     shell_size,
 )
@@ -130,13 +130,16 @@ def upper_density(
     rows.  Any other rule is called once per site of the union of nested
     box windows: when F_n and the previous window are boxes and F_n holds
     it, the previous count carries over and only the sites of F_n outside
-    it are read (`_shell_boxes`); any other window is read in full.
+    it are read (`_shell_boxes`); any other window is read in full.  Only
+    an indicator is refused a window of another dimension.
     """
     rows = []
     # the previous window and its count
     prev, hits = None, 0
     for n in _checked_n_list(n_list):
         window = F.set_at(n)
+        if isinstance(rule, Indicator):
+            _same_dimension([window], [rule.config])
         if isinstance(rule, Indicator) and rows_available(window, rule.config):
             ones = _ones(rule.config, window)
             hits = {1: ones, 0: len(window) - ones}.get(rule.symbol, 0)
@@ -206,17 +209,15 @@ def _box_lower_sums(
     (w_{radius+1} = 0), and every C_r is read from a summed-area table of
     the mismatch rows over window + ball.
 
-    Each table row is one int with an L-byte lane per column (the layout
-    of `configs._DIGIT`): lane j counts the mismatches in the rows above
-    and the columns left of j.  A row is the previous one plus the prefix
+    Each table row is a lane row of `configs` with an L-byte lane per
+    column: lane j counts the mismatches in the rows above and the
+    columns left of j.  A row is the previous one plus the prefix
     sums of the XORed bulk row, taken by log2(width) lane shift-adds.  For
     one window row, C_r of every column is a difference of two table rows
     shifted down by two lane offsets, and the coefficients scale and sum
     these whole rows at once.  Table lanes never decrease along a row, so
     no borrow crosses a lane below the window's columns; L holds every
     table entry and every lower sum, so every lane of the result is exact.
-    Lanes of 1, 2, 4 or 8 bytes are read through `memoryview.cast`, wider
-    ones with `int.from_bytes`.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
@@ -233,7 +234,7 @@ def _box_lower_sums(
     # the largest table entry is |big|, the largest lower sum
     # sum_r num_r |shell r|
     top = max(len(big), sum(k * shell_size(x.dim, r) for r, k in enumerate(nums[:-1])))
-    L = next((n for n in _LANE_FORMAT if 8 * n >= top.bit_length()), -(-top.bit_length() // 8))
+    L = lane_size(top.bit_length())
     lane = 8 * L
     # shift-adds by 1, 2, 4, ... lanes, until each of the lanes 1..width
     # (the row's columns) sums itself and every lane below it
@@ -241,10 +242,7 @@ def _box_lower_sums(
     row_mask = (1 << lane * (width + 1)) - 1
     # table[i], lane j: mismatches in rows < i and columns < j of the big box
     table = [0]
-    buf = bytearray(L * (width + 1))
-    for a, b in zip(x.rows(big), z.rows(big)):
-        buf[L::L] = row_bits(a ^ b, width).encode().translate(_DIGIT)
-        row = int.from_bytes(buf, "little")
+    for row in lane_rows(map(xor, x.rows(big), z.rows(big)), width, L, 1):
         for step in steps:
             row += row << step
         table.append(table[-1] + (row & row_mask))
@@ -254,8 +252,8 @@ def _box_lower_sums(
     # column c's radius-r box spans the table columns [c + radius - r,
     # c + radius + r + 1)
     edges = [(lane * (radius + r + 1), lane * (radius - r)) for r in range(radius + 1)]
-    out_mask = (1 << lane * cols) - 1
-    raw = bytearray()
+    read = lane_reader(L, cols)
+    out: list[int] = []
     for i in range(base, base + height):
         acc = 0
         for r, c in enumerate(coef):
@@ -264,10 +262,8 @@ def _box_lower_sums(
             right, left = edges[r]
             acc += c * ((strip >> right) - (strip >> left))
         # lanes at and above `cols` hold borrows; the ones below are exact
-        raw += (acc & out_mask).to_bytes(L * cols, "little")
-    if L in _LANE_FORMAT and sys.byteorder == "little":
-        return memoryview(raw).cast(_LANE_FORMAT[L]).tolist(), den
-    return [int.from_bytes(raw[k : k + L], "little") for k in range(0, len(raw), L)], den
+        out += read(acc)
+    return out, den
 
 
 def _lower_sums(
@@ -279,6 +275,7 @@ def _lower_sums(
 ) -> tuple[list[int], int]:
     """Lower bounds d_lo(g x, g z) for g in window as integer numerators
     over one common denominator: in bulk when possible, else per site."""
+    _same_dimension([window], [x, z])
     if metric.shell_weight is not None and rows_available(window, x, z):
         return _box_lower_sums(x, z, window, metric.shell_weight, radius)
     return _site_lower_sums(x, z, window, metric, radius)

@@ -12,16 +12,18 @@ import hashlib
 import itertools
 import random
 import re
+import sys
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from math import ceil, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab import configs, examples
+from shiftlab import configs, examples, measures, metrics
 from shiftlab.configs import (
     AdmissibleMetric,
     Configuration,
@@ -528,9 +530,9 @@ def test_random_sites_match_an_independent_hash(dim):
 
 
 def test_random_row_heads_survive_memo_eviction():
-    """Read sites of more distinct rows than the row-head memo holds, each
-    followed by a site of an early row, then rows over a box taller than
-    the memo, then sites again."""
+    """Read sites of 2,648 distinct rows, each followed by a site of an
+    early row, so the chunk memo (CHUNK_MEMO chunks) is cleared along the
+    way; then rows over a box taller than the memo, then sites again."""
     x = random_config(2, 17)
     rows = range(-CHUNK - 300, CHUNK + 300)
     sites = []
@@ -765,10 +767,10 @@ def test_orbit_check_refuses_large_non_diagonal_lattices():
         PeriodicOrbitMeasure.from_config(y)
 
 
-# --- window pattern codes at lane and plane boundaries ----------------------
+# --- window pattern codes at lane boundaries ---------------------------------
 # One configuration's code takes 1-, 2-, 4- and 8-byte lanes up to 8, 16, 32
-# and 64 sites of W, and two 64-bit planes beyond; a pair's takes them at
-# half those sizes.
+# and 64 sites of W, and a lane of exactly ceil(|W| / 8) bytes beyond; a
+# pair's takes them at half those sizes.
 
 LANE_WINDOWS = [((-3,), (a - 4,)) for a in (8, 9, 16, 17, 32, 33, 64, 65)] + [
     ((-1, 2), (h - 2, w + 1)) for h, w in ((2, 4), (3, 3), (4, 4), (4, 8), (8, 8), (9, 8))
@@ -822,7 +824,7 @@ def test_pair_joining_reads_rows_without_site_calls():
 def pinned_measures():
     """(den, sorted counts) of empirical measures and to_dict() of pair
     joinings over fixed configurations, boxes with negative corners, and
-    windows whose codes take 1-, 2-, 4- and 8-byte lanes and two planes."""
+    windows whose codes take 1-, 2-, 4- and 8-byte lanes and wider ones."""
     one = [resolve_example_name("rf-sub:3"), random_config(1, 7),
            patched_config(random_config(1, 8), {(-30,): 1, (5,): 0, (40,): 1})]
     two = [resolve_example_name("visible"), resolve_example_name("prime-approx:2"),
@@ -884,3 +886,59 @@ def test_site_pattern_measures_are_pinned():
     assert pinned_site_measures() == (
         "e5f2c7d66782c2522b872f99e91b594894307cd9c994f573e87c2584e8ed602d"
     )
+
+
+# --- the lane codec ------------------------------------------------------------
+
+
+def test_only_configs_knows_the_lane_layout():
+    package = Path(configs.__file__).parent
+    named = [p.name for p in sorted(package.glob("*.py"))
+             if re.search(r"_DIGIT|_LANE_FORMAT|byteorder", p.read_text())]
+    assert named == ["configs.py"]
+
+
+def lane_reads():
+    """Lower sums, empirical measures and pair joinings whose lanes take
+    1, 2, 4, 8 and more than 8 bytes, over boxes with negative corners."""
+    out = []
+    for dim, side, radii in ((1, 30, (2, 10, 20, 35, 70)), (2, 6, (1, 4, 9, 14, 30))):
+        x, z = random_config(dim, 3), random_config(dim, 4)
+        window = FiniteSubset.box((-3,) * dim, (side - 3,) * dim)
+        for r in radii:
+            out.append(_box_lower_sums(x, z, window, default_metric(dim).shell_weight, r))
+    one = (random_config(1, 5), resolve_example_name("rf-sub:3"))
+    for k in (5, 12, 30, 60, 70):
+        out.append(empirical_measure(one[0], FiniteSubset.box((-20,), (40,)), box_set(1, k - 1)))
+    for k in (3, 7, 13, 31, 36):
+        out.append(pair_empirical_joining(*one, FiniteSubset.box((-20,), (40,)),
+                                          box_set(1, k - 1)).to_dict())
+    two = (resolve_example_name("visible"), random_config(2, 6))
+    for h, w in ((2, 2), (3, 4), (5, 6), (7, 8), (9, 9)):
+        W = FiniteSubset.box((-1, 0), (h - 2, w - 1))
+        out.append(empirical_measure(two[0], FiniteSubset.box((-4, -5), (6, 5)), W))
+    for h, w in ((2, 2), (2, 3), (3, 5), (4, 8), (5, 7)):
+        W = FiniteSubset.box((0, -1), (h - 1, w - 2))
+        out.append(pair_empirical_joining(*two, FiniteSubset.box((-4, -5), (6, 5)), W).to_dict())
+    return out
+
+
+def test_lane_reads_by_int_from_bytes_match_the_cast(monkeypatch):
+    """With sys.byteorder patched to "big", `configs.lane_reader` reads
+    every lane row with int.from_bytes instead of memoryview.cast; lower
+    sums, empirical measures and pair joinings must not change, for lanes
+    of 1, 2, 4, 8 and more than 8 bytes alike."""
+    want = lane_reads()
+    sizes = {metrics: set(), measures: set()}
+    for module, seen in sizes.items():
+        def reader(L, count, seen=seen):
+            seen.add(L)
+            return configs.lane_reader(L, count)
+
+        monkeypatch.setattr(module, "lane_reader", reader)
+    assert list(configs.lane_reader(1, 2)(0x030201)) == [1, 2]
+    monkeypatch.setattr(sys, "byteorder", "big")
+    assert configs.lane_reader(1, 2)(0x030201) == [1, 2]
+    assert lane_reads() == want
+    for seen in sizes.values():
+        assert {1, 2, 4, 8} < seen and max(seen) > 8, seen

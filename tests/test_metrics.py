@@ -352,3 +352,20 @@ def test_mismatch_density_refuses_mixed_dimensions_before_reading():
     with pytest.raises(InvalidDimensionError, match="dimension 1/2 read on windows of dimension 1$"):
         mismatch_density(x, y, FiniteSubset([(0,), (3,)]))
     assert reads == []
+
+
+def test_estimators_refuse_a_window_of_another_dimension():
+    # 2-D configurations on 1-D windows: a wrong-length read would fail
+    # inside the bulk path, so the shared check must come first
+    x, z = random_config(2, 1), random_config(2, 2)
+    F = make_box_folner(1)
+    message = "^configurations of dimension 2 read on windows of dimension 1$"
+    calls = [
+        lambda: besicovitch_estimate(x, z, F, 5),
+        lambda: besicovitch_prime_estimate(x, z, F, 5),
+        lambda: besicovitch_trace(x, z, F, [2, 5]),
+        lambda: upper_density(x.indicator(1), F, [2, 5]),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidDimensionError, match=message):
+            call()
