@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 from random import Random
 from typing import Mapping, Sequence
@@ -282,18 +281,17 @@ def _mix64(v: int) -> int:
 
 # `random_config` rows hash up to _CHUNK columns at once, as 128-bit lanes
 # of one int of about 16 KB: a 64-bit lane times a 64-bit constant fits in
-# its lane, so no carry reaches the next one
+# its lane, so no carry reaches the next one.  The lane constants below are
+# built once, for a full chunk; a narrower chunk of n columns cuts their
+# first n lanes off with one mask
 _CHUNK = 1024
+# 1, i, 2^64 - 1 and the splitmix64 increment in lane i, for i < _CHUNK
+_ONES = int.from_bytes(b"\x01".ljust(16, b"\0") * _CHUNK, "little")
+_RAMP = int.from_bytes(b"".join(i.to_bytes(16, "little") for i in range(_CHUNK)), "little")
+_LANE_MASK = _MASK * _ONES
+_LANE_GAMMA = _GAMMA * _ONES
 # byte -> ASCII digit of its low bit
 _LOW_BIT = bytes(48 + (b & 1) for b in range(256))
-
-
-@lru_cache(maxsize=4)
-def _lanes(n: int) -> tuple[int, int, int, int]:
-    """(1, i, 2^64 - 1, the splitmix64 increment) in lane i, for i < n."""
-    ones = int.from_bytes(b"\x01".ljust(16, b"\0") * n, "little")
-    ramp = int.from_bytes(b"".join(i.to_bytes(16, "little") for i in range(n)), "little")
-    return ones, ramp, _MASK * ones, _GAMMA * ones
 
 
 def random_config(dim: int, seed: int, alphabet: int = 2) -> Configuration:
@@ -305,7 +303,8 @@ def random_config(dim: int, seed: int, alphabet: int = 2) -> Configuration:
     has a bulk rows rule: the hash of every coordinate but the last is the
     row head (the start hash in 1-D, one splitmix64 of the row coordinate
     in 2-D), and each row's columns run splitmix64 together from it, as
-    128-bit lanes of one int per chunk of up to 1024 columns.
+    128-bit lanes of one int per chunk of up to 1024 columns.  The lane
+    constants are built once for a full chunk and cut to each chunk's width.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
@@ -324,7 +323,10 @@ def random_config(dim: int, seed: int, alphabet: int = 2) -> Configuration:
         width = hi[-1] - lo[-1] + 1
         for off in range(0, width, _CHUNK):
             n = min(_CHUNK, width - off)
-            ones, ramp, mask, gamma = _lanes(n)
+            ones, ramp, mask, gamma = _ONES, _RAMP, _LANE_MASK, _LANE_GAMMA
+            if n < _CHUNK:
+                cut = (1 << 128 * n) - 1
+                ones, ramp, mask, gamma = ones & cut, ramp & cut, mask & cut, gamma & cut
             # lane i holds column lo + off + i, mod 2^64
             cols = (((lo[-1] + off) & _MASK) * ones + ramp) & mask
             for r, h in enumerate(heads):

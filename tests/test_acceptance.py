@@ -40,7 +40,6 @@ FC2 = make_box_folner(2, kind="centered")
 
 DENSITY_TOL = 0.01          # criterion 1: |density - 6/pi^2|
 TAIL_SLACK = 0.01           # criterion 2: finite-size allowance over the tail bound
-MONOTONE_SLACK = Fraction(1, 200)   # criterion 2: 5e-3 nonincrease slack
 ORACLE_TOL = Fraction(1, 100)       # criterion 7: dbar >= oracle - 1e-2
 
 # Prime-square tail sums over ALL primes beyond the n-th, to ten places.
@@ -95,7 +94,7 @@ def test_criterion_02_approximant_convergence():
         for n, val in enumerate(values, start=1):
             assert float(val) <= PRIME_SQUARE_TAILS[n - 1] + TAIL_SLACK
         for a, b in zip(values, values[1:]):
-            assert b <= a + MONOTONE_SLACK
+            assert b <= a
 
     _record(2, "dbar(v, x^(n)) at N=600 under prime-square tails + 0.01, nonincreasing", body)
 

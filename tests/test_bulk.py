@@ -431,17 +431,20 @@ def hashed_rows(seed, box):
 CORNERS = (0, -37, 2**63 - 9, -(2**63) - 9, 2**64 - 9, -(2**64) - 9, 5 * 2**64 + 3)
 
 
+CHUNK = examples._CHUNK
+
+
 @settings(max_examples=120, deadline=None)
 @given(dim=st.sampled_from((1, 2)), seed=st.integers(-(2**70), 2**70), data=st.data())
 def test_random_rows_match_an_independent_hash(dim, seed, data):
+    # 1-D rows up to 2 CHUNK + 1 wide reach every width a chunk's lanes are
+    # cut to; 2-D boxes up to 16 rows of 70 columns
     lo = tuple(data.draw(st.sampled_from(CORNERS)) + data.draw(st.integers(-10, 10))
                for _ in range(dim))
-    hi = tuple(a + data.draw(st.integers(0, 60 if dim == 1 else 15)) for a in lo)
+    extents = (2 * CHUNK,) if dim == 1 else (15, 69)
+    hi = tuple(a + data.draw(st.integers(0, e)) for a, e in zip(lo, extents))
     box = FiniteSubset.box(lo, hi)
     assert random_config(dim, seed).rows(box) == hashed_rows(seed, box)
-
-
-CHUNK = examples._CHUNK
 
 
 @pytest.mark.parametrize("corner", CORNERS)

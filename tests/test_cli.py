@@ -7,6 +7,7 @@ import os
 import re
 import shutil
 import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -588,3 +589,12 @@ def test_console_script_is_installed():
     assert exe is not None
     proc = subprocess.run([exe, "--version"], capture_output=True, text=True)
     assert proc.returncode == 0 and "0.1.0" in proc.stdout
+
+
+def test_module_runs_from_a_plain_checkout():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "shiftlab.cli", "--version"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "shiftlab 0.1.0"
