@@ -18,10 +18,12 @@ atomically to --out or to stdout, and sets the exit code: 2 when the body's
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
 import os
+import shutil
 import sys
 from fractions import Fraction
 from random import Random
@@ -90,9 +92,13 @@ PRIME_SQUARE_TAILS = (
 SITE_BUDGET = 10**8
 
 
-def _within_budget(F: FolnerSequence, ns: Sequence[int], per_site: int = 1) -> None:
+def _site_reads(F: FolnerSequence, ns: Sequence[int], per_site: int = 1) -> int:
+    """per_site times the sites of F_n summed over ns."""
+    return per_site * sum(len(F.set_at(n)) for n in ns)
+
+
+def _within_budget(estimate: int) -> None:
     """Refuse, as a usage error, a job over SITE_BUDGET site reads."""
-    estimate = per_site * sum(len(F.set_at(n)) for n in ns)
     if estimate > SITE_BUDGET:
         raise ValueError(
             f"job would read about {estimate} sites, over the limit of {SITE_BUDGET}"
@@ -112,6 +118,13 @@ def _within_cell_budget(mu: PatternDistribution, nu: PatternDistribution) -> Non
         raise ValueError(
             f"solve would have {cells} cells, over the limit of {CELL_BUDGET}"
         )
+
+
+# A `tempered` job over this many box unions, n(n-1)/2 for ratios
+# j = 1..n-1, is refused before it starts: n = 400 (79,800 unions) took
+# 1.4-2.0 s in z:1, z:2 and z:3 (2 vCPU, Python 3.11.7), and the time grows
+# with the unions.
+UNION_BUDGET = 80_000
 
 
 class _Required:
@@ -249,26 +262,30 @@ def _atomic_write(path: str, text: str) -> None:
     mode open() would give under the process umask, which is never
     changed.  A taken temp name is skipped, never written.  There is no
     fsync: a report can be rebuilt from the configuration it embeds, and
-    an fsync can stall for tens of milliseconds.
+    an fsync can stall for tens of milliseconds.  An OSError names `path`,
+    not the temp file, whose name changes with the pid.
     """
     data = text.encode("utf-8")
-    for n in _TEMP_NUMBERS:
-        tmp = f"{path}.{os.getpid()}.{n}.tmp"
-        try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            break
-        except FileExistsError:
-            pass
     try:
-        with open(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
+        for n in _TEMP_NUMBERS:
+            tmp = f"{path}.{os.getpid()}.{n}.tmp"
+            try:
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                break
+            except FileExistsError:
+                pass
         try:
-            os.unlink(tmp)
-        except FileNotFoundError:
-            pass
-        raise
+            with open(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except FileNotFoundError:
+                pass
+            raise
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -305,7 +322,7 @@ def _window_inputs(
     configs = [resolve_example_name(name) for name in names]
     d = configs[0].dim
     F = make_box_folner(d, cfg["kind"])
-    _within_budget(F, ns, sum(s**d for s in sides))
+    _within_budget(_site_reads(F, ns, sum(s**d for s in sides)))
     return (*configs, F)
 
 
@@ -322,7 +339,7 @@ def _two_measures(cfg: dict) -> tuple[PatternDistribution, PatternDistribution]:
 def _cmd_density(cfg: dict) -> EstimateTrace:
     n_list = cfg["n-list"] or _ladder(cfg["N"])
     x, F = _window_inputs(cfg, n_list)
-    return upper_density(x.indicator(cfg["symbol"]), F, n_list)
+    return upper_density(x.indicator(x.alphabet.check(cfg["symbol"])), F, n_list)
 
 
 def _cmd_besicovitch(cfg: dict) -> EstimateTrace:
@@ -440,7 +457,7 @@ def _cmd_nowy_check(cfg: dict) -> dict:
     count = int(cfg["pairs"].partition(":")[2])
     rng = Random(cfg["seed"])
     F = make_box_folner(1)
-    _within_budget(F, [cfg["n"]], count)
+    _within_budget(_site_reads(F, [cfg["n"]], count))
     items = []
     for _ in range(count):
         x, z = random_periodic_pair(rng, cfg["max-period"])
@@ -491,6 +508,9 @@ def _cmd_triangle_check(cfg: dict) -> dict:
 
 
 def _cmd_tempered(cfg: dict) -> dict:
+    unions = cfg["n"] * (cfg["n"] - 1) // 2
+    if unions > UNION_BUDGET:
+        raise ValueError(f"job would take {unions} box unions, over the limit of {UNION_BUDGET}")
     F = make_box_folner(cfg["group"], cfg["kind"])
     ratios = [temperedness_ratio(F, j) for j in range(1, cfg["n"])]
     worst = max(ratios)
@@ -538,13 +558,22 @@ def _cmd_entropy(cfg: dict) -> dict:
 def _cmd_convergence(cfg: dict) -> dict:
     st = SubstitutionStage()
     stages = cfg["stages"]
+    Fc = make_box_folner(2, "centered")
+    ladder = [100, 300, 1000]
+    period = st.modulus(3)
+    ent_n = period * max(1, 2000 // period) - 1
+    # the density ladder, n-max dbar windows F_N and the entropy box {0..ent_n}
+    _within_budget(
+        _site_reads(Fc, ladder)
+        + _site_reads(Fc, [cfg["N"]] * cfg["n-max"])
+        + _site_reads(make_box_folner(1), [ent_n], sum(cfg["entropy-sizes"]))
+    )
     body: dict = {}
     all_pass = True
 
     # visible-point density along growing centered boxes
     v = visible_points_config()
-    Fc = make_box_folner(2, "centered")
-    dens = upper_density(v.indicator(1), Fc, [100, 300, 1000])
+    dens = upper_density(v.indicator(1), Fc, ladder)
     target = 6 / math.pi**2
     errors = [abs(float(r.value) - target) for r in dens.rows]
     dens_pass = all(a > b for a, b in zip(errors, errors[1:]))
@@ -607,8 +636,6 @@ def _cmd_convergence(cfg: dict) -> dict:
 
     # block entropy of a substitution stage decays like log(period)/k
     x3 = rf_substitution(st, 3)
-    period = st.modulus(3)
-    ent_n = period * max(1, 2000 // period) - 1
     ent = block_entropy(x3, box_set(1, ent_n), cfg["entropy-sizes"])
     ent_pass = all(b <= a + 1e-12 for (_, a), (_, b) in zip(ent, ent[1:])) and all(
         h <= math.log2(period) / k + 1e-12 for k, h in ent
@@ -715,15 +742,22 @@ COMMANDS: list[tuple[str, Callable[[dict], EstimateTrace | dict], str, list[Para
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # argparse makes a HelpFormatter for every add_argument, and each one
+    # probes the terminal unless given a width; probe once per build and
+    # pass argparse's own default, the columns less 2, to every parser
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     parser = argparse.ArgumentParser(
         prog="shiftlab",
+        formatter_class=formatter,
         description="experiments on shift configurations: densities, Besicovitch "
         "pseudometrics, empirical measures, exact transport, and example pipelines",
     )
     parser.add_argument("--version", action="version", version=f"shiftlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler, help_text, params in COMMANDS:
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, formatter_class=formatter)
         p.add_argument("--config", help="flat key=value parameter file")
         p.add_argument("--out", help="output path (default: stdout)")
         for param in params:

@@ -1,5 +1,6 @@
 """Command-line runner: subcommands, config files, report files, exit codes."""
 
+import argparse
 import hashlib
 import itertools
 import json
@@ -289,6 +290,19 @@ def test_failed_write_leaves_no_temp_file(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [target]
 
 
+@pytest.mark.parametrize("target, errno_text", [
+    ("missing/report.json", "[Errno 2] No such file or directory"),
+    ("taken", "[Errno 21] Is a directory"),
+], ids=["missing-directory", "directory-target"])
+def test_failed_write_names_the_given_path(tmp_path, capsys, target, errno_text):
+    (tmp_path / "taken").mkdir()
+    path = tmp_path / target
+    code, out, err = run(capsys, "density", "--set", "visible", "--out", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: {errno_text}: {str(path)!r}\n"
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
 def test_written_report_gets_the_default_file_mode(tmp_path):
     umask = os.umask(0o022)
     try:
@@ -476,6 +490,16 @@ def test_oversized_window_job_is_refused_before_reading(capsys):
     assert err == f"error: job would read about {estimate} sites, over the limit of {limit}\n"
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["convergence", "--N", "20000"],
+     f"error: job would read about 8004847503 sites, over the limit of {cli.SITE_BUDGET}\n"),
+    (["tempered", "--group", "z:2", "--n", "20000"],
+     f"error: job would take 199990000 box unions, over the limit of {cli.UNION_BUDGET}\n"),
+], ids=["convergence", "tempered"])
+def test_oversized_pipeline_job_is_refused_at_once(capsys, argv, err):
+    assert run(capsys, *argv) == (1, "", err)
+
+
 _BUDGET_JOBS = [
     # (argv, estimated site reads)
     (["density", "--set", "visible", "--n-list", "9,19"], 10**2 + 20**2),
@@ -492,6 +516,10 @@ _BUDGET_JOBS = [
     # {0..2519} is a whole number of joint periods, so every pair passes
     (["nowy-check", "--pairs", "random:3", "--n", "2519", "--max-period", "10", "--k-max", "2"],
      3 * 2520),
+    # the centered density ladder 100, 300, 1000, n-max windows F_N and the
+    # 1-D entropy box {0..1994} read once per block side
+    (["convergence", "--N", "40", "--n-max", "2", "--stages", "3", "--entropy-sizes", "1,2"],
+     201**2 + 601**2 + 2001**2 + 2 * 81**2 + 1995 * (1 + 2)),
 ]
 
 
@@ -529,6 +557,33 @@ def test_cell_budget_is_checked_against_the_support_sizes(monkeypatch, capsys, a
     assert err == f"error: solve would have {cells} cells, over the limit of {cells - 1}\n"
 
 
+@pytest.mark.parametrize("argv, unions", [
+    # ratios j = 1..n-1 take j unions each
+    (["tempered", "--group", "z:2", "--n", "20", "--c", "4.5"], 20 * 19 // 2),
+    (["tempered", "--group", "z:1", "--n", "2"], 1),
+], ids=["z2", "z1"])
+def test_union_budget_is_checked_against_the_union_count(monkeypatch, capsys, argv, unions):
+    monkeypatch.setattr(cli, "UNION_BUDGET", unions)
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, "UNION_BUDGET", unions - 1)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: job would take {unions} box unions, over the limit of {unions - 1}\n"
+
+
+@pytest.mark.parametrize("symbol", ["5", "-1"])
+def test_density_refuses_a_symbol_outside_the_alphabet_before_reading(
+    monkeypatch, capsys, symbol
+):
+    def no_read(*args):
+        raise AssertionError("the job read sites")
+
+    monkeypatch.setattr(cli, "upper_density", no_read)
+    code, out, err = run(capsys, "density", "--set", "visible", "--symbol", symbol)
+    assert code == 1 and out == ""
+    assert err == f"error: symbol {symbol} outside alphabet of size 2\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["transport", "--x", "visible", "--z", "rf-sub:1", "--N", "3"],
     ["prokhorov", "--x", "visible", "--z", "rf-sub:1", "--N", "3"],
@@ -560,6 +615,59 @@ def test_tempered_refuses_fewer_than_two_windows(capsys, n):
     code, out, err = run(capsys, "tempered", "--n", n)
     assert code == 1 and out == ""
     assert err == f"error: n: must be >= 2, got {n}\n"
+
+
+def _parsers(parser):
+    """The top parser, then every subparser in the listing's order."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [parser, *sub.choices.values()]
+
+
+def _with_plain_formatters(parser):
+    """The parser with argparse's default formatter, which probes the
+    terminal each time it is made, on the top parser and every subparser."""
+    for p in _parsers(parser):
+        p.formatter_class = argparse.HelpFormatter
+    return parser
+
+
+def test_a_parser_build_probes_the_terminal_once(monkeypatch):
+    calls = []
+    probe = shutil.get_terminal_size
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return probe(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    cli._build_parser()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("columns", ["50", "150"])
+def test_help_and_usage_match_the_default_formatter(monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    built = _parsers(cli._build_parser())
+    plain = _parsers(_with_plain_formatters(cli._build_parser()))
+    assert len(built) == len(cli.COMMANDS) + 1
+    for ours, theirs in zip(built, plain):
+        assert ours.format_help() == theirs.format_help()
+        assert ours.format_usage() == theirs.format_usage()
+
+
+@pytest.mark.parametrize("columns", ["50", "150"])
+@pytest.mark.parametrize("argv, message", [
+    # the top parser's usage, then the density subparser's
+    (["density", "--bogus", "1"], "shiftlab: error: unrecognized arguments: --bogus 1\n"),
+    (["density", "--N"], "shiftlab density: error: argument --N: expected one argument\n"),
+], ids=["bogus", "missing-value"])
+def test_usage_error_matches_the_default_formatter(monkeypatch, capsys, columns, argv, message):
+    monkeypatch.setenv("COLUMNS", columns)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and err.endswith(message)
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: _with_plain_formatters(build()))
+    assert run(capsys, *argv) == (code, out, err)
 
 
 def test_help_and_version_exit_zero(capsys):
