@@ -94,7 +94,7 @@ SITE_BUDGET = 10**8
 
 def _site_reads(F: FolnerSequence, ns: Sequence[int], per_site: int = 1) -> int:
     """per_site times the sites of F_n summed over ns."""
-    return per_site * sum(len(F.set_at(n)) for n in ns)
+    return per_site * sum(F.set_at(n).size() for n in ns)
 
 
 def _within_budget(estimate: int) -> None:
@@ -125,6 +125,21 @@ def _within_cell_budget(mu: PatternDistribution, nu: PatternDistribution) -> Non
 # 1.4-2.0 s in z:1, z:2 and z:3 (2 vCPU, Python 3.11.7), and the time grows
 # with the unions.
 UNION_BUDGET = 80_000
+
+# Upper bounds on the knobs that no budget charges, checked in their casts
+# (times on 2 vCPUs, Python 3.11.7).  `--trials` of `glue-check` and
+# `triangle-check`: 1000 trials took 0.20-0.24 s and, at `--support 8`,
+# 0.53-0.72 s over seeds 0-2.  `--k-max` and `nowy-check --max-period`:
+# nowy-check's 20 default pairs at k-max 16 and max-period 24 took
+# 0.47-0.83 s over seeds 1-7, and one pair of periods 24 and 23, the largest
+# joint period, 0.07 s, so 20 such pairs about 1.4 s; `rho-chain --k-max 16`
+# took up to 1.4 s (prime-approx:2 with itself) under CELL_BUDGET.
+# `tempered --group z:d`: d = 8 at n = 400, UNION_BUDGET's largest job,
+# took 2.5 s, against 1.4 s for d = 4.
+TRIALS_MAX = 1000
+K_MAX = 16
+PERIOD_MAX = 24
+GROUP_DIM_MAX = 8
 
 
 class _Required:
@@ -194,6 +209,15 @@ def _int_list(text: str) -> list[int]:
     return vals
 
 
+def _side_list(text: str) -> list[int]:
+    """Box sides, each at least 1: a side below 1 would cancel others in
+    the site estimate, which sums s^d over the sides."""
+    sides = _int_list(text)
+    if min(sides) < 1:
+        raise ValueError(f"sides must be >= 1, got {min(sides)}")
+    return sides
+
+
 def _at_least(cast: Callable[[str], object], lo, hi=None) -> Callable[[str], object]:
     """`cast`, then refuse a value below lo or, when hi is given, above hi."""
     def bounded(text: str):
@@ -229,12 +253,12 @@ def _one_of(*choices: str) -> Callable[[str], str]:
 
 
 def _group(text: str) -> int:
-    """Parse 'z:d' into the dimension d."""
+    """Parse 'z:d' into the dimension d, 1 <= d <= GROUP_DIM_MAX."""
     if not text.startswith("z:"):
         raise ValueError(f"must look like z:d, got {text!r}")
     dim = int(text.split(":", 1)[1])
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
+    if not 1 <= dim <= GROUP_DIM_MAX:
+        raise ValueError(f"dimension must be in 1..{GROUP_DIM_MAX}, got {dim}")
     return dim
 
 
@@ -666,8 +690,8 @@ _N_LIST = Param("n-list", _int_list, None, "explicit window indices")
 _WINDOW = Param("window", _at_least(int, 1), 1, "box window side")
 _RADIUS = Param("radius", _at_least(int, 0), DEFAULT_RADIUS, "truncation radius")
 _COST = Param("cost", _one_of("hamming", "admissible"), "hamming", "hamming or admissible")
-_K_MAX = Param("k-max", _at_least(int, 1), 3, "largest marginal window side")
-_TRIALS = Param("trials", _at_least(int, 1), 100, "number of random instances")
+_K_MAX = Param("k-max", _at_least(int, 1, K_MAX), 3, "largest marginal window side")
+_TRIALS = Param("trials", _at_least(int, 1, TRIALS_MAX), 100, "number of random instances")
 
 # (name, handler, help, parameters), in the order of the parser's listing
 COMMANDS: list[tuple[str, Callable[[dict], EstimateTrace | dict], str, list[Param]]] = [
@@ -706,7 +730,7 @@ COMMANDS: list[tuple[str, Callable[[dict], EstimateTrace | dict], str, list[Para
         Param("seed", int, 7),
         Param("n", _at_least(int, 1), 10_000, "window index for the dbar estimate"),
         _K_MAX,
-        Param("max-period", _at_least(int, 1), 12),
+        Param("max-period", _at_least(int, 1, PERIOD_MAX), 12, "largest word period"),
     ]),
     ("triangle-check", _cmd_triangle_check, "transport triangle inequality on random triples (JSON)", [
         Param("seed", int, 0),
@@ -725,7 +749,7 @@ COMMANDS: list[tuple[str, Callable[[dict], EstimateTrace | dict], str, list[Para
         _SET,
         Param("N", _at_least(int, 1), 1000, "window index"),
         _KIND,
-        Param("sizes", _int_list, (1, 2, 3), "block sides"),
+        Param("sizes", _side_list, (1, 2, 3), "block sides"),
     ]),
     ("convergence", _cmd_convergence, "end-to-end example pipelines (JSON)", [
         Param("N", _at_least(int, 1), 600, "window index for dbar estimates"),
@@ -733,7 +757,7 @@ COMMANDS: list[tuple[str, Callable[[dict], EstimateTrace | dict], str, list[Para
               "largest approximant stage"),
         Param("stages", _at_least(int, 2, SubstitutionStage().stages), 6,
               "substitution stages"),
-        Param("entropy-sizes", _int_list, (1, 2, 3, 4, 5, 6), "block sides"),
+        Param("entropy-sizes", _side_list, (1, 2, 3, 4, 5, 6), "block sides"),
     ]),
 ]
 

@@ -9,12 +9,12 @@ fractions.  A binary configuration also reads out in bulk over a 1-D or
 2-D box as bit-packed rows (`Configuration.rows`), which the estimators
 count with XOR and `int.bit_count`, or as lane rows with one L-byte lane
 per column (`lane_rows`, `lane_reader`).  When it has such rows, its site
-reads (`Configuration.value`) come from memoized 64-column chunks of
-them too; the site rule it was built with stays the per-site reference,
-and configurations without rows read sites through it.  The metric
-machinery at the bottom implements summable translation weights with
-certified tail bounds, so truncated distances come back as exact
-[lo, hi] Fraction intervals.
+reads (`Configuration.value`) come from 64-column chunks of them too,
+memoized on the configuration; the site rule it was built with stays the
+per-site reference, and configurations without rows read sites through
+it.  The metric machinery at the bottom implements summable translation
+weights with certified tail bounds, so truncated distances come back as
+exact [lo, hi] Fraction intervals.
 """
 
 from __future__ import annotations
@@ -280,50 +280,6 @@ def _tile(period: str, start: int, width: int) -> int:
     return int(text[:width][::-1], 2)
 
 
-def _chunk_reader(dim: int, rows: RowsRule) -> Callable[[Point], int]:
-    """Site rule of a binary 1-D or 2-D configuration that answers from its
-    bulk rule: bit c & 63 of chunk (row, c >> 6), the aligned 64 columns of
-    the row from (c >> 6) << 6 on, is the site in column c of that row (a
-    1-D site c is in row 0).  Each chunk is read once, by `rows`, and kept
-    in a memo that is cleared when it holds CHUNK_MEMO chunks."""
-    memo: dict = {}
-    # the chunk last read, which a scan along a row reads again at once;
-    # it is always in the memo, since a clear comes just before a new one
-    last_a = last_k = chunk = None
-
-    if dim == 1:
-        def site(g: Point) -> int:
-            nonlocal last_k, chunk
-            (c,) = g
-            k = c >> 6
-            if k != last_k:
-                got = memo.get(k)
-                if got is None:
-                    if len(memo) >= CHUNK_MEMO:
-                        memo.clear()
-                    got = memo[k] = rows((k << 6,), ((k << 6) + 63,))[0]
-                last_k, chunk = k, got
-            return chunk >> (c & 63) & 1
-
-        return site
-
-    def site(g: Point) -> int:
-        nonlocal last_a, last_k, chunk
-        a, c = g
-        k = c >> 6
-        if k != last_k or a != last_a:
-            key = (a, k)
-            got = memo.get(key)
-            if got is None:
-                if len(memo) >= CHUNK_MEMO:
-                    memo.clear()
-                got = memo[key] = rows((a, k << 6), (a, (k << 6) + 63))[0]
-            last_a, last_k, chunk = a, k, got
-        return chunk >> (c & 63) & 1
-
-    return site
-
-
 def _grid(lo: Point, hi: Point) -> tuple[int, int, int, int]:
     """(first row coordinate, row count, first column, width) of a 1-D or
     2-D box; a 1-D box is a single row at coordinate 0."""
@@ -340,12 +296,15 @@ class Configuration:
     and `PeriodicOrbitMeasure` checks it.  `rows` is an optional bulk rule
     that must agree with `rule` on every site; constructors that know their
     structure supply one.  On a binary configuration of dimension 1 or 2,
-    `value` then answers from chunks of those rows (`_chunk_reader`), so
-    the agreement governs site reads too; `_rule` stays the per-site
-    reference.
+    `value` then reads sites from 64-column chunks of those rows, kept in
+    the configuration's own memo (`_memo`) beside the chunk it last read
+    (`_row`, `_col`, `_chunk`), so the agreement governs site reads too.
+    Any other configuration has no memo, and `value` calls `_rule`, which
+    stays the per-site reference either way.
     """
 
-    __slots__ = ("dim", "alphabet", "kind", "period_lattice", "_rule", "_rows", "_site")
+    __slots__ = ("dim", "alphabet", "kind", "period_lattice", "_rule", "_rows",
+                 "_memo", "_row", "_col", "_chunk")
 
     def __init__(
         self,
@@ -366,10 +325,40 @@ class Configuration:
         self._rule = rule
         self._rows = rows
         chunked = rows is not None and dim <= 2 and self.alphabet.size == 2
-        self._site = _chunk_reader(dim, rows) if chunked else rule
+        self._memo = {} if chunked else None
+        self._row = self._col = self._chunk = None
 
     def value(self, g: Point) -> int:
-        return self._site(g)
+        """The symbol at g, in one frame.  With a chunk memo, the site in
+        column c of a row (a 1-D site c is in row 0) is bit c & 63 of chunk
+        (row, c >> 6), the aligned 64 columns of the row from (c >> 6) << 6
+        on.  Each chunk is read once, by `_rows`, into a memo that is
+        cleared when it holds CHUNK_MEMO chunks.  The chunk last read, which
+        a scan along a row reads again at once, needs no memo lookup; it is
+        always in the memo, since a clear comes just before a new chunk.
+        Without a memo, the rule answers."""
+        memo = self._memo
+        if memo is None:
+            return self._rule(g)
+        if self.dim == 1:
+            a, (c,) = 0, g
+        else:
+            a, c = g
+        k = c >> 6
+        if k != self._col or a != self._row:
+            chunk = memo.get((a, k))
+            if chunk is None:
+                if len(memo) >= CHUNK_MEMO:
+                    memo.clear()
+                lo = k << 6
+                if self.dim == 1:
+                    chunk = self._rows((lo,), (lo + 63,))[0]
+                else:
+                    chunk = self._rows((a, lo), (a, lo + 63))[0]
+                memo[a, k] = chunk
+            self._row, self._col, self._chunk = a, k, chunk
+            return chunk >> (c & 63) & 1
+        return self._chunk >> (c & 63) & 1
 
     def rows(self, box: FiniteSubset) -> list[int]:
         """Bit-packed rows of a binary configuration over a 1-D or 2-D box.

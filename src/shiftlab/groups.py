@@ -96,13 +96,18 @@ class FiniteSubset:
             raise ValueError("bounds of a set that is not a box")
         return self._lo, self._hi
 
-    def __len__(self) -> int:
+    def size(self) -> int:
+        """The number of points, as a plain int; `len()` gives the same
+        count but refuses one above sys.maxsize, which a large box in high
+        dimension exceeds."""
         if self.is_box:
             n = 1
             for a, b in zip(self._lo, self._hi):
                 n *= b - a + 1
             return n
         return len(self._points)
+
+    __len__ = size
 
     def __iter__(self) -> Iterator[Point]:
         if self.is_box:
@@ -188,12 +193,12 @@ class FiniteSubset:
         return sum(1 for p in small if p in big)
 
     def sym_diff_size(self, other: "FiniteSubset") -> int:
-        return len(self) + len(other) - 2 * self.intersection_size(other)
+        return self.size() + other.size() - 2 * self.intersection_size(other)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteSubset):
             return NotImplemented
-        if self.dim != other.dim or len(self) != len(other):
+        if self.dim != other.dim or self.size() != other.size():
             return False
         if self.is_box and other.is_box:
             return self._lo == other._lo and self._hi == other._hi
@@ -279,10 +284,10 @@ def custom_folner(sets: Sequence[FiniteSubset]) -> FolnerSequence:
 
 def folner_defect(F: FiniteSubset, g: Point) -> Fraction:
     """|gF symdiff F| / |F|; in Z^d the left and right translates coincide."""
-    if len(F) == 0:
+    if F.size() == 0:
         raise ValueError("defect of an empty set")
     moved = F.translate(g)
-    return Fraction(moved.sym_diff_size(F), len(F))
+    return Fraction(moved.sym_diff_size(F), F.size())
 
 
 def _union_size(sets: Iterable[FiniteSubset], target: FiniteSubset) -> int:
@@ -291,7 +296,7 @@ def _union_size(sets: Iterable[FiniteSubset], target: FiniteSubset) -> int:
     for s in sets:
         piece = s.invert().minkowski(target)
         acc = piece if acc is None else acc.union(piece)
-    return len(acc)
+    return acc.size()
 
 
 def _tempering_constant(C: float | Fraction) -> Fraction:
@@ -307,7 +312,7 @@ def temperedness_ratio(F: FolnerSequence, n: int) -> Fraction:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     target = F.set_at(n + 1)
-    return Fraction(_union_size((F.set_at(k) for k in range(1, n + 1)), target), len(target))
+    return Fraction(_union_size((F.set_at(k) for k in range(1, n + 1)), target), target.size())
 
 
 def tempered_subsequence(F: FolnerSequence, C: float | Fraction, horizon: int) -> list[int]:
@@ -324,7 +329,7 @@ def tempered_subsequence(F: FolnerSequence, C: float | Fraction, horizon: int) -
     chosen = [1]
     for m in range(2, horizon + 1):
         target = F.set_at(m)
-        if _union_size((F.set_at(k) for k in chosen), target) <= C * len(target):
+        if _union_size((F.set_at(k) for k in chosen), target) <= C * target.size():
             chosen.append(m)
     return chosen
 
@@ -333,5 +338,5 @@ def check_tempered(sets: Sequence[FiniteSubset], C: float | Fraction) -> bool:
     """Does the explicit list satisfy the C-tempered condition at every step?"""
     C = _tempering_constant(C)
     return all(
-        _union_size(sets[:j], sets[j]) <= C * len(sets[j]) for j in range(1, len(sets))
+        _union_size(sets[:j], sets[j]) <= C * sets[j].size() for j in range(1, len(sets))
     )

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,26 @@ def test_tracer_wraps_every_traced_name_and_puts_it_back():
     assert all(after[k] is v for k, v in before.items())
 
 
+def test_site_reads_are_one_plain_function_on_the_class():
+    # the tracer counts configs.value_calls by wrapping exactly this entry
+    # of the class dict, so no configuration may carry a `value` of its own
+    conf = shiftlab.configs.Configuration
+    assert type(conf.__dict__["value"]) is types.FunctionType
+    assert "value" not in conf.__slots__
+    ex = shiftlab.examples
+    xs = (ex.random_config(2, 1), ex.random_config(1, 1, 3), ex.visible_points_config())
+    assert not any(hasattr(x, "__dict__") for x in xs)
+    reads = [(x, (3, -70)[: x.dim]) for x in xs for _ in range(5)]
+    tracer = _load_tracing().Tracer(shiftlab)
+    tracer.install()
+    try:
+        bits = [x.value(g) for x, g in reads]
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["configs.value_calls"] == 15
+    assert bits == [x._rule(g) for x, g in reads]
+
+
 @pytest.fixture(scope="module")
 def bench_copy(tmp_path_factory):
     """src/, bench/ and BENCHMARK.json in a fresh directory, as the
@@ -92,3 +113,9 @@ def test_tiny_traced_oracle_run_is_correct(bench_copy):
     # headroom; the tracer's hooks read min_cost_transport's arguments, which
     # only a traced run exercises
     _tiny_run(bench_copy, "oracle-crosscheck", 1)
+
+
+def test_tiny_traced_hashed_run_is_correct(bench_copy):
+    # library calls only, like the oracle run above; it reads sites through
+    # the tracer's Configuration.value wrapper, which only a traced run uses
+    _tiny_run(bench_copy, "hashed-windows", 1)

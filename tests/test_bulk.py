@@ -602,8 +602,8 @@ def counted(x):
 
 def chunk_memo(x):
     """The chunk memo that x's site reads keep."""
-    (memo,) = (c.cell_contents for c in x._site.__closure__ if isinstance(c.cell_contents, dict))
-    return memo
+    assert isinstance(x._memo, dict)
+    return x._memo
 
 
 def test_one_row_read_site_by_site_reads_each_chunk_once():
@@ -630,12 +630,13 @@ def test_sites_without_a_two_symbol_rows_rule_are_read_by_the_rule():
         raise AssertionError("rows rule called")
 
     x = random_config(2, 5, alphabet=3)
-    assert x._rows is None and x._site is x._rule
+    assert x._rows is None and x._memo is None
     box = FiniteSubset.box((-3, -70), (3, 70))
     ternary = Configuration(2, 3, x._rule, rows=no_rows)
     assert all(x.value(g) == ternary.value(g) == hashed(5, g, 3) for g in box)
     cube = Configuration(3, 2, lambda g: sum(g) % 2, rows=no_rows)
     assert all(cube.value(g + (1,)) == (sum(g) + 1) % 2 for g in box)
+    assert ternary._memo is None and cube._memo is None
 
 
 def test_tiles_partition_large_boxes():

@@ -7,8 +7,10 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -615,6 +617,77 @@ def test_tempered_refuses_fewer_than_two_windows(capsys, n):
     code, out, err = run(capsys, "tempered", "--n", n)
     assert code == 1 and out == ""
     assert err == f"error: n: must be >= 2, got {n}\n"
+
+
+# --- refusal sweep ------------------------------------------------------------
+# Every parameter of every command is either sized, so that values which
+# must be refused are fed to it below, or has no size to refuse; a new
+# parameter must be put in one of the two.
+_HUGE = ("10000000000", "100000000000000000000")
+_REFUSED = {
+    **{key: _HUGE for key in ("N", "n-list", "n", "window", "radius", "symbol", "trials",
+                              "k-max", "max-period", "support", "n-max", "stages")},
+    **{key: ("0", "-3000", "3000,-3000", _HUGE[0]) for key in ("sizes", "entropy-sizes")},
+    "pairs": tuple(f"random:{v}" for v in _HUGE),
+    "group": tuple(f"z:{v}" for v in _HUGE),
+}
+_UNSIZED = {"x", "z", "set", "kind", "cost", "seed", "c", "merge-tol", "grid-cap", "name"}
+# the examples a command reads: 2-D ones, then 1-D ones, whose boxes reach
+# 10^20 sites in one dimension
+_EXAMPLES = ({"x": "visible", "z": "prime-approx:2", "set": "visible"},
+             {"x": "rf-sub:1", "z": "rf-sub:2", "set": "rf-sub:2"})
+
+
+def _refusal_cases():
+    cases = {}
+    for name, _, _, params in cli.COMMANDS:
+        for examples in _EXAMPLES:
+            base = [name]
+            for p in params:
+                if p.key in examples and p.default is cli.REQUIRED:
+                    base += [f"--{p.key}", examples[p.key]]
+            for p in params:
+                for value in _REFUSED.get(p.key, ()):
+                    argv = (*base, f"--{p.key}", value)
+                    cases[" ".join(argv)] = argv
+    return list(cases.values())
+
+
+def test_every_parameter_is_swept_or_has_no_size():
+    keys = {p.key for _, _, _, params in cli.COMMANDS for p in params}
+    assert keys == _REFUSED.keys() | _UNSIZED
+
+
+class _Overran(Exception):
+    pass
+
+
+def _overran(signum, frame):
+    raise _Overran("still running after 2 s")
+
+
+@pytest.mark.parametrize("argv", _refusal_cases(), ids=" ".join)
+def test_oversized_and_senseless_values_are_refused_at_once(capsys, argv):
+    old = signal.signal(signal.SIGALRM, _overran)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        elapsed = time.perf_counter() - t0
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+    assert elapsed < 0.5
+
+
+def test_a_box_past_sys_maxsize_is_charged_by_its_size(capsys):
+    # 10^10 + 1 sites a side: len() of the box would raise OverflowError
+    code, out, err = run(capsys, "density", "--set", "visible", "--n-list", "10000000000")
+    assert code == 1 and out == ""
+    assert err == (f"error: job would read about {(10**10 + 1) ** 2} sites, "
+                   f"over the limit of {cli.SITE_BUDGET}\n")
 
 
 def _parsers(parser):

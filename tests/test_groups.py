@@ -110,6 +110,16 @@ def test_temperedness_ratio_closed_forms():
         temperedness_ratio(F1, 0)
 
 
+def test_sizes_past_sys_maxsize_are_plain_ints():
+    # 400^8 sites: len() cannot return that many, the size accessor can
+    box = FiniteSubset.box((0,) * 8, (399,) * 8)
+    assert box.size() == 400**8 and FiniteSubset([(1, 2), (3, 4)]).size() == 2
+    with pytest.raises(OverflowError):
+        len(box)
+    assert temperedness_ratio(make_box_folner(8), 300) == Fraction(2 * 300 + 2, 300 + 2) ** 8
+    assert folner_defect(box, (1,) * 8) == 2 - 2 * Fraction(399, 400) ** 8
+
+
 def test_z2_ratio_approaches_two_to_the_d():
     F2 = make_box_folner(2)
     ratio = temperedness_ratio(F2, 100)
