@@ -64,6 +64,7 @@ from .transport import (
     glue_couplings,
     hamming_per_site_cost,
     min_cost_transport,
+    oracle_box,
     PeriodicOrbitMeasure,
     periodic_rho_oracle,
     rho_bar_lower,
@@ -135,11 +136,15 @@ UNION_BUDGET = 80_000
 # joint period, 0.07 s, so 20 such pairs about 1.4 s; `rho-chain --k-max 16`
 # took up to 1.4 s (prime-approx:2 with itself) under CELL_BUDGET.
 # `tempered --group z:d`: d = 8 at n = 400, UNION_BUDGET's largest job,
-# took 2.5 s, against 1.4 s for d = 4.
+# took 2.5 s, against 1.4 s for d = 4.  `nowy-check --pairs random:COUNT`:
+# each pair costs a chain of solves and an oracle whatever n is, so the site
+# budget cannot charge it; 50 pairs at k-max 16 and max-period 24 took
+# 1.3-2.3 s over seeds 1-7, and 0.06-0.09 s at the defaults and n = 1.
 TRIALS_MAX = 1000
 K_MAX = 16
 PERIOD_MAX = 24
 GROUP_DIM_MAX = 8
+PAIRS_MAX = 50
 
 
 class _Required:
@@ -231,11 +236,13 @@ def _at_least(cast: Callable[[str], object], lo, hi=None) -> Callable[[str], obj
 
 
 def _random_pairs(text: str) -> str:
-    """Check 'random:COUNT' with COUNT >= 1; the text itself is kept, as
-    reports embed it."""
+    """Check 'random:COUNT' with 1 <= COUNT <= PAIRS_MAX; the text itself
+    is kept, as reports embed it."""
     kind, _, count = text.partition(":")
     if kind != "random" or not count.isdigit() or int(count) < 1:
         raise ValueError(f"must look like random:COUNT with COUNT >= 1, got {text!r}")
+    if int(count) > PAIRS_MAX:
+        raise ValueError(f"COUNT must be <= {PAIRS_MAX}, got {int(count)}")
     return text
 
 
@@ -427,6 +434,7 @@ def _cmd_rho_chain(cfg: dict) -> dict:
     z = resolve_example_name(cfg["z"])
     oa = PeriodicOrbitMeasure.from_config(x)
     ob = PeriodicOrbitMeasure.from_config(z)
+    oracle_box(oa, ob)
     windows = [box_set(x.dim, k - 1) for k in range(1, cfg["k-max"] + 1)]
     kind = {"hamming": "hamming-per-site", "admissible": "admissible"}[cfg["cost"]]
     mus, nus = oa.marginal_family(windows), ob.marginal_family(windows)

@@ -171,7 +171,8 @@ RowsRule = Callable[[Point, Point], list[int]]
 # rows they hold stay small however large the window is
 TILE_SITES = 1 << 20
 
-# a site read from bulk rows keeps at most this many 64-column row chunks
+# a site read from bulk rows keeps at most this many 64-column row chunks,
+# each a 64-byte `bytes` with one symbol per column
 CHUNK_MEMO = 1024
 
 
@@ -296,11 +297,12 @@ class Configuration:
     and `PeriodicOrbitMeasure` checks it.  `rows` is an optional bulk rule
     that must agree with `rule` on every site; constructors that know their
     structure supply one.  On a binary configuration of dimension 1 or 2,
-    `value` then reads sites from 64-column chunks of those rows, kept in
-    the configuration's own memo (`_memo`) beside the chunk it last read
-    (`_row`, `_col`, `_chunk`), so the agreement governs site reads too.
-    Any other configuration has no memo, and `value` calls `_rule`, which
-    stays the per-site reference either way.
+    `value` then reads sites from 64-column chunks of those rows, each
+    turned once into a `bytes` of one symbol per column and kept in the
+    configuration's own memo (`_memo`), beside the chunk it last read with
+    its row and first column (`_row`, `_col`, `_chunk`), so the agreement
+    governs site reads too.  Any other configuration has no memo, and
+    `value` calls `_rule`, which stays the per-site reference either way.
     """
 
     __slots__ = ("dim", "alphabet", "kind", "period_lattice", "_rule", "_rows",
@@ -326,17 +328,19 @@ class Configuration:
         self._rows = rows
         chunked = rows is not None and dim <= 2 and self.alphabet.size == 2
         self._memo = {} if chunked else None
-        self._row = self._col = self._chunk = None
+        # no chunk read yet: row None matches no row
+        self._row, self._col, self._chunk = None, 0, b""
 
     def value(self, g: Point) -> int:
         """The symbol at g, in one frame.  With a chunk memo, the site in
-        column c of a row (a 1-D site c is in row 0) is bit c & 63 of chunk
-        (row, c >> 6), the aligned 64 columns of the row from (c >> 6) << 6
-        on.  Each chunk is read once, by `_rows`, into a memo that is
-        cleared when it holds CHUNK_MEMO chunks.  The chunk last read, which
-        a scan along a row reads again at once, needs no memo lookup; it is
-        always in the memo, since a clear comes just before a new chunk.
-        Without a memo, the rule answers."""
+        column c of a row (a 1-D site c is in row 0) is byte c - lo of
+        chunk (row, c >> 6), the aligned 64 columns of the row from
+        lo = c & -64 on, one symbol a byte.  Each chunk is read once, by
+        `_rows`, into a memo that is cleared when it holds CHUNK_MEMO
+        chunks.  The chunk last read, which a scan along a row reads again
+        at once, is held with its row and lo, so a hit is one range test
+        and one index; it is always in the memo, since a clear comes just
+        before a new chunk.  Without a memo, the rule answers."""
         memo = self._memo
         if memo is None:
             return self._rule(g)
@@ -344,21 +348,22 @@ class Configuration:
             a, (c,) = 0, g
         else:
             a, c = g
+        i = c - self._col
+        if 0 <= i < 64 and a == self._row:
+            return self._chunk[i]
         k = c >> 6
-        if k != self._col or a != self._row:
-            chunk = memo.get((a, k))
-            if chunk is None:
-                if len(memo) >= CHUNK_MEMO:
-                    memo.clear()
-                lo = k << 6
-                if self.dim == 1:
-                    chunk = self._rows((lo,), (lo + 63,))[0]
-                else:
-                    chunk = self._rows((a, lo), (a, lo + 63))[0]
-                memo[a, k] = chunk
-            self._row, self._col, self._chunk = a, k, chunk
-            return chunk >> (c & 63) & 1
-        return self._chunk >> (c & 63) & 1
+        chunk = memo.get((a, k))
+        if chunk is None:
+            if len(memo) >= CHUNK_MEMO:
+                memo.clear()
+            lo = k << 6
+            if self.dim == 1:
+                bits = self._rows((lo,), (lo + 63,))[0]
+            else:
+                bits = self._rows((a, lo), (a, lo + 63))[0]
+            chunk = memo[a, k] = row_bits(bits, 64).encode().translate(_DIGIT)
+        self._row, self._col, self._chunk = a, c & -64, chunk
+        return chunk[c & 63]
 
     def rows(self, box: FiniteSubset) -> list[int]:
         """Bit-packed rows of a binary configuration over a 1-D or 2-D box.

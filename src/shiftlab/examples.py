@@ -285,11 +285,19 @@ def _mix64(v: int) -> int:
 # built once, for a full chunk; a narrower chunk of n columns cuts their
 # first n lanes off with one mask
 _CHUNK = 1024
-# 1, i, 2^64 - 1 and the splitmix64 increment in lane i, for i < _CHUNK
+# 1, i, 2^64 - 1, 2^32 - 1 and the splitmix64 increment in lane i, for i < _CHUNK
 _ONES = int.from_bytes(b"\x01".ljust(16, b"\0") * _CHUNK, "little")
 _RAMP = int.from_bytes(b"".join(i.to_bytes(16, "little") for i in range(_CHUNK)), "little")
 _LANE_MASK = _MASK * _ONES
+_LANE_LOW32 = 0xFFFFFFFF * _ONES
 _LANE_GAMMA = _GAMMA * _ONES
+# The symbol is bit 0 ^ bit 31 of the last product, which depends only on
+# its factors mod 2^32; the second factor's low 32 bits are bits 0..58 of
+# the first product, which depend only on its factors mod 2^59.  So the
+# lanes multiply by these cuts of _M1 and _M2, and every product, at most
+# 2^64 * 2^59, stays inside its 128-bit lane
+_M1_LOW59 = _M1 & ((1 << 59) - 1)
+_M2_LOW32 = _M2 & 0xFFFFFFFF
 # byte -> ASCII digit of its low bit
 _LOW_BIT = bytes(48 + (b & 1) for b in range(256))
 
@@ -323,18 +331,20 @@ def random_config(dim: int, seed: int, alphabet: int = 2) -> Configuration:
         width = hi[-1] - lo[-1] + 1
         for off in range(0, width, _CHUNK):
             n = min(_CHUNK, width - off)
-            ones, ramp, mask, gamma = _ONES, _RAMP, _LANE_MASK, _LANE_GAMMA
+            ones, ramp, mask, low32, gamma = _ONES, _RAMP, _LANE_MASK, _LANE_LOW32, _LANE_GAMMA
             if n < _CHUNK:
                 cut = (1 << 128 * n) - 1
-                ones, ramp, mask, gamma = ones & cut, ramp & cut, mask & cut, gamma & cut
+                ones, ramp, mask, low32, gamma = (
+                    ones & cut, ramp & cut, mask & cut, low32 & cut, gamma & cut)
             # lane i holds column lo + off + i, mod 2^64
             cols = (((lo[-1] + off) & _MASK) * ones + ramp) & mask
             for r, h in enumerate(heads):
-                # splitmix64 in every lane; each lane is cut back to 64 bits
-                # before a multiply, since a shift pulls in the next lane's bits
+                # splitmix64 in every lane, mod 2^59 and then mod 2^32 (see
+                # _M1_LOW59); each lane is cut before a multiply, since a
+                # shift pulls in the next lane's bits
                 v = ((cols ^ h * ones) + gamma) & mask
-                v = ((v ^ v >> 30) & mask) * _M1 & mask
-                v = ((v ^ v >> 27) & mask) * _M2
+                v = ((v ^ v >> 30) & mask) * _M1_LOW59
+                v = ((v ^ v >> 27) & low32) * _M2_LOW32
                 # the symbol is bit 0 ^ bit 31 of the lane; the low byte of
                 # lane i sits at 16 (n - 1 - i) + 15 in big-endian order
                 digits = (v ^ v >> 31).to_bytes(16 * n, "big")[15::16].translate(_LOW_BIT)

@@ -564,6 +564,20 @@ class PeriodicOrbitMeasure:
         return [self.block_marginal(W) for W in windows]
 
 
+def oracle_box(a: PeriodicOrbitMeasure, b: PeriodicOrbitMeasure) -> FiniteSubset:
+    """The joint period box whose shifts `periodic_rho_oracle` enumerates,
+    refused when its (shift, site) pairs pass the oracle's limit.  Callers
+    that build marginals or chains before the oracle run it first, so a
+    pair the oracle would refuse costs no other work."""
+    if a.lattice.dim != b.lattice.dim:
+        raise InvalidDimensionError("orbit measures in different dimensions")
+    box = joint_period_box(a.lattice, b.lattice)
+    limit = ORACLE_ROW_PAIRS if rows_available(box, a.config, b.config) else ORACLE_SITE_PAIRS
+    if box.size() ** 2 > limit:
+        raise ValueError(f"joint period {box.size()} too large for shift enumeration")
+    return box
+
+
 def periodic_rho_oracle(a: PeriodicOrbitMeasure, b: PeriodicOrbitMeasure) -> Fraction:
     """Exact joining infimum for two periodic orbit measures.
 
@@ -577,15 +591,9 @@ def periodic_rho_oracle(a: PeriodicOrbitMeasure, b: PeriodicOrbitMeasure) -> Fra
     counted site by site.  The search stops at the first shift with no
     mismatch.
     """
-    if a.lattice.dim != b.lattice.dim:
-        raise InvalidDimensionError("orbit measures in different dimensions")
     x, z = a.config, b.config
-    box = joint_period_box(a.lattice, b.lattice)
-    on_rows = rows_available(box, x, z)
-    limit = ORACLE_ROW_PAIRS if on_rows else ORACLE_SITE_PAIRS
-    if len(box) ** 2 > limit:
-        raise ValueError(f"joint period {len(box)} too large for shift enumeration")
-    if not on_rows:
+    box = oracle_box(a, b)
+    if not rows_available(box, x, z):
         best = Fraction(1)
         for s in box:
             best = min(best, mismatch_density(x, shift(s, z), box))
@@ -686,6 +694,7 @@ def check_db_ge_rho(
         raise ValueError("the dbar floor needs a box window F_n")
     oa = PeriodicOrbitMeasure.from_config(x)
     ob = PeriodicOrbitMeasure.from_config(z)
+    box = oracle_box(oa, ob)
     windows = [
         FiniteSubset.box((0,) * x.dim, (k - 1,) * x.dim) for k in range(1, k_max + 1)
     ]
@@ -695,7 +704,7 @@ def check_db_ge_rho(
     oracle = periodic_rho_oracle(oa, ob)
     dbar = dbar_estimate(x, z, F, n)
     limit = exact_mismatch_density(x, z)
-    period = [h + 1 for h in joint_period_box(oa.lattice, ob.lattice).bounds[1]]
+    period = [h + 1 for h in box.bounds[1]]
     whole = 1
     for lo, hi, m in zip(*window.bounds, period):
         side = hi - lo + 1

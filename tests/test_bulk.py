@@ -34,6 +34,7 @@ from shiftlab.configs import (
     patched_config,
     periodic_config,
     predicate_config,
+    row_bits,
     rows_available,
     shell_size,
     shift,
@@ -427,11 +428,15 @@ def hashed_rows(seed, box):
     return [sum(hashed(seed, (*a, c)) << j for j, c in enumerate(cols)) for a in heads]
 
 
-# near 0, below 0, and where c mod 2^64 wraps: at +-2^63 and beyond +-2^64
-CORNERS = (0, -37, 2**63 - 9, -(2**63) - 9, 2**64 - 9, -(2**64) - 9, 5 * 2**64 + 3)
+# near 0, below 0, where c mod 2^64 wraps: at +-2^63 and beyond +-2^64, and
+# far out, near +-2^70
+CORNERS = (0, -37, 2**63 - 9, -(2**63) - 9, 2**64 - 9, -(2**64) - 9, 5 * 2**64 + 3,
+           2**70 - 5, -(2**70) + 7)
 
 
 CHUNK = examples._CHUNK
+# row widths at and around a 64-column site chunk and a CHUNK-lane hash chunk
+WIDTHS = (1, 63, 64, 65, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 2100)
 
 
 @settings(max_examples=120, deadline=None)
@@ -452,7 +457,7 @@ def test_random_rows_across_chunk_seams_match_an_independent_hash(corner):
     # starting at the corner puts the wrap 9 columns into the first chunk;
     # starting a chunk earlier puts it right at the first seam
     for lo in (corner, corner + 9 - CHUNK):
-        for width in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1):
+        for width in WIDTHS:
             box = FiniteSubset.box((lo,), (lo + width - 1,))
             assert random_config(1, corner + width).rows(box) == hashed_rows(corner + width, box)
     box = FiniteSubset.box((corner - 1, corner + 9 - CHUNK), (corner + 1, corner + 20))
@@ -623,6 +628,22 @@ def test_chunk_memo_stays_within_its_bound(dim):
         assert x.value(g) == hashed(4, g)
         assert len(memo) <= configs.CHUNK_MEMO
     assert len(calls) > configs.CHUNK_MEMO
+
+
+@pytest.mark.parametrize("dim", (1, 2))
+def test_memo_chunks_are_bytes_of_one_symbol_per_column(dim):
+    sites = chunk_sites(dim)[:2 * len(SEAM_COLUMNS)]
+    for name in NAMES[dim]:
+        x = make(name, dim, 11)
+        symbols = [x.value(g) for g in sites]
+        assert {type(s) for s in symbols} == {int} and set(symbols) <= {0, 1}, name
+        memo = chunk_memo(x)
+        assert memo, name
+        for (a, k), chunk in memo.items():
+            lo, hi = ((a, k * 64), (a, k * 64 + 63)) if dim == 2 else ((k * 64,), (k * 64 + 63,))
+            assert type(chunk) is bytes and len(chunk) == 64, name
+            assert chunk == bytes(int(b) for b in row_bits(x._rows(lo, hi)[0], 64)), name
+            assert list(chunk) == [x._rule((a, c)[-dim:]) for c in range(lo[-1], hi[-1] + 1)]
 
 
 def test_sites_without_a_two_symbol_rows_rule_are_read_by_the_rule():

@@ -638,8 +638,17 @@ _EXAMPLES = ({"x": "visible", "z": "prime-approx:2", "set": "visible"},
              {"x": "rf-sub:1", "z": "rf-sub:2", "set": "rf-sub:2"})
 
 
+# refusals the swept values do not reach: a million pairs at n = 1, which
+# the site budget alone would admit, and a pair whose joint period the
+# oracle cannot enumerate, at the longest chain
+_REFUSED_ARGVS = (
+    ("nowy-check", "--pairs", "random:1000000", "--n", "1"),
+    ("rho-chain", "--x", "rf-sub:5", "--z", "rf-sub:6", "--k-max", "16"),
+)
+
+
 def _refusal_cases():
-    cases = {}
+    cases = {" ".join(argv): argv for argv in _REFUSED_ARGVS}
     for name, _, _, params in cli.COMMANDS:
         for examples in _EXAMPLES:
             base = [name]
