@@ -2,7 +2,9 @@
 
 Each subcommand's parameters are declared once, in `COMMANDS`; the parser
 adds one `--key` flag per parameter, and a flat key=value file given with
---config may set the same keys (and `out`).  A value is taken from the flag,
+--config may set the same keys (and `out`).  A subcommand's flags are added
+when that subcommand is first parsed or shown, so a run pays only for the
+flags of the subcommand it names.  A value is taken from the flag,
 else from the file, else from the built-in default, and is cast and checked
 by `_resolve` whichever source it came from.  The resolved configuration is
 embedded in every JSON report so runs are reproducible from their own
@@ -773,10 +775,44 @@ COMMANDS: list[tuple[str, Callable[[dict], EstimateTrace | dict], str, list[Para
 # --- parser ----------------------------------------------------------------
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser, which adds --config, --out and one flag per
+    parameter the first time it parses, or formats its usage or help; every
+    parse, usage error and help text sees all of them."""
+
+    def __init__(self, *, params: Sequence[Param], **kwargs):
+        super().__init__(**kwargs)
+        self._unadded: Sequence[Param] | None = params
+
+    def _add_flags(self) -> None:
+        params, self._unadded = self._unadded, None
+        if params is None:
+            return
+        self.add_argument("--config", help="flat key=value parameter file")
+        self.add_argument("--out", help="output path (default: stdout)")
+        for param in params:
+            self.add_argument(f"--{param.key}", help=param.help)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._add_flags()
+        return super().parse_known_args(args, namespace)
+
+    def format_usage(self) -> str:
+        self._add_flags()
+        return super().format_usage()
+
+    def format_help(self) -> str:
+        self._add_flags()
+        return super().format_help()
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # argparse makes a HelpFormatter for every add_argument, and each one
     # probes the terminal unless given a width; probe once per build and
-    # pass argparse's own default, the columns less 2, to every parser
+    # pass argparse's own default, the columns less 2, to every parser.
+    # Every subparser is made here, so the top parser's help, usage and
+    # errors are whole, but a subcommand's flags are added only when it is
+    # first parsed or shown (see `_Subcommand`).
     formatter = functools.partial(
         argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
     )
@@ -787,13 +823,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "pseudometrics, empirical measures, exact transport, and example pipelines",
     )
     parser.add_argument("--version", action="version", version=f"shiftlab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
     for name, handler, help_text, params in COMMANDS:
-        p = sub.add_parser(name, help=help_text, formatter_class=formatter)
-        p.add_argument("--config", help="flat key=value parameter file")
-        p.add_argument("--out", help="output path (default: stdout)")
-        for param in params:
-            p.add_argument(f"--{param.key}", help=param.help)
+        p = sub.add_parser(name, help=help_text, formatter_class=formatter, params=params)
         p.set_defaults(func=handler, params=params)
     return parser
 

@@ -422,13 +422,14 @@ def constant_config(dim: int, symbol: int, alphabet: int = 2) -> Configuration:
                          period_lattice=Lattice.diagonal(1, dim=dim), rows=rows)
 
 
-def _tiled_rows(lattice: Lattice, table: Mapping[Point, int]) -> RowsRule:
-    """Bulk rule of a periodic table under a 1-D or 2-D lattice.
+def _tiled_rows(lattice: Lattice, period_text: Callable[[int], str]) -> RowsRule:
+    """Bulk rule of a periodic configuration under a 1-D or 2-D lattice.
 
     The triangular basis has first column (h_0, t) and last diagonal h_1
     (a 1-D lattice is the single row 0, with h_0 = 1 and t = 0): row
     q h_0 + r is row r shifted by -q t, and row r of the fundamental domain
-    is a period string of h_1 sites, tiled along the row.
+    is the period string period_text(r) of h_1 sites, '1' for a nonzero
+    symbol, asked for once and tiled along the row.
     """
     tri = lattice._tri
     h0, t = (tri[0][0], tri[0][1]) if lattice.dim == 2 else (1, 0)
@@ -438,9 +439,7 @@ def _tiled_rows(lattice: Lattice, table: Mapping[Point, int]) -> RowsRule:
     def period(r: int) -> str:
         text = periods.get(r)
         if text is None:
-            # (r, c)[-dim:] is the table key
-            keys = ((r, c)[-lattice.dim:] for c in range(h1))
-            text = periods[r] = "".join("1" if table[k] else "0" for k in keys)
+            text = periods[r] = period_text(r)
         return text
 
     def rows(lo: Point, hi: Point) -> list[int]:
@@ -475,18 +474,38 @@ def periodic_config(lattice: Lattice, table: Mapping[Point, int], alphabet: int 
         raise ValueError(f"table misses {len(missing)} cosets, e.g. {missing[0]}")
     if len(canon) != len(domain):
         raise ValueError("table has entries outside the fundamental domain")
-    bulk = _tiled_rows(lattice, canon) if lattice.dim <= 2 else None
+    bulk = None
+    if lattice.dim <= 2:
+        h1 = lattice._tri[-1][-1]
+
+        def period_text(r: int) -> str:
+            # (r, c)[-dim:] is the table key
+            keys = ((r, c)[-lattice.dim:] for c in range(h1))
+            return "".join("1" if canon[k] else "0" for k in keys)
+
+        bulk = _tiled_rows(lattice, period_text)
     return Configuration(lattice.dim, a, lambda g: canon[lattice.reduce(g)],
                          kind="periodic", period_lattice=lattice, rows=bulk)
 
 
 def word_config(word: Sequence[int], alphabet: int = 2) -> Configuration:
-    """d=1 configuration repeating `word` with period len(word)."""
-    word = tuple(int(s) for s in word)
+    """d=1 configuration repeating `word` with period len(word).
+
+    It is the periodic_config of the table {(i,): word[i]}, whose keys are
+    already canonical, so it is built from the word with no per-site
+    reduction, check or table.
+    """
+    word = tuple(map(int, word))
     if not word:
         raise ValueError("word must be non-empty")
     lat = Lattice.diagonal([len(word)])
-    return periodic_config(lat, {(i,): s for i, s in enumerate(word)}, alphabet)
+    a = Alphabet(alphabet)
+    if min(word) < 0 or max(word) >= a.size:
+        # the first symbol outside the alphabet, as periodic_config names it
+        a.check(next(s for s in word if not 0 <= s < a.size))
+    bulk = _tiled_rows(lat, lambda r: "".join(map("01".__getitem__, map(bool, word))))
+    return Configuration(1, a, lambda g: word[lat.reduce(g)[0]],
+                         kind="periodic", period_lattice=lat, rows=bulk)
 
 
 def predicate_config(

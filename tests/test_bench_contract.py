@@ -4,6 +4,8 @@ exists and is put back, and every workload's jobs pass their checks."""
 import importlib.util
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -14,14 +16,17 @@ import pytest
 
 import shiftlab
 import shiftlab.cli  # noqa: F401  (the tracer wraps names in every layer)
+from conftest import eager_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+def _load_bench(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # a dataclass looks up the module it is defined in
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -39,7 +44,7 @@ def _bindings() -> dict:
 
 
 def test_tracer_wraps_every_traced_name_and_puts_it_back():
-    tracing = _load_tracing()
+    tracing = _load_bench("tracing")
     before = _bindings()
     tracer = tracing.Tracer(shiftlab)
     tracer.install()
@@ -67,7 +72,7 @@ def test_site_reads_are_one_plain_function_on_the_class():
     xs = (ex.random_config(2, 1), ex.random_config(1, 1, 3), ex.visible_points_config())
     assert not any(hasattr(x, "__dict__") for x in xs)
     reads = [(x, (3, -70)[: x.dim]) for x in xs for _ in range(5)]
-    tracer = _load_tracing().Tracer(shiftlab)
+    tracer = _load_bench("tracing").Tracer(shiftlab)
     tracer.install()
     try:
         bits = [x.value(g) for x, g in reads]
@@ -75,6 +80,23 @@ def test_site_reads_are_one_plain_function_on_the_class():
         tracer.uninstall()
     assert tracer.counts["configs.value_calls"] == 15
     assert bits == [x._rule(g) for x, g in reads]
+
+
+def _readme_argvs() -> list[list[str]]:
+    """The argvs of the `shiftlab ...` lines in the README's fenced examples."""
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```.*?```", readme, flags=re.S)
+    return [shlex.split(line)[1:] for block in blocks for line in block.splitlines()
+            if line.startswith("shiftlab ")]
+
+
+def test_every_menu_and_readme_argv_parses_as_under_the_eager_parser():
+    workloads = _load_bench("workloads")
+    argvs = workloads.lattice_menu() + workloads.joining_menu() + _readme_argvs()
+    assert len(argvs) > 100 and ["examples"] in argvs
+    for argv in argvs:
+        ours = vars(shiftlab.cli._build_parser().parse_args(argv))
+        assert ours == vars(eager_parser().parse_args(argv)), argv
 
 
 @pytest.fixture(scope="module")

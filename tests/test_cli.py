@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import eager_parser
 from shiftlab import cli
 from shiftlab.cli import _atomic_write, main
 
@@ -750,6 +751,48 @@ def test_usage_error_matches_the_default_formatter(monkeypatch, capsys, columns,
     build = cli._build_parser
     monkeypatch.setattr(cli, "_build_parser", lambda: _with_plain_formatters(build()))
     assert run(capsys, *argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("columns", ["50", "150"])
+def test_help_and_usage_match_the_eager_parser(monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    built = _parsers(cli._build_parser())
+    eager = _parsers(eager_parser())
+    assert [p.prog for p in built] == [p.prog for p in eager]
+    for ours, theirs in zip(built, eager):
+        assert ours.format_help() == theirs.format_help()
+    # usage on fresh parsers, so no subparser has been shown before
+    for ours, theirs in zip(_parsers(cli._build_parser()), eager):
+        assert ours.format_usage() == theirs.format_usage()
+
+
+@pytest.mark.parametrize("columns", ["50", "150"])
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--version"], ["bogus"], ["density", "-h"], ["density", "--set", "visible", "-h"],
+    ["density", "--bogus", "1"], ["density", "--N"], ["density"],
+    ["--", "density", "--set", "visible", "--N", "10"],
+], ids=" ".join)
+def test_main_matches_the_eager_parser(monkeypatch, capsys, columns, argv):
+    monkeypatch.setenv("COLUMNS", columns)
+    ours = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_build_parser", eager_parser)
+    assert run(capsys, *argv) == ours
+
+
+def _flags(parser) -> list[str]:
+    return [s for a in parser._actions for s in a.option_strings]
+
+
+def test_a_subcommand_gets_its_flags_only_when_parsed():
+    names = [name for name, *_ in cli.COMMANDS]
+    eager = dict(zip(names, _parsers(eager_parser())[1:]))
+    parser = cli._build_parser()
+    subs = dict(zip(names, _parsers(parser)[1:]))
+    assert all(_flags(p) == ["-h", "--help"] for p in subs.values())
+    parser.parse_args(["density", "--set", "visible"])
+    for name, p in subs.items():
+        want = _flags(eager[name]) if name == "density" else ["-h", "--help"]
+        assert _flags(p) == want, name
 
 
 def test_help_and_version_exit_zero(capsys):

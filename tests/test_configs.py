@@ -1,5 +1,8 @@
 """Configurations, lattices, shifts, and the truncated admissible metric."""
 
+import collections
+import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,6 +24,7 @@ from shiftlab.configs import (
     word_config,
 )
 from shiftlab.errors import InvalidDimensionError
+from shiftlab.examples import resolve_example_name
 from shiftlab.groups import FiniteSubset, compose
 
 small_points = st.tuples(st.integers(-6, 6))
@@ -41,6 +45,50 @@ def test_word_config_wraps_and_coerces():
     assert [x.value((i,)) for i in range(4)] == [0, 1, 1, 0]
     assert x.value((4,)) == 0 and x.value((-1,)) == 0
     assert x.period_lattice is not None and x.period_lattice.moduli == (4,)
+
+
+@pytest.mark.parametrize("word, alphabet", [
+    ((0,), 2), ((1, 1, 0), 2), ((0, 1) * 40 + (1,), 2), ((2, 0, 1, 1), 3), ((0, 299, 7), 300),
+])
+def test_word_config_matches_the_periodic_table(word, alphabet):
+    x = word_config(word, alphabet)
+    lat = Lattice.diagonal([len(word)])
+    ref = periodic_config(lat, {(i,): s for i, s in enumerate(word)}, alphabet)
+    assert (x.kind, x.dim, x.alphabet, repr(x.period_lattice)) == (
+        ref.kind, ref.dim, ref.alphabet, repr(ref.period_lattice))
+    sites = [(c,) for c in range(-100, 100)]
+    assert [x.value(g) for g in sites] == [ref.value(g) for g in sites]
+    assert [x._rule(g) for g in sites] == [ref._rule(g) for g in sites]
+    for lo, width in itertools.product((-77, 0, 5, 130), (1, 3, 64, 200)):
+        assert x._rows((lo,), (lo + width - 1,)) == ref._rows((lo,), (lo + width - 1,))
+    with pytest.raises(InvalidDimensionError):
+        x._rule((1, 2))
+
+
+@pytest.mark.parametrize("word, alphabet, message", [
+    ((), 2, "word must be non-empty"),
+    ((0, 1, 2, 3), 2, "symbol 2 outside alphabet of size 2"),
+    ((0, -1, 5), 3, "symbol -1 outside alphabet of size 3"),
+    ((0, 1), 1, "alphabet needs at least 2 symbols, got 1"),
+])
+def test_word_config_refuses_an_empty_word_and_foreign_symbols(word, alphabet, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        word_config(word, alphabet)
+
+
+def test_building_a_long_word_does_no_per_site_work(monkeypatch):
+    calls = collections.Counter()
+    for cls, name in ((Lattice, "reduce"), (Alphabet, "check")):
+        method = getattr(cls, name)
+
+        def counted(self, arg, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, arg)
+
+        monkeypatch.setattr(cls, name, counted)
+    x = resolve_example_name("rf-sub:6")
+    assert x.period_lattice.index == 75735
+    assert calls == {}
 
 
 def test_constant_and_patched_configs():
