@@ -90,8 +90,10 @@ PRIME_SQUARE_TAILS = (
 
 # A window job whose estimated site reads exceed this is refused before it
 # reads any: the sites of its Folner sets times the sites s^d summed over
-# the box sides s it reads around each site (see `_window_inputs`), or
-# times the number of pairs for nowy-check's dbar windows.
+# the box sides s it reads around each site, or 2R+1 per site of each
+# Folner set widened by the radius R of a Besicovitch or D' job (see
+# `_window_inputs`), or times the number of pairs for nowy-check's dbar
+# windows.
 SITE_BUDGET = 10**8
 
 
@@ -349,13 +351,20 @@ def _window_inputs(
 ) -> tuple[Configuration | FolnerSequence, ...]:
     """(x, F) for a job on `set`, or (x, z, F) for one on `x` and `z`: the
     named examples and the `kind` box Folner sequence in x's dimension d,
-    once the job's sum over n of |F_n|, times the sum over the sides s of
-    s^d, is checked against SITE_BUDGET."""
+    once the job's reads are checked against SITE_BUDGET: the sum over n
+    of |F_n| times the sum over the sides s of s^d, or, for a job with a
+    `radius` R, what the bulk lower sums read, 2R+1 whole-row operations
+    per site of F_n widened by R."""
     names = [cfg["set"]] if "set" in cfg else [cfg["x"], cfg["z"]]
     configs = [resolve_example_name(name) for name in names]
     d = configs[0].dim
     F = make_box_folner(d, cfg["kind"])
-    _within_budget(_site_reads(F, ns, sum(s**d for s in sides)))
+    if "radius" in cfg:
+        ball = box_set(d, cfg["radius"], centered=True)
+        reads = (2 * cfg["radius"] + 1) * sum(F.set_at(n).minkowski(ball).size() for n in ns)
+    else:
+        reads = _site_reads(F, ns, sum(s**d for s in sides))
+    _within_budget(reads)
     return (*configs, F)
 
 
@@ -377,7 +386,7 @@ def _cmd_density(cfg: dict) -> EstimateTrace:
 
 def _cmd_besicovitch(cfg: dict) -> EstimateTrace:
     n_list = cfg["n-list"] or _ladder(cfg["N"])
-    x, z, F = _window_inputs(cfg, n_list, (2 * cfg["radius"] + 1,))
+    x, z, F = _window_inputs(cfg, n_list)
     return besicovitch_trace(x, z, F, n_list, radius=cfg["radius"])
 
 
@@ -388,7 +397,7 @@ def _cmd_dbar(cfg: dict) -> EstimateTrace:
 
 
 def _cmd_dprime(cfg: dict) -> dict:
-    x, z, F = _window_inputs(cfg, [cfg["N"]], (2 * cfg["radius"] + 1,))
+    x, z, F = _window_inputs(cfg, [cfg["N"]])
     # None is the default grid, whose integer scaling metrics caches
     grid = None
     if cfg["grid-cap"] is not None:

@@ -12,7 +12,9 @@ per column (`lane_rows`, `lane_reader`).  When it has such rows, its site
 reads (`Configuration.value`) come from 64-column chunks of them too,
 memoized on the configuration; the site rule it was built with stays the
 per-site reference, and configurations without rows read sites through
-it.  The metric machinery at the bottom implements summable translation
+it.  `integer_scale` is the one place where exact rationals become
+integers over one denominator, for the estimators and the solvers alike.
+The metric machinery at the bottom implements radial summable translation
 weights with certified tail bounds, so truncated distances come back as
 exact [lo, hi] Fraction intervals.
 """
@@ -131,9 +133,6 @@ class Lattice:
                 for k in range(i, self.dim):
                     r[k] -= q * col[k]
         return tuple(r)
-
-    def contains(self, p: Point) -> bool:
-        return not any(self.reduce(p))
 
     def order(self, p: Point) -> int:
         """Least n >= 1 with n p in the lattice: the order of p + L in Z^d / L.
@@ -340,14 +339,19 @@ class Configuration:
         chunks.  The chunk last read, which a scan along a row reads again
         at once, is held with its row and lo, so a hit is one range test
         and one index; it is always in the memo, since a clear comes just
-        before a new chunk.  Without a memo, the rule answers."""
+        before a new chunk; a point of another length is refused.  Without
+        a memo, the rule answers."""
         memo = self._memo
         if memo is None:
             return self._rule(g)
-        if self.dim == 1:
-            a, (c,) = 0, g
-        else:
-            a, c = g
+        try:
+            if self.dim == 1:
+                a, (c,) = 0, g
+            else:
+                a, c = g
+        except ValueError:
+            # a point of another length does not unpack
+            raise InvalidDimensionError("point of wrong dimension") from None
         i = c - self._col
         if 0 <= i < 64 and a == self._row:
             return self._chunk[i]
@@ -587,6 +591,31 @@ def restrict(x: Configuration, window: FiniteSubset | Iterable[Point]) -> tuple[
     return tuple(x.value(p) for p in sorted_sites(window))
 
 
+# --- exact scale ------------------------------------------------------------
+
+
+def integer_scale(values: Iterable) -> tuple[int, list[int]]:
+    """(E, ints): E the lcm of the values' denominators and each value times
+    E, in one pass: the scale grows to each new denominator, and the values
+    scaled so far grow with it.  Each value is read exactly as its integer
+    ratio (Fractions, ints, floats and Decimals have one); any other value
+    is made a Fraction first.  This is the one place where exact inputs
+    become integers over one denominator."""
+    E = 1
+    out: list[int] = []
+    for v in values:
+        try:
+            num, den = v.as_integer_ratio()
+        except AttributeError:
+            num, den = Fraction(v).as_integer_ratio()
+        if E % den:
+            grow = den // math.gcd(E, den)
+            E *= grow
+            out = [x * grow for x in out]
+        out.append(num * (E // den))
+    return E, out
+
+
 # --- admissible metric ------------------------------------------------------
 
 DEFAULT_RADIUS = 12
@@ -605,22 +634,23 @@ def shell_size(dim: int, r: int) -> int:
 
 @dataclass(frozen=True)
 class AdmissibleMetric:
-    """Summable translation-weight metric d(x,z) = sum_g w(g) [x(g) != z(g)].
+    """Radial summable translation-weight metric
+    d(x,z) = sum_g w(g) [x(g) != z(g)], with w(g) = shell_weight(sup_norm(g)).
 
-    tail_bound(R) must dominate the total weight outside the closed sup-norm
-    ball of radius R; it may be slack (the default family declares 2^-R
-    although its exact tail is 2^-(R+1)).
-
-    shell_weight, when given, declares the metric radial: weight(g) equals
-    shell_weight(sup_norm(g)) for every g, and is nonnegative.  Estimators
-    then sum shell counts from a summed-area table instead of one weight
-    per site.
+    shell_weight(r) is the nonnegative weight of each site at sup-norm r,
+    the one description of the metric: `weight` and `ball_weights` read
+    it, and the estimators sum shell counts against it.  tail_bound(R)
+    must dominate the total weight outside the closed sup-norm ball of
+    radius R; it may be slack (the default family declares 2^-R although
+    its exact tail is 2^-(R+1)).
     """
 
     dim: int
-    weight: Callable[[Point], Fraction]
+    shell_weight: Callable[[int], Fraction]
     tail_bound: Callable[[int], Fraction]
-    shell_weight: Callable[[int], Fraction] | None = None
+
+    def weight(self, g: Point) -> Fraction:
+        return self.shell_weight(sup_norm(g))
 
     def ball_weights(self, radius: int) -> tuple[tuple[Point, Fraction], ...]:
         if radius < 0:
@@ -642,17 +672,12 @@ def default_metric(dim: int) -> AdmissibleMetric:
     def shell_weight(r: int) -> Fraction:
         return Fraction(1, 2**r * 2 * shell_size(dim, r))
 
-    def weight(g: Point) -> Fraction:
-        return shell_weight(sup_norm(g))
-
     def tail_bound(radius: int) -> Fraction:
         if radius < 0:
             raise ValueError(f"radius must be >= 0, got {radius}")
         return Fraction(1, 2**radius)
 
-    return AdmissibleMetric(
-        dim=dim, weight=weight, tail_bound=tail_bound, shell_weight=shell_weight
-    )
+    return AdmissibleMetric(dim=dim, shell_weight=shell_weight, tail_bound=tail_bound)
 
 
 def common_metric(

@@ -2,26 +2,27 @@
 
 A PatternDistribution is an exact rational probability vector over the
 patterns of a fixed finite window, held as integer counts over one
-denominator.  `_pattern_counts` is the one reader of joint W-patterns,
-behind both empirical measures and the transport module's pair joinings;
-on binary box windows it counts integer codes in `configs`' lane rows.
-Prokhorov distances are exact: by Strassen's theorem they
-are read from the coupled mass, 1 minus the value of a 0/1-cost
-transport problem that the transport module's integer simplex solves at
-the common denominator of the masses.  `_integer_problem` builds that
-problem, the masses and the pattern distances in integers, as it builds
-transport's own problems.  The coupled mass
-changes only at the pairwise pattern distances, so a binary search over
-those finitely many levels returns the infimum itself, not an
-approximation to it.  Equal distributions compare at literal distance 0.
-Sets of measures are plain sequences of distributions: the Hausdorff
-distance takes two, and `omega_hat_approx` returns its cluster
-representatives as a list.
+denominator; Fraction weights become counts through
+`configs.integer_scale`, the package's one exact scale, and are then
+kept as `from_counts` keeps counts.  `_pattern_counts` is the one reader
+of joint W-patterns, behind both empirical measures and the transport
+module's pair joinings; on binary box windows it counts integer codes in
+`configs`' lane rows.  Prokhorov distances are exact: by Strassen's
+theorem they are read from the coupled mass, 1 minus the value of a
+0/1-cost transport problem that the transport module's integer simplex
+solves at the common denominator of the masses.  `_integer_problem`
+builds that problem, the masses and the pattern distances in integers
+(the distances by `configs.integer_scale`), as it builds transport's own
+problems.  The coupled mass changes only at the pairwise pattern
+distances, so a binary search over those finitely many levels returns
+the infimum itself, not an approximation to it.  Equal distributions
+compare at literal distance 0.  Sets of measures are plain sequences of
+distributions: the Hausdorff distance takes two, and `omega_hat_approx`
+returns its cluster representatives as a list.
 """
 
 from __future__ import annotations
 
-import json
 import operator
 from collections import Counter
 from collections.abc import Mapping
@@ -36,6 +37,7 @@ from .configs import (
     _same_dimension,
     box_tiles,
     default_metric,
+    integer_scale,
     lane_reader,
     lane_rows,
     lane_size,
@@ -66,33 +68,14 @@ class PatternDistribution:
         window: FiniteSubset | Iterable[Point],
         weights: Mapping[Pattern, Fraction | int],
     ):
-        sites = _window_sites(window)
-        # one pass: each weight joins the running common denominator, and
-        # the counts held so far are rescaled whenever that denominator grows
-        den = 1
-        counts: dict[Pattern, int] = {}
-        for pat, w in weights.items():
-            if not isinstance(w, Fraction):
-                w = Fraction(w)
-            num, q = w.numerator, w.denominator
-            if num < 0:
-                raise ValueError(f"negative weight for pattern {pat}")
-            if len(pat) != len(sites):
-                raise ValueError(
-                    f"pattern of length {len(pat)} on a window of {len(sites)} sites"
-                )
-            if num:
-                if den % q:
-                    scale = q // gcd(den, q)
-                    den *= scale
-                    counts = {p: c * scale for p, c in counts.items()}
-                pat = tuple(map(int, pat))
-                counts[pat] = counts.get(pat, 0) + num * (den // q)
-        total = sum(counts.values())
-        if total != den:
-            raise ValueError(f"weights must sum to exactly 1, got {Fraction(total, den)}")
-        self.sites = sites
-        self.den, self.counts = _lowest_terms(den, counts)
+        """Fraction entry: the weights must sum to exactly 1;
+        `configs.integer_scale` puts them over the lcm of their
+        denominators, and they are checked and kept as `from_counts`
+        keeps counts."""
+        den, nums = integer_scale(weights.values())
+        if sum(nums) != den:
+            raise ValueError(f"weights must sum to exactly 1, got {Fraction(sum(nums), den)}")
+        self.sites, self.den, self.counts = _held_counts(window, zip(weights, nums))
 
     @classmethod
     def from_counts(
@@ -103,25 +86,8 @@ class PatternDistribution:
         Counts are non-negative ints, zero ones are dropped, and they need
         not be in lowest terms; patterns may be any sequences of digits.
         """
-        sites = _window_sites(window)
-        kept: dict[Pattern, int] = {}
-        for pat, c in counts.items():
-            c = operator.index(c)
-            if c < 0:
-                raise ValueError(f"negative count for pattern {pat}")
-            if len(pat) != len(sites):
-                raise ValueError(
-                    f"pattern of length {len(pat)} on a window of {len(sites)} sites"
-                )
-            if c:
-                pat = tuple(map(int, pat))
-                kept[pat] = kept.get(pat, 0) + c
-        total = sum(kept.values())
-        if not total:
-            raise ValueError("counts must have a positive total")
         out = cls.__new__(cls)
-        out.sites = sites
-        out.den, out.counts = _lowest_terms(total, kept)
+        out.sites, out.den, out.counts = _held_counts(window, counts.items())
         return out
 
     @property
@@ -171,19 +137,6 @@ class PatternDistribution:
             pairs.append([list(pat), c // g, den // g])
         return {"window": [list(p) for p in self.sites], "weights": pairs}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "PatternDistribution":
-        obj = json.loads(text)
-        window = [tuple(int(c) for c in p) for p in obj["window"]]
-        weights = {
-            tuple(int(s) for s in pat): Fraction(num, den)
-            for pat, num, den in obj["weights"]
-        }
-        return cls(window, weights)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PatternDistribution):
             return NotImplemented
@@ -225,6 +178,30 @@ def _window_sites(window: FiniteSubset | Iterable[Point]) -> tuple[Point, ...]:
     if not sites:
         raise ValueError("window must be non-empty")
     return sites
+
+
+def _held_counts(
+    window: FiniteSubset | Iterable[Point], items: Iterable[tuple[Sequence[int], int]]
+) -> tuple[tuple[Point, ...], int, dict[Pattern, int]]:
+    """(sites, den, counts) of a distribution with mass c / total on each
+    pattern of the (pattern, c) items, total the sum of the c: the one
+    check of a distribution's counts.  A negative count, a pattern of
+    another length than the window and an all-zero total are refused."""
+    sites = _window_sites(window)
+    kept: dict[Pattern, int] = {}
+    for pat, c in items:
+        c = operator.index(c)
+        if c < 0:
+            raise ValueError(f"negative count for pattern {pat}")
+        if len(pat) != len(sites):
+            raise ValueError(f"pattern of length {len(pat)} on a window of {len(sites)} sites")
+        if c:
+            pat = tuple(map(int, pat))
+            kept[pat] = kept.get(pat, 0) + c
+    total = sum(kept.values())
+    if not total:
+        raise ValueError("counts must have a positive total")
+    return (sites, *_lowest_terms(total, kept))
 
 
 def _lowest_terms(den: int, counts: dict[Pattern, int]) -> tuple[int, dict[Pattern, int]]:
@@ -346,7 +323,7 @@ def pattern_metric(
 def _as_cost_fn(cost: PatternCost | Mapping[tuple[Pattern, Pattern], Fraction]) -> PatternCost:
     """A pattern cost as a function of (p, q): a callable as it is, and a
     table looked up by pattern tuples.  Its values may be any exact
-    numbers; `_integer_costs` makes each one a Fraction."""
+    numbers, which `configs.integer_scale` reads exactly."""
     if callable(cost):
         return cost
     table = {(tuple(p), tuple(q)): w for (p, q), w in cost.items()}
@@ -358,27 +335,6 @@ def _as_cost_fn(cost: PatternCost | Mapping[tuple[Pattern, Pattern], Fraction]) 
             raise ValueError(f"cost table misses pair {(p, q)}") from None
 
     return fn
-
-
-def _integer_costs(costs: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """E = the lcm of the costs' denominators and the costs scaled by it,
-    in one pass: the scale grows to each new denominator, and the costs
-    scaled so far grow with it.  Each cost is read exactly as its integer
-    ratio (Fractions, ints, floats and Decimals have one); any other value
-    is made a Fraction first."""
-    E = 1
-    out: list[int] = []
-    for c in costs:
-        try:
-            num, den = c.as_integer_ratio()
-        except AttributeError:
-            num, den = Fraction(c).as_integer_ratio()
-        if E % den:
-            grow = den // gcd(E, den)
-            E *= grow
-            out = [x * grow for x in out]
-        out.append(num * (E // den))
-    return E, out
 
 
 def _integer_problem(
@@ -398,7 +354,7 @@ def _integer_problem(
     s, t = D // mu.den, D // nu.den
     a = [mu.counts[p] * s for p in rows]
     b = [nu.counts[q] * t for q in cols]
-    E, flat = _integer_costs([fn(p, q) for p in rows for q in cols])
+    E, flat = integer_scale([fn(p, q) for p in rows for q in cols])
     n = len(cols)
     return rows, cols, D, a, b, E, [flat[k : k + n] for k in range(0, len(flat), n)]
 

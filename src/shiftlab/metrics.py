@@ -8,15 +8,16 @@ exact [lo, hi] interval, never as a hidden float tolerance.
 
 On box windows over binary configurations the estimators read bulk rows
 (`Configuration.rows`): mismatches are XORed rows counted with
-`int.bit_count`, and radial metrics sum shell counts, over one integer
-denominator, from a summed-area table whose rows are lane rows of
-`configs` (one lane per column), so each big-int operation serves a
-whole window row.  D' scales its delta grid to integers over one
-denominator and decides each delta in integers.  Other inputs take the
-per-site loops, which remain the reference the bulk path must match
-exactly.  The density loop reads nested box windows once: each window
-adds the count of its shell outside the previous one.  A window of
-another dimension than the configurations' is refused before any read.
+`int.bit_count`, and the metric's shell counts are summed from a
+summed-area table whose rows are lane rows of `configs` (one lane per
+column), so each big-int operation serves a whole window row.  Bulk and
+per-site lower sums weigh the shells by the same integer numerators, and
+D' decides each delta of its grid in integers; `configs.integer_scale`
+puts both over one denominator.  Other inputs take the per-site loops,
+which remain the reference the bulk path must match exactly.  The
+density loop reads nested box windows once: each window adds the count
+of its shell outside the previous one.  A window of another dimension
+than the configurations' is refused before any read.
 """
 
 from __future__ import annotations
@@ -40,13 +41,14 @@ from .configs import (
     _same_dimension,
     box_tiles,
     common_metric,
+    integer_scale,
     lane_reader,
     lane_rows,
     lane_size,
     rows_available,
     shell_size,
 )
-from .groups import FiniteSubset, FolnerSequence, Point, compose
+from .groups import FiniteSubset, FolnerSequence, Point, compose, sup_norm
 
 
 @dataclass(frozen=True)
@@ -170,6 +172,17 @@ def _mismatch_memo(x: Configuration, z: Configuration) -> Callable[[Point], bool
     return mm
 
 
+def _shell_numerators(metric: AdmissibleMetric, radius: int) -> tuple[list[int], int]:
+    """The shell weights w_0..w_radius of the metric as integer numerators
+    over one denominator, by `configs.integer_scale`."""
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+    den, nums = integer_scale(metric.shell_weight(r) for r in range(radius + 1))
+    if min(nums) < 0:
+        raise ValueError("shell weights must be nonnegative")
+    return nums, den
+
+
 def _site_lower_sums(
     x: Configuration,
     z: Configuration,
@@ -178,11 +191,11 @@ def _site_lower_sums(
     radius: int,
 ) -> tuple[list[int], int]:
     """Truncated distance lower bounds d_lo(g x, g z), one per g in window,
-    as integer numerators over den, the lcm of the ball's weight
-    denominators."""
-    ball = metric.ball_weights(radius)
-    den = lcm(*(w.denominator for _, w in ball))
-    terms = [(h, w.numerator * (den // w.denominator)) for h, w in ball]
+    as integer numerators over the denominator of the shell numerators:
+    the per-site reference, one ball of sites around each g."""
+    nums, den = _shell_numerators(metric, radius)
+    ball = FiniteSubset.box((-radius,) * x.dim, (radius,) * x.dim)
+    terms = [(h, nums[sup_norm(h)]) for h in ball]
     mm = _mismatch_memo(x, z)
     out = []
     for g in window:
@@ -198,11 +211,11 @@ def _box_lower_sums(
     x: Configuration,
     z: Configuration,
     window: FiniteSubset,
-    shell_weight: Callable[[int], Fraction],
+    metric: AdmissibleMetric,
     radius: int,
 ) -> tuple[list[int], int]:
-    """The same lower bounds for a box window and a radial metric, as
-    integer numerators over one denominator, in window order.
+    """The same lower bounds for a box window, over the same denominator,
+    in window order.
 
     With C_r(g) the mismatch count in the sup-norm box of radius r around
     g, the lower sum is sum_r w_r (C_r - C_{r-1}) = sum_r (w_r - w_{r+1}) C_r
@@ -219,21 +232,15 @@ def _box_lower_sums(
     no borrow crosses a lane below the window's columns; L holds every
     table entry and every lower sum, so every lane of the result is exact.
     """
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    shells = [Fraction(shell_weight(r)) for r in range(radius + 1)]
-    den = lcm(*(w.denominator for w in shells))
-    nums = [w.numerator * (den // w.denominator) for w in shells] + [0]
-    if min(nums) < 0:
-        raise ValueError("shell weights must be nonnegative")
-    coef = [nums[r] - nums[r + 1] for r in range(radius + 1)]
+    nums, den = _shell_numerators(metric, radius)
+    coef = [a - b for a, b in zip(nums, nums[1:] + [0])]
     lo, hi = window.bounds
     big = FiniteSubset.box(tuple(c - radius for c in lo), tuple(c + radius for c in hi))
     cols = hi[-1] - lo[-1] + 1
     width = cols + 2 * radius
     # the largest table entry is |big|, the largest lower sum
     # sum_r num_r |shell r|
-    top = max(len(big), sum(k * shell_size(x.dim, r) for r, k in enumerate(nums[:-1])))
+    top = max(len(big), sum(k * shell_size(x.dim, r) for r, k in enumerate(nums)))
     L = lane_size(top.bit_length())
     lane = 8 * L
     # shift-adds by 1, 2, 4, ... lanes, until each of the lanes 1..width
@@ -274,10 +281,11 @@ def _lower_sums(
     radius: int,
 ) -> tuple[list[int], int]:
     """Lower bounds d_lo(g x, g z) for g in window as integer numerators
-    over one common denominator: in bulk when possible, else per site."""
+    over one common denominator: in bulk when the configurations have rows
+    over the window, else per site."""
     _same_dimension([window], [x, z])
-    if metric.shell_weight is not None and rows_available(window, x, z):
-        return _box_lower_sums(x, z, window, metric.shell_weight, radius)
+    if rows_available(window, x, z):
+        return _box_lower_sums(x, z, window, metric, radius)
     return _site_lower_sums(x, z, window, metric, radius)
 
 
@@ -298,11 +306,9 @@ def besicovitch_estimate(
     metric = common_metric(x, z, metric)
     window = F.set_at(n)
     nums, den = _lower_sums(x, z, window, metric, radius)
-    tail = Fraction(metric.tail_bound(radius))
-    # hi_g = min(lo_g + tail, 1), over the denominator of lo_g and tail
-    hi_den = lcm(den, tail.denominator)
-    scale = hi_den // den
-    tail_num = tail.numerator * (hi_den // tail.denominator)
+    # hi_g = min(lo_g + tail, 1), over the denominator of lo_g and tail:
+    # 1/den and tail scale to (scale, tail_num) over hi_den
+    hi_den, (scale, tail_num) = integer_scale((Fraction(1, den), metric.tail_bound(radius)))
     total, count = sum(nums), len(nums)
     # k * scale + tail_num > hi_den exactly when k exceeds this
     capped = list(filter(((hi_den - tail_num) // scale).__lt__, nums))
@@ -341,15 +347,14 @@ def default_delta_grid() -> tuple[Fraction, ...]:
 
 def _grid_numerators(delta_grid: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     """(G, ascending numerators over G) of a grid of positive rationals,
-    G the lcm of their denominators."""
-    grid = [d if isinstance(d, Fraction) else Fraction(d) for d in delta_grid]
-    if not grid:
+    G the lcm of their denominators, by `configs.integer_scale`."""
+    G, nums = integer_scale(delta_grid)
+    if not nums:
         raise ValueError("delta grid must be non-empty")
-    G = lcm(*(d.denominator for d in grid))
-    nums = tuple(sorted(d.numerator * (G // d.denominator) for d in grid))
+    nums.sort()
     if nums[0] <= 0:
         raise ValueError("delta grid values must be positive")
-    return G, nums
+    return G, tuple(nums)
 
 
 @lru_cache(maxsize=1)

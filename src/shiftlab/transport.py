@@ -6,12 +6,13 @@ denominator with a Fraction `weights` view, and gluing runs in integers.
 The solver is a transportation simplex in integers, on the problem that
 `measures._integer_problem` builds for it, for the oracle and for
 Prokhorov's levels alike: masses scaled to their common denominator D and
-costs by the lcm E of theirs (`measures._integer_costs`, the one cost
-scale, which `Coupling.cost` also uses).  It runs from a northwest
-corner start that comes with its potentials, walks the basis tree once
-per pivot for the entering cycle and the next duals, pivots by Bland's
-rule, and has a complementary slackness certificate checked on every
-solve.  Its integer kernel, `_simplex`, also gives the coupled masses of
+costs by the lcm E of theirs (`configs.integer_scale`, the one exact
+scale, which a Coupling's Fraction entry, `Coupling.cost` and the
+certificate check also use).  It runs from a northwest corner start
+that comes with its potentials, walks the basis tree once per pivot for
+the entering cycle and the next duals, pivots by Bland's rule, and has
+a complementary slackness certificate checked on every solve.  Its
+integer kernel, `_simplex`, also gives the coupled masses of
 `measures.prokhorov_distance`, whose levels thereby pass the same duality
 checks.  An independent oracle searches every integer contingency table
 at the common mass denominator (the transportation polytope has integral
@@ -34,7 +35,6 @@ tolerance.  Pair joinings read their joint patterns through
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +42,7 @@ from math import lcm
 from operator import add, gt, mul, ne, sub
 from typing import Callable, Mapping, Sequence
 
-from .configs import AdmissibleMetric, Configuration, Lattice, rows_available, shift
+from .configs import AdmissibleMetric, Configuration, Lattice, integer_scale, rows_available, shift
 from .errors import (
     IncompatibleMiddleError,
     IncompatibleWindowsError,
@@ -54,7 +54,6 @@ from .measures import (
     PatternDistribution,
     _as_cost_fn,
     _FractionView,
-    _integer_costs,
     _integer_problem,
     _lowest_terms,
     _pattern_counts,
@@ -83,15 +82,15 @@ class Coupling:
         right: PatternDistribution,
         weights: Mapping[tuple[Pattern, Pattern], Fraction],
     ):
-        """Fraction entry: the weights must sum to exactly 1; they are scaled
-        to the lcm of their denominators and checked by `from_counts`."""
-        cells = [((tuple(p), tuple(q)), Fraction(w)) for (p, q), w in weights.items()]
-        L = lcm(*(w.denominator for _, w in cells))
-        counts: dict[tuple[Pattern, Pattern], int] = defaultdict(int)
-        for key, w in cells:
-            counts[key] += w.numerator * (L // w.denominator)
-        if sum(counts.values()) != L:
+        """Fraction entry: the weights must sum to exactly 1;
+        `configs.integer_scale` puts them over the lcm of their
+        denominators, and `from_counts` checks them."""
+        L, nums = integer_scale(weights.values())
+        if sum(nums) != L:
             raise ValueError("coupling weights must sum to exactly 1")
+        counts: dict[tuple[Pattern, Pattern], int] = defaultdict(int)
+        for (p, q), c in zip(weights, nums):
+            counts[(tuple(p), tuple(q))] += c
         held = Coupling.from_counts(left, right, counts)
         self.left, self.right, self.den, self.counts = left, right, held.den, held.counts
 
@@ -139,7 +138,7 @@ class Coupling:
     def cost(self, cost_fn: CostFn) -> Fraction:
         fn = _as_cost_fn(cost_fn)
         # exact in integers: counts over den, costs over the lcm S of theirs
-        S, costs = _integer_costs([fn(p, q) for p, q in self.counts])
+        S, costs = integer_scale([fn(p, q) for p, q in self.counts])
         total = sum(n * c for n, c in zip(self.counts.values(), costs))
         return Fraction(total, self.den * S)
 
@@ -151,9 +150,6 @@ class Coupling:
                 for (p, q), w in sorted(self.weights.items())
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
     def __repr__(self) -> str:
         return f"Coupling({len(self.counts)} atoms)"
@@ -364,7 +360,7 @@ def verify_transport_certificate(
     values = [fn(p, q) for p in rows for q in cols]
     values += map(u.__getitem__, rows)
     values += map(v.__getitem__, cols)
-    S, ints = _integer_costs(values)
+    S, ints = integer_scale(values)
     us, vs = ints[m * n : m * n + m], ints[m * n + m :]
     # dual feasibility, u_p + v_q <= c_pq on every pair, in one pass: each
     # u repeated n times and the v's m times line up with the m n costs

@@ -2,10 +2,9 @@
 reads rows returns the same Fraction as its per-site path.
 
 The per-site path is reached by handing an estimator the same window as an
-explicit point set (not a box), or a metric without shell weights.  Its
-configurations are rows-free twins (`twin`) that call the rule at every
-site, since a binary 1-D or 2-D configuration's own `value` reads chunks
-of the very rows under test.
+explicit point set (not a box).  Its configurations are rows-free twins
+(`twin`) that call the rule at every site, since a binary 1-D or 2-D
+configuration's own `value` reads chunks of the very rows under test.
 """
 
 import hashlib
@@ -40,7 +39,7 @@ from shiftlab.configs import (
     shift,
 )
 from shiftlab.examples import random_config, resolve_example_name
-from shiftlab.groups import FiniteSubset, box_set, custom_folner, make_box_folner, sup_norm
+from shiftlab.groups import FiniteSubset, box_set, custom_folner, make_box_folner
 from shiftlab.measures import empirical_measure
 from shiftlab.metrics import (
     DPrimeEstimate,
@@ -224,14 +223,10 @@ def test_besicovitch_estimates_match_per_site(data, radius):
     F, n = data.draw(windows(dim, 60 if dim == 1 else 7))
     ref = per_site(F, n)
     rx, rz = twin(x), twin(z)
-    metric = default_metric(dim)
-    plain = AdmissibleMetric(dim, metric.weight, metric.tail_bound)  # no shell weights
     got = besicovitch_estimate(x, z, F, n, radius=radius)
     assert got == besicovitch_estimate(rx, rz, ref, 1, radius=radius)
-    assert got == besicovitch_estimate(rx, rz, F, n, plain, radius)
     dp = besicovitch_prime_estimate(x, z, F, n, radius=radius)
     assert dp == besicovitch_prime_estimate(rx, rz, ref, 1, radius=radius)
-    assert dp == besicovitch_prime_estimate(rx, rz, F, n, plain, radius)
 
 
 def uneven_metric(dim):
@@ -243,12 +238,11 @@ def uneven_metric(dim):
         return Fraction(1 + 4 * (r % 2), 2**r * 8 * shell_size(dim, r))
 
     assert shell_weight(2) < shell_weight(3)
-    return AdmissibleMetric(dim, lambda g: shell_weight(sup_norm(g)),
-                            lambda R: Fraction(1, 2**R), shell_weight)
+    return AdmissibleMetric(dim, shell_weight, lambda R: Fraction(1, 2**R))
 
 
 def assert_lower_sums_match(x, z, window, metric, radius):
-    got = _box_lower_sums(x, z, window, metric.shell_weight, radius)
+    got = _box_lower_sums(x, z, window, metric, radius)
     assert got == _site_lower_sums(twin(x), twin(z), window, metric, radius)
 
 
@@ -277,10 +271,26 @@ def test_lower_sums_with_negative_coefficients_match_per_site(data, radius):
     assert got == besicovitch_estimate(twin(x), twin(z), per_site(F, n), 1, metric, radius)
 
 
+def test_a_metric_is_its_shell_weights():
+    """The metric is described once, by its shell weights, so a box window
+    and the same sites as a set that is not a box give one interval."""
+    d = default_metric(1)
+    metric = AdmissibleMetric(1, lambda r: d.shell_weight(r) / 3, d.tail_bound)
+    assert metric.weight((-3,)) == d.weight((3,)) / 3
+    x, z = random_config(1, 1), random_config(1, 2)
+    F = make_box_folner(1)
+    sites = custom_folner([FiniteSubset(F.set_at(20).points())])
+    got = besicovitch_estimate(x, z, F, 20, metric, 4)
+    assert got == besicovitch_estimate(x, z, sites, 1, metric, 4)
+    assert got[0] <= got[1]
+
+
 def test_lower_sums_refuse_negative_shell_weights():
     x, z = constant_config(1, 0), constant_config(1, 1)
-    with pytest.raises(ValueError, match="nonnegative"):
-        _box_lower_sums(x, z, FiniteSubset.box((0,), (9,)), lambda r: Fraction(1 - r, 4), 2)
+    metric = AdmissibleMetric(1, lambda r: Fraction(1 - r, 4), lambda R: Fraction(1, 2**R))
+    for lower_sums in (_box_lower_sums, _site_lower_sums):
+        with pytest.raises(ValueError, match="nonnegative"):
+            lower_sums(x, z, FiniteSubset.box((0,), (9,)), metric, 2)
 
 
 def dprime_by_fractions(nums, den, delta_grid):
@@ -333,7 +343,7 @@ def test_besicovitch_upper_end_matches_capped_fractions(data, radius, tail):
     F, n = data.draw(windows(dim, 50 if dim == 1 else 7))
     metric = default_metric(dim)
     if tail is not None:
-        metric = AdmissibleMetric(dim, metric.weight, lambda R: tail, metric.shell_weight)
+        metric = AdmissibleMetric(dim, metric.shell_weight, lambda R: tail)
     nums, den = _site_lower_sums(twin(x), twin(z), F.set_at(n), metric, radius)
     t = metric.tail_bound(radius)
     want = (Fraction(sum(nums), den * len(nums)),
@@ -923,6 +933,15 @@ def test_only_configs_knows_the_lane_layout():
     assert named == ["configs.py"]
 
 
+def test_only_configs_builds_a_common_denominator():
+    """`configs.integer_scale` is the one exact scale: no other module takes
+    an lcm of `.denominator`s or grows a running denominator."""
+    package = Path(configs.__file__).parent
+    named = [p.name for p in sorted(package.glob("*.py"))
+             if re.search(r"lcm\(.*\.denominator|//\s*(math\.)?gcd\(", p.read_text())]
+    assert named == ["configs.py"]
+
+
 def lane_reads():
     """Lower sums, empirical measures and pair joinings whose lanes take
     1, 2, 4, 8 and more than 8 bytes, over boxes with negative corners."""
@@ -931,7 +950,7 @@ def lane_reads():
         x, z = random_config(dim, 3), random_config(dim, 4)
         window = FiniteSubset.box((-3,) * dim, (side - 3,) * dim)
         for r in radii:
-            out.append(_box_lower_sums(x, z, window, default_metric(dim).shell_weight, r))
+            out.append(_box_lower_sums(x, z, window, default_metric(dim), r))
     one = (random_config(1, 5), resolve_example_name("rf-sub:3"))
     for k in (5, 12, 30, 60, 70):
         out.append(empirical_measure(one[0], FiniteSubset.box((-20,), (40,)), box_set(1, k - 1)))

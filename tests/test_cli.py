@@ -508,8 +508,9 @@ _BUDGET_JOBS = [
     (["density", "--set", "visible", "--n-list", "9,19"], 10**2 + 20**2),
     (["dbar", "--x", "visible", "--z", "prime-approx:1", "--kind", "centered", "--n-list", "4"],
      9**2),
-    (["besicovitch", *_RF_PAIR, "--n-list", "9,19", "--radius", "2"], (10 + 20) * 5),
-    (["dprime", *_RF_PAIR, "--N", "19", "--radius", "3"], 20 * 7),
+    # Besicovitch and D': 2R+1 per site of each window widened by R
+    (["besicovitch", *_RF_PAIR, "--n-list", "9,19", "--radius", "2"], 5 * (14 + 24)),
+    (["dprime", *_RF_PAIR, "--N", "19", "--radius", "3"], 7 * 26),
     (["empirical", "--set", "visible", "--N", "9", "--window", "3"], 10**2 * 9),
     (["prokhorov", *_RF_PAIR, "--N", "9", "--window", "2"], 10 * 2 * 2),
     (["transport", "--x", "visible", "--z", "prime-approx:1", "--N", "9", "--window", "2"],
@@ -535,6 +536,19 @@ def test_site_budget_is_checked_against_the_estimate(monkeypatch, capsys, argv, 
     assert code == 1 and out == ""
     assert err == (
         f"error: job would read about {estimate} sites, over the limit of {estimate - 1}\n"
+    )
+
+
+def test_lower_sum_jobs_are_charged_for_the_widened_window(monkeypatch, capsys):
+    # 2R+1 = 25 reads per site of {0..500}^2 widened by R = 12, where
+    # (2R+1)^2 per site of {0..500}^2 would be 156,875,625
+    argv = ("dprime", "--x", "visible", "--z", "prime-approx:2", "--N", "500")
+    estimate = 25 * 525**2
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "" and json.loads(out)["value"]["fraction"] == "2/25"
+    monkeypatch.setattr(cli, "SITE_BUDGET", estimate - 1)
+    assert run(capsys, *argv) == (
+        1, "", f"error: job would read about {estimate} sites, over the limit of {estimate - 1}\n"
     )
 
 

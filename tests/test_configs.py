@@ -3,7 +3,9 @@
 import collections
 import itertools
 import re
+from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from shiftlab.configs import (
     config_distance,
     constant_config,
     default_metric,
+    integer_scale,
     patched_config,
     periodic_config,
     predicate_config,
@@ -24,7 +27,7 @@ from shiftlab.configs import (
     word_config,
 )
 from shiftlab.errors import InvalidDimensionError
-from shiftlab.examples import resolve_example_name
+from shiftlab.examples import resolve_example_name, visible_points_config
 from shiftlab.groups import FiniteSubset, compose
 
 small_points = st.tuples(st.integers(-6, 6))
@@ -98,10 +101,18 @@ def test_constant_and_patched_configs():
     assert patched.value((1, 1)) == 1 and patched.value((1, 2)) == 0
 
 
+def test_chunked_site_reads_refuse_points_of_another_dimension():
+    one, two = word_config((0, 1, 1)), visible_points_config()
+    for x, bad in ((one, (1, 2)), (one, ()), (two, (3,)), (two, (1, 2, 3))):
+        with pytest.raises(InvalidDimensionError, match="^point of wrong dimension$"):
+            x.value(bad)
+    assert one.value((2,)) == 1 and two.value((2, 3)) == 1 and two.value((2, 4)) == 0
+
+
 def test_lattice_diagonal_and_reduce():
     lat = Lattice.diagonal((2, 3))
     assert lat.index == 6 and lat.moduli == (2, 3)
-    assert lat.contains((4, -3)) and not lat.contains((1, 0))
+    assert not any(lat.reduce((4, -3))) and any(lat.reduce((1, 0)))
     assert lat.reduce((5, 7)) == (1, 1)
     assert len(lat.fundamental_domain()) == 6
 
@@ -110,7 +121,7 @@ def test_lattice_general_basis():
     lat = Lattice([(2, 1), (0, 3)])
     assert lat.index == 6 and lat.moduli is None
     # generators are the columns of the basis matrix
-    assert lat.contains((2, 0)) and lat.contains((1, 3))
+    assert not any(lat.reduce((2, 0))) and not any(lat.reduce((1, 3)))
     assert lat.fundamental_domain() == FiniteSubset.box((0, 0), (0, 5))
     assert lat.reduce((1, 0)) == (0, 3)
     with pytest.raises(ValueError):
@@ -154,14 +165,13 @@ def test_lattice_box_is_a_transversal(rows, data):
     r = lat.reduce(p)
     assert r in domain and lat.reduce(r) == r
     for gen in zip(*rows):
-        assert lat.contains(gen)
+        assert not any(lat.reduce(gen))
         assert lat.reduce(compose(p, gen)) == r
         assert lat.reduce(tuple(a - b for a, b in zip(p, gen))) == r
-    assert lat.contains(p) == (r == (0,) * d)
     # the order of p + L divides the index; no smaller multiple of p is in L
     n = lat.order(p)
-    assert lat.index % n == 0 and lat.contains(tuple(n * c for c in p))
-    assert not any(lat.contains(tuple(k * c for c in p)) for k in range(1, n))
+    assert lat.index % n == 0 and not any(lat.reduce(tuple(n * c for c in p)))
+    assert all(any(lat.reduce(tuple(k * c for c in p))) for k in range(1, n))
 
 
 def test_periodic_config_depends_only_on_coset():
@@ -200,6 +210,29 @@ def test_restrict_of_shift_is_translated_restrict(g):
     assert shifted == translated
 
 
+exact_numbers = st.one_of(
+    st.fractions(max_denominator=10**6),
+    st.integers(-(10**12), 10**12),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.decimals(allow_nan=False, allow_infinity=False, places=8),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(exact_numbers, max_size=12))
+def test_integer_scale_puts_every_value_over_the_lcm_of_their_denominators(values):
+    E, ints = integer_scale(iter(values))
+    exact = [Fraction(v) for v in values]
+    assert E == lcm(*(f.denominator for f in exact))
+    assert len(ints) == len(values) and all(type(k) is int for k in ints)
+    assert all(Fraction(k, E) == f for k, f in zip(ints, exact))
+
+
+def test_integer_scale_reads_other_values_as_fractions():
+    assert integer_scale([]) == (1, [])
+    assert integer_scale(["3/7", Decimal("0.5"), 0.25, 2]) == (28, [12, 14, 7, 56])
+
+
 def test_shell_sizes():
     assert [shell_size(1, r) for r in range(4)] == [1, 2, 2, 2]
     assert [shell_size(2, r) for r in range(4)] == [1, 8, 16, 24]
@@ -217,7 +250,7 @@ def test_default_metric_weights_and_mass():
         assert m.tail_bound(R) == Fraction(1, 2**R)
     m2 = default_metric(2)
     assert m2.weight((0, 0)) == Fraction(1, 2)
-    assert m2.weight((1, -1)) == Fraction(1, 2 * 8 * 2)
+    assert m2.weight((1, -1)) == m2.shell_weight(1) == Fraction(1, 2 * 8 * 2)
 
 
 def test_config_distance_examples():

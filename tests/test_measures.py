@@ -68,10 +68,14 @@ def test_distribution_marginal_and_tv():
     assert mu.tv_distance(nu) == HALF
 
 
-def test_distribution_json_round_trip():
+def test_distribution_dict_round_trip():
     mu = PatternDistribution(W2, {(0, 1): Fraction(2, 3), (1, 1): Fraction(1, 3)})
-    again = PatternDistribution.from_json(mu.to_json())
-    assert again == mu
+    d = mu.to_dict()
+    again = PatternDistribution(
+        [tuple(p) for p in d["window"]],
+        {tuple(pat): Fraction(num, den) for pat, num, den in d["weights"]},
+    )
+    assert again == mu and again.to_dict() == d
 
 
 @st.composite
