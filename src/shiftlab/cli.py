@@ -91,9 +91,9 @@ PRIME_SQUARE_TAILS = (
 # A window job whose estimated site reads exceed this is refused before it
 # reads any: the sites of its Folner sets times the sites s^d summed over
 # the box sides s it reads around each site, or 2R+1 per site of each
-# Folner set widened by the radius R of a Besicovitch or D' job (see
-# `_window_inputs`), or times the number of pairs for nowy-check's dbar
-# windows.
+# Folner set widened by the radius R of a Besicovitch or D' job times the
+# 64-bit words of a lane, ceil((R+1)/64) (see `_window_inputs`), or times
+# the number of pairs for nowy-check's dbar windows.
 SITE_BUDGET = 10**8
 
 
@@ -354,14 +354,17 @@ def _window_inputs(
     once the job's reads are checked against SITE_BUDGET: the sum over n
     of |F_n| times the sum over the sides s of s^d, or, for a job with a
     `radius` R, what the bulk lower sums read, 2R+1 whole-row operations
-    per site of F_n widened by R."""
+    per site of F_n widened by R, each on lanes of ceil((R+1)/64) words
+    at least, since the default metric's denominator has R+1 bits."""
     names = [cfg["set"]] if "set" in cfg else [cfg["x"], cfg["z"]]
     configs = [resolve_example_name(name) for name in names]
     d = configs[0].dim
     F = make_box_folner(d, cfg["kind"])
     if "radius" in cfg:
-        ball = box_set(d, cfg["radius"], centered=True)
-        reads = (2 * cfg["radius"] + 1) * sum(F.set_at(n).minkowski(ball).size() for n in ns)
+        R = cfg["radius"]
+        ball = box_set(d, R, centered=True)
+        words = -(-(R + 1) // 64)
+        reads = (2 * R + 1) * words * sum(F.set_at(n).minkowski(ball).size() for n in ns)
     else:
         reads = _site_reads(F, ns, sum(s**d for s in sides))
     _within_budget(reads)

@@ -1,5 +1,6 @@
-"""Named example configurations: visible lattice points, their periodic
-approximants from finite prime sets, a residually finite substitution
+"""Named example configurations: visible lattice points and their periodic
+approximants from finite prime sets, whose bulk rows come from one sieve
+that marks each prime once per box, a residually finite substitution
 sequence over the integers, block-entropy evidence, and seeded random
 configurations for negative controls and randomized checks, whose site
 rule is a plain splitmix64 fold and whose binary rows hash in lanes.
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from random import Random
 from typing import Mapping, Sequence
 
@@ -32,21 +33,6 @@ PRIMES: tuple[int, ...] = (
 )
 
 
-def _prime_divisors(n: int) -> list[int]:
-    """Distinct prime divisors of n >= 1, by trial division."""
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _multiples_row(p: int, start: int, width: int) -> int:
     """Row whose bit j is set when p divides start + j."""
     first = (-start) % p
@@ -59,42 +45,110 @@ def _multiples_row(p: int, start: int, width: int) -> int:
     return ((1 << (count * p)) - 1) // ((1 << p) - 1) << first
 
 
+def _small_primes(top: int) -> Sequence[int]:
+    """The primes in increasing order, up to at least the square root of
+    top: PRIMES while it reaches that far, else a sieve."""
+    r = isqrt(top)
+    if r <= PRIMES[-1]:
+        return PRIMES
+    composite = bytearray(r + 1)
+    for p in range(2, isqrt(r) + 1):
+        if not composite[p]:
+            composite[p * p :: p] = b"\1" * len(range(p * p, r + 1, p))
+    return [p for p in range(2, r + 1) if not composite[p]]
+
+
+def _coprime_row(m: int, n0: int, n1: int) -> int:
+    """Row m over the columns n0..n1 of gcd(m, n) = 1, one gcd per column."""
+    return sum(1 << (n - n0) for n in range(n0, n1 + 1) if gcd(m, n) == 1)
+
+
+def _marked_rows(k0: int, k1: int, n0: int, width: int) -> list[int]:
+    """Rows k = k0..k1 of gcd(k, n) = 1, for 1 <= k0, over `width` columns
+    from n0.  Each prime p with p^2 <= k1 clears its multiples from the
+    rows k = 0 (mod p) and is divided out of their cofactors with its
+    powers; what is left of a row's k is then 1 or one prime q, which
+    clears its own.  Each prime's mask is built once."""
+    full = (1 << width) - 1
+    count = k1 - k0 + 1
+    out = [full] * count
+    left = list(range(k0, k1 + 1))
+    for p in _small_primes(k1):
+        if p * p > k1:
+            break
+        i = -k0 % p
+        if i < count:
+            mask = full ^ _multiples_row(p, n0, width)
+            out[i::p] = [row & mask for row in out[i::p]]
+            q = p
+            while i < count:
+                left[i::q] = [k // p for k in left[i::q]]
+                q *= p
+                i = -k0 % q
+    cleared: dict[int, int] = {}
+    for i, q in enumerate(left):
+        if q > 1:
+            mask = cleared.get(q)
+            if mask is None:
+                mask = cleared[q] = full ^ _multiples_row(q, n0, width)
+            out[i] &= mask
+    return out
+
+
 def _coprime_sieve(primes: tuple[int, ...] | None) -> RowsRule:
     """Bulk rows of 'no prime of `primes` divides both coordinates'; None
     stands for every prime, i.e. gcd(m, n) = 1.
 
-    Row m starts full and loses the multiples of each listed prime that
-    divides m.  Every prime divides 0, so for None row 0 is its own case:
+    Rows start full, and each prime p clears its multiples, with one mask
+    per call, from the rows m = 0 (mod p) of the box.  For None, rows m
+    and -m are equal, so the rows k = |m| are marked once (`_marked_rows`)
+    and no row is factored, but for a box of one row, the shape of a site
+    read's chunk: it takes the primes that divide its k in turn, until p^2
+    passes what is left of k, which costs less than the marking's
+    bookkeeping.  Every prime divides 0, so for None row 0 is its own case:
     gcd(0, n) = |n| is 1 only at n = +-1; and a row with |m| above the
-    square of its width takes one gcd per column instead of factoring m,
-    so a row costs O(width) however far out it lies.
+    square of its width takes one gcd per column instead, so a row costs
+    O(width) however far out it lies.
     """
     def rows(lo: Point, hi: Point) -> list[int]:
         (m0, n0), (m1, n1) = lo, hi
         width = n1 - n0 + 1
         full = (1 << width) - 1
-        cleared: dict[int, int] = {}
-        out = []
-        for m in range(m0, m1 + 1):
-            if primes is not None:
-                divisors = [p for p in primes if m % p == 0]
-            elif m == 0:
-                out.append(sum(1 << (n - n0) for n in (-1, 1) if n0 <= n <= n1))
-                continue
-            elif abs(m) > width * width:
-                # factoring m by trial division would cost more than a gcd
-                # per column
-                out.append(sum(1 << (n - n0) for n in range(n0, n1 + 1) if gcd(m, n) == 1))
-                continue
-            else:
-                divisors = _prime_divisors(abs(m))
-            row = full
-            for p in divisors:
-                mask = cleared.get(p)
-                if mask is None:
-                    mask = cleared[p] = full & ~_multiples_row(p, n0, width)
-                row &= mask
-            out.append(row)
+        if primes is not None:
+            out = [full] * (m1 - m0 + 1)
+            for p in primes:
+                i = -m0 % p
+                if i < len(out):
+                    mask = full ^ _multiples_row(p, n0, width)
+                    out[i::p] = [row & mask for row in out[i::p]]
+            return out
+        # rows a..b, with |m| at most width^2, are sieved; the others are far
+        far = width * width
+        if m0 == m1 and 0 < abs(m0) <= far:
+            k, row = abs(m0), full
+            for p in _small_primes(k):
+                if p * p > k:
+                    break
+                if not k % p:
+                    row &= full ^ _multiples_row(p, n0, width)
+                    k //= p
+                    while not k % p:
+                        k //= p
+            return [row & ~_multiples_row(k, n0, width) if k > 1 else row]
+        a, b = max(m0, -far), min(m1, far)
+        if a > b:
+            return [_coprime_row(m, n0, n1) for m in range(m0, m1 + 1)]
+        if a > 0:
+            out = _marked_rows(a, b, n0, width)
+        elif b < 0:
+            out = _marked_rows(-b, -a, n0, width)[::-1]
+        else:
+            by_k = _marked_rows(1, max(-a, b), n0, width)
+            zero = sum(1 << (n - n0) for n in (-1, 1) if n0 <= n <= n1)
+            out = [by_k[abs(m) - 1] if m else zero for m in range(a, b + 1)]
+        if m0 < a or b < m1:
+            out = ([_coprime_row(m, n0, n1) for m in range(m0, a)] + out
+                   + [_coprime_row(m, n0, n1) for m in range(b + 1, m1 + 1)])
         return out
 
     return rows

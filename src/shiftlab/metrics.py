@@ -172,15 +172,23 @@ def _mismatch_memo(x: Configuration, z: Configuration) -> Callable[[Point], bool
     return mm
 
 
-def _shell_numerators(metric: AdmissibleMetric, radius: int) -> tuple[list[int], int]:
+def _shell_numerators(metric: AdmissibleMetric, radius: int) -> tuple[list[int], int, int]:
     """The shell weights w_0..w_radius of the metric as integer numerators
-    over one denominator, by `configs.integer_scale`."""
+    over one denominator, by `configs.integer_scale`, and the mass of the
+    ball, sum_r num_r |shell r|, over that denominator.  A metric whose
+    ball weighs more than 1 is refused: the distance it bounds is at most
+    1, so its lower sums could pass their upper bound."""
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     den, nums = integer_scale(metric.shell_weight(r) for r in range(radius + 1))
     if min(nums) < 0:
         raise ValueError("shell weights must be nonnegative")
-    return nums, den
+    mass = sum(k * shell_size(metric.dim, r) for r, k in enumerate(nums))
+    if mass > den:
+        raise ValueError(
+            f"shell weights within radius {radius} sum to {Fraction(mass, den)}, above 1"
+        )
+    return nums, den, mass
 
 
 def _site_lower_sums(
@@ -193,7 +201,7 @@ def _site_lower_sums(
     """Truncated distance lower bounds d_lo(g x, g z), one per g in window,
     as integer numerators over the denominator of the shell numerators:
     the per-site reference, one ball of sites around each g."""
-    nums, den = _shell_numerators(metric, radius)
+    nums, den, _ = _shell_numerators(metric, radius)
     ball = FiniteSubset.box((-radius,) * x.dim, (radius,) * x.dim)
     terms = [(h, nums[sup_norm(h)]) for h in ball]
     mm = _mismatch_memo(x, z)
@@ -232,15 +240,14 @@ def _box_lower_sums(
     no borrow crosses a lane below the window's columns; L holds every
     table entry and every lower sum, so every lane of the result is exact.
     """
-    nums, den = _shell_numerators(metric, radius)
+    nums, den, mass = _shell_numerators(metric, radius)
     coef = [a - b for a, b in zip(nums, nums[1:] + [0])]
     lo, hi = window.bounds
     big = FiniteSubset.box(tuple(c - radius for c in lo), tuple(c + radius for c in hi))
     cols = hi[-1] - lo[-1] + 1
     width = cols + 2 * radius
-    # the largest table entry is |big|, the largest lower sum
-    # sum_r num_r |shell r|
-    top = max(len(big), sum(k * shell_size(x.dim, r) for r, k in enumerate(nums)))
+    # the largest table entry is |big|, the largest lower sum the mass
+    top = max(len(big), mass)
     L = lane_size(top.bit_length())
     lane = 8 * L
     # shift-adds by 1, 2, 4, ... lanes, until each of the lanes 1..width

@@ -156,13 +156,73 @@ def test_sieve_rows_across_the_axes(name):
 
 
 def test_visible_rows_far_from_the_origin_match_the_rule():
-    # rows with |m| above their width squared take a gcd per column; trial
-    # division of 2^61 - 1 alone would take hours
+    # rows with |m| above their width squared take a gcd per column; the
+    # sieve would first mark every prime up to sqrt(2^61 - 1), over 10^8 of
+    # them
     x = resolve_example_name("visible")
     for m in (4097, -4099, 2**40, -(3**30), 10**12 + 39, -(2**61 - 1)):
         box = FiniteSubset.box((m, -70), (m, 70))
         assert x.rows(box) == site_rows(x, box)
         assert [x.value(g) for g in box] == [x._rule(g) for g in box]
+
+
+@st.composite
+def sieve_boxes(draw):
+    """Boxes 1..200 columns wide whose rows cross row 0, lie on either side
+    of it, up to and past the width squared, or far out, and whose columns
+    may cross column 0; one-row and one-column boxes among them."""
+    width = draw(st.one_of(st.just(1), st.integers(1, 200)))
+    height = draw(st.one_of(st.just(1), st.integers(1, 40)))
+    far = width * width
+    m0 = draw(st.one_of(
+        st.integers(-height, 0),
+        st.integers(-far - 2 * height, far + height),
+        st.integers(-10**15, 10**15),
+    ))
+    n0 = draw(st.one_of(st.integers(-width, 0), st.integers(-10**6, 10**6)))
+    return FiniteSubset.box((m0, n0), (m0 + height - 1, n0 + width - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(box=sieve_boxes(), n=st.integers(0, len(examples.PRIMES)))
+def test_sieve_rows_match_the_site_rule(box, n):
+    x = resolve_example_name(f"prime-approx:{n}" if n else "visible")
+    assert x.rows(box) == site_rows(x, box)
+
+
+def test_sieve_builds_one_mask_per_prime(monkeypatch):
+    built = []
+    multiples_row = examples._multiples_row
+
+    def counted(p, start, width):
+        built.append(p)
+        return multiples_row(p, start, width)
+
+    monkeypatch.setattr(examples, "_multiples_row", counted)
+    primes_to = lambda r: [p for p in range(2, r + 1) if all(p % q for q in range(2, p))]  # noqa: E731
+    visible = resolve_example_name("visible")
+    for box, primes in [
+        # rows +-1..80: every prime up to 80 divides a row
+        (FiniteSubset.box((-80, -80), (80, 80)), primes_to(80)),
+        # one row, 840 = 2^3 3 5 7, as a site read's 64-column chunk
+        (FiniteSubset.box((840, -64), (840, -1)), [2, 3, 5, 7]),
+        # |m| past 97^2, whose small primes come from a sieve; rows past
+        # the width squared, 14,400, take a gcd per column
+        (FiniteSubset.box((14_350, 0), (14_450, 119)),
+         [p for p in primes_to(14_400) if any(m % p == 0 for m in range(14_350, 14_401))]),
+    ]:
+        built.clear()
+        rows = visible.rows(box)
+        assert sorted(built) == primes
+        built.clear()
+        assert rows == site_rows(visible, box) and built == []
+    for n in (1, 3, 25):
+        x = resolve_example_name(f"prime-approx:{n}")
+        for box in (FiniteSubset.box((-200, -5), (200, 5)), FiniteSubset.box((7, 0), (7, 63))):
+            built.clear()
+            x.rows(box)
+            assert len(built) == len(set(built)) <= n
+            assert set(built) <= set(examples.PRIMES[:n])
 
 
 @settings(max_examples=80, deadline=None)
@@ -291,6 +351,24 @@ def test_lower_sums_refuse_negative_shell_weights():
     for lower_sums in (_box_lower_sums, _site_lower_sums):
         with pytest.raises(ValueError, match="nonnegative"):
             lower_sums(x, z, FiniteSubset.box((0,), (9,)), metric, 2)
+
+
+def test_lower_sums_refuse_a_ball_heavier_than_1():
+    # the default shell weights doubled: the ball of radius 0 weighs 1, and
+    # the ball of radius 4 weighs 2 - 1/16, which made the radius-4
+    # estimate at n = 20 (271/224, 149/168), lo above hi
+    d = default_metric(1)
+    metric = AdmissibleMetric(1, lambda r: 2 * d.shell_weight(r), d.tail_bound)
+    x, z = random_config(1, 1), random_config(1, 2)
+    box = FiniteSubset.box((0,), (20,))
+    for lower_sums in (_box_lower_sums, _site_lower_sums):
+        assert lower_sums(x, z, box, metric, 0)[1] == 1
+        with pytest.raises(ValueError, match=r"radius 4 sum to 31/16, above 1"):
+            lower_sums(x, z, box, metric, 4)
+    boxes = make_box_folner(1, "boxes")
+    for F, n in ((boxes, 20), (per_site(boxes, 20), 1)):
+        with pytest.raises(ValueError, match="above 1"):
+            besicovitch_estimate(x, z, F, n, metric=metric, radius=4)
 
 
 def dprime_by_fractions(nums, den, delta_grid):

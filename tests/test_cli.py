@@ -511,6 +511,8 @@ _BUDGET_JOBS = [
     # Besicovitch and D': 2R+1 per site of each window widened by R
     (["besicovitch", *_RF_PAIR, "--n-list", "9,19", "--radius", "2"], 5 * (14 + 24)),
     (["dprime", *_RF_PAIR, "--N", "19", "--radius", "3"], 7 * 26),
+    # times the 64-bit words of a lane: R + 1 = 65 bits take 2
+    (["dprime", *_RF_PAIR, "--N", "1", "--radius", "64"], 129 * 2 * 130),
     (["empirical", "--set", "visible", "--N", "9", "--window", "3"], 10**2 * 9),
     (["prokhorov", *_RF_PAIR, "--N", "9", "--window", "2"], 10 * 2 * 2),
     (["transport", "--x", "visible", "--z", "prime-approx:1", "--N", "9", "--window", "2"],
@@ -640,8 +642,11 @@ def test_tempered_refuses_fewer_than_two_windows(capsys, n):
 # parameter must be put in one of the two.
 _HUGE = ("10000000000", "100000000000000000000")
 _REFUSED = {
-    **{key: _HUGE for key in ("N", "n-list", "n", "window", "radius", "symbol", "trials",
+    **{key: _HUGE for key in ("N", "n-list", "n", "window", "symbol", "trials",
                               "k-max", "max-period", "support", "n-max", "stages")},
+    # radii whose 1-D jobs the site count alone would admit, though each
+    # lane of their lower sums spans R/64 words
+    "radius": ("2000", "4998", *_HUGE),
     **{key: ("0", "-3000", "3000,-3000", _HUGE[0]) for key in ("sizes", "entropy-sizes")},
     "pairs": tuple(f"random:{v}" for v in _HUGE),
     "group": tuple(f"z:{v}" for v in _HUGE),
