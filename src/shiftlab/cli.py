@@ -57,8 +57,10 @@ from .metrics import (
     besicovitch_trace,
     dbar_estimate,
     dbar_trace,
+    default_ball_bits,
     default_delta_grid,
     exact_mismatch_density,
+    lower_sum_work,
     upper_density,
 )
 from .transport import (
@@ -90,10 +92,10 @@ PRIME_SQUARE_TAILS = (
 
 # A window job whose estimated site reads exceed this is refused before it
 # reads any: the sites of its Folner sets times the sites s^d summed over
-# the box sides s it reads around each site, or 2R+1 per site of each
-# Folner set widened by the radius R of a Besicovitch or D' job times the
-# 64-bit words of a lane, ceil((R+1)/64) (see `_window_inputs`), or times
-# the number of pairs for nowy-check's dbar windows.
+# the box sides s it reads around each site, or times the number of pairs
+# for nowy-check's dbar windows.  A Besicovitch or D' job is charged the
+# 64-bit word operations of its bulk lower sums, one site read each
+# (`metrics.lower_sum_work`, see `_window_inputs`).
 SITE_BUDGET = 10**8
 
 
@@ -353,18 +355,19 @@ def _window_inputs(
     named examples and the `kind` box Folner sequence in x's dimension d,
     once the job's reads are checked against SITE_BUDGET: the sum over n
     of |F_n| times the sum over the sides s of s^d, or, for a job with a
-    `radius` R, what the bulk lower sums read, 2R+1 whole-row operations
-    per site of F_n widened by R, each on lanes of ceil((R+1)/64) words
-    at least, since the default metric's denominator has R+1 bits."""
+    `radius` R, the word operations of the bulk lower sums over the F_n
+    under the default metric.  Its mass and coefficients have R + 1 bits
+    at least, so a first charge at that size refuses a large R before
+    its numerators are built."""
     names = [cfg["set"]] if "set" in cfg else [cfg["x"], cfg["z"]]
     configs = [resolve_example_name(name) for name in names]
     d = configs[0].dim
     F = make_box_folner(d, cfg["kind"])
     if "radius" in cfg:
         R = cfg["radius"]
-        ball = box_set(d, R, centered=True)
-        words = -(-(R + 1) // 64)
-        reads = (2 * R + 1) * words * sum(F.set_at(n).minkowski(ball).size() for n in ns)
+        windows = [F.set_at(n) for n in ns]
+        _within_budget(lower_sum_work(windows, R, R + 1, R + 1))
+        reads = lower_sum_work(windows, R, *default_ball_bits(d, R))
     else:
         reads = _site_reads(F, ns, sum(s**d for s in sides))
     _within_budget(reads)
@@ -431,10 +434,13 @@ def _cmd_omega(cfg: dict) -> dict:
     return {"representatives": [m.to_dict() for m in reps], "count": len(reps)}
 
 
+# the pattern cost of a window, from its sites, by `--cost`
+COSTS = {"hamming": hamming_per_site_cost, "admissible": pattern_metric}
+
+
 def _cmd_transport(cfg: dict) -> dict:
     mu, nu = _two_measures(cfg)
-    ham = cfg["cost"] == "hamming"
-    cost = hamming_per_site_cost(mu.sites) if ham else pattern_metric(mu.sites)
+    cost = COSTS[cfg["cost"]](mu.sites)
     res = min_cost_transport(mu, nu, cost)
     return {
         "value": _frac(res.value),
@@ -450,14 +456,13 @@ def _cmd_rho_chain(cfg: dict) -> dict:
     ob = PeriodicOrbitMeasure.from_config(z)
     oracle_box(oa, ob)
     windows = [box_set(x.dim, k - 1) for k in range(1, cfg["k-max"] + 1)]
-    kind = {"hamming": "hamming-per-site", "admissible": "admissible"}[cfg["cost"]]
     mus, nus = oa.marginal_family(windows), ob.marginal_family(windows)
     # marginals of nested windows only merge patterns: the last solve is the largest
     _within_cell_budget(mus[-1], nus[-1])
-    chain = rho_bar_lower(mus, nus, kind)
+    chain = rho_bar_lower(mus, nus, COSTS[cfg["cost"]])
     oracle = periodic_rho_oracle(oa, ob)
     body: dict = {"chain": [_frac(c) for c in chain]}
-    if kind == "hamming-per-site":
+    if cfg["cost"] == "hamming":
         passed = all(c <= oracle for c in chain)
         body["oracle"] = _frac(oracle)
         body["chain_le_oracle"] = passed
@@ -711,7 +716,7 @@ _KIND = Param("kind", _one_of(*BOX_KINDS), "boxes", "boxes or centered")
 _N_LIST = Param("n-list", _int_list, None, "explicit window indices")
 _WINDOW = Param("window", _at_least(int, 1), 1, "box window side")
 _RADIUS = Param("radius", _at_least(int, 0), DEFAULT_RADIUS, "truncation radius")
-_COST = Param("cost", _one_of("hamming", "admissible"), "hamming", "hamming or admissible")
+_COST = Param("cost", _one_of(*COSTS), "hamming", "hamming or admissible")
 _K_MAX = Param("k-max", _at_least(int, 1, K_MAX), 3, "largest marginal window side")
 _TRIALS = Param("trials", _at_least(int, 1, TRIALS_MAX), 100, "number of random instances")
 

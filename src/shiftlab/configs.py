@@ -325,8 +325,7 @@ class Configuration:
         self.period_lattice = period_lattice
         self._rule = rule
         self._rows = rows
-        chunked = rows is not None and dim <= 2 and self.alphabet.size == 2
-        self._memo = {} if chunked else None
+        self._memo = {} if self.has_row_rule() else None
         # no chunk read yet: row None matches no row
         self._row, self._col, self._chunk = None, 0, b""
 
@@ -368,6 +367,12 @@ class Configuration:
             chunk = memo[a, k] = row_bits(bits, 64).encode().translate(_DIGIT)
         self._row, self._col, self._chunk = a, c & -64, chunk
         return chunk[c & 63]
+
+    def has_row_rule(self) -> bool:
+        """Is this a binary 1-D or 2-D configuration with a bulk rows rule?
+        Only such a one reads sites from chunks and gets `transport`'s row
+        limits; `rows` packs any other from one `value` call a site."""
+        return self._rows is not None and self.dim <= 2 and self.alphabet.size == 2
 
     def rows(self, box: FiniteSubset) -> list[int]:
         """Bit-packed rows of a binary configuration over a 1-D or 2-D box.

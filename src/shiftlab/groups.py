@@ -300,8 +300,8 @@ def _union_size(sets: Iterable[FiniteSubset], target: FiniteSubset) -> int:
 
 
 def _tempering_constant(C: float | Fraction) -> Fraction:
-    """C as an exact Fraction (a float is read to denominator 10^9); it must exceed 1."""
-    C = Fraction(C).limit_denominator(10**9) if isinstance(C, float) else Fraction(C)
+    """C as an exact Fraction (a float by its exact binary value); it must exceed 1."""
+    C = Fraction(C)
     if C <= 1:
         raise InvalidConstantError(f"tempering constant must exceed 1, got {C}")
     return C

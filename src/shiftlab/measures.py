@@ -300,7 +300,8 @@ def pattern_metric(
     """Truncated admissible metric on patterns: sum of site weights over
     mismatched positions.  Strictly below 1 since the window is finite.
     The metric must have the window's dimension; None means the default
-    metric of that dimension."""
+    metric of that dimension.  Patterns of another length than the window
+    are refused."""
     sites = sorted_sites(window)
     if metric is None:
         if not sites:
@@ -309,52 +310,30 @@ def pattern_metric(
     if any(len(s) != metric.dim for s in sites):
         raise InvalidDimensionError("metric dimension does not match the window")
     site_weights = tuple(metric.weight(s) for s in sites)
+    size = len(sites)
 
     def dist(p: Pattern, q: Pattern) -> Fraction:
-        acc = Fraction(0)
-        for w, a, b in zip(site_weights, p, q):
-            if a != b:
-                acc += w
-        return acc
+        if len(p) != size or len(q) != size:
+            raise ValueError(f"patterns of {len(p)} and {len(q)} sites on a window of {size}")
+        return sum((w for w, a, b in zip(site_weights, p, q) if a != b), Fraction(0))
 
     return dist
 
 
-def _as_cost_fn(cost: PatternCost | Mapping[tuple[Pattern, Pattern], Fraction]) -> PatternCost:
-    """A pattern cost as a function of (p, q): a callable as it is, and a
-    table looked up by pattern tuples.  Its values may be any exact
-    numbers, which `configs.integer_scale` reads exactly."""
-    if callable(cost):
-        return cost
-    table = {(tuple(p), tuple(q)): w for (p, q), w in cost.items()}
-
-    def fn(p: Pattern, q: Pattern) -> Fraction:
-        try:
-            return table[(p, q)]
-        except KeyError:
-            raise ValueError(f"cost table misses pair {(p, q)}") from None
-
-    return fn
-
-
-def _integer_problem(
-    mu: PatternDistribution,
-    nu: PatternDistribution,
-    cost: PatternCost | Mapping[tuple[Pattern, Pattern], Fraction],
-) -> tuple:
+def _integer_problem(mu: PatternDistribution, nu: PatternDistribution, cost: PatternCost) -> tuple:
     """(rows, cols, D, a, b, E, K): the two supports, their counts a and b
     at D = lcm(mu.den, nu.den), and the costs K of their pairs at the lcm
     E of the costs' denominators, one list per row.  The windows must
-    agree; a cost may have any sign."""
+    agree; a cost is a callable (p, q) -> number, of any sign, which
+    `configs.integer_scale` reads exactly."""
     if mu.sites != nu.sites:
         raise IncompatibleWindowsError("transport across different windows")
-    fn = _as_cost_fn(cost)
     rows, cols = sorted(mu.counts), sorted(nu.counts)
     D = lcm(mu.den, nu.den)
     s, t = D // mu.den, D // nu.den
     a = [mu.counts[p] * s for p in rows]
     b = [nu.counts[q] * t for q in cols]
-    E, flat = integer_scale([fn(p, q) for p in rows for q in cols])
+    E, flat = integer_scale([cost(p, q) for p in rows for q in cols])
     n = len(cols)
     return rows, cols, D, a, b, E, [flat[k : k + n] for k in range(0, len(flat), n)]
 
@@ -381,17 +360,13 @@ def _coupled_mass(
 
 
 def prokhorov_distance(
-    mu: PatternDistribution,
-    nu: PatternDistribution,
-    metric: AdmissibleMetric | None = None,
-    *,
-    dist_fn: PatternCost | None = None,
+    mu: PatternDistribution, nu: PatternDistribution, dist: PatternCost | None = None
 ) -> Fraction:
     """Exact Prokhorov distance: the least eps in [0, 1] such that some
     coupling puts mass >= 1 - eps on pairs at distance <= eps.
 
-    The default pattern metric is the truncated admissible metric on the
-    common window; pass dist_fn to override.  `_integer_problem` scales
+    `dist` is the distance of two patterns; None means `pattern_metric`
+    of the common window, the default metric's.  `_integer_problem` scales
     the distances to integers over the lcm E of their denominators, as it
     scales transport's costs.  The coupled mass M(eps) is a step function
     that moves only at the pairwise distances, so a binary search over
@@ -399,8 +374,7 @@ def prokhorov_distance(
     infimum is then min(level k / E, 1 - M(level k-1)), attained either
     way, with level k read as 1 when no level is feasible.
     """
-    dist = pattern_metric(mu.sites, metric) if dist_fn is None else dist_fn
-    _, _, _, a, b, E, d = _integer_problem(mu, nu, dist)
+    _, _, _, a, b, E, d = _integer_problem(mu, nu, dist or pattern_metric(mu.sites))
     levels = [0] + sorted({x for row in d for x in row if 0 < x < E})
     mass: dict[int, Fraction] = {}
 
@@ -426,14 +400,12 @@ def prokhorov_distance(
 def hausdorff_prokhorov(
     S: Sequence[PatternDistribution],
     T: Sequence[PatternDistribution],
-    metric: AdmissibleMetric | None = None,
-    *,
-    dist_fn: PatternCost | None = None,
+    dist: PatternCost | None = None,
 ) -> Fraction:
-    """max(sup_s inf_t, sup_t inf_s) of pairwise Prokhorov distances."""
+    """max(sup_s inf_t, sup_t inf_s) of pairwise Prokhorov distances under `dist`."""
     if not S or not T:
         raise ValueError("Hausdorff distance of an empty measure set")
-    table = [[prokhorov_distance(s, t, metric, dist_fn=dist_fn) for t in T] for s in S]
+    table = [[prokhorov_distance(s, t, dist) for t in T] for s in S]
     forward = max(min(row) for row in table)
     backward = max(min(col) for col in zip(*table))
     return max(forward, backward)
@@ -445,16 +417,16 @@ def omega_hat_approx(
     n_list: Sequence[int],
     W: FiniteSubset,
     merge_tol: Fraction | float,
-    metric: AdmissibleMetric | None = None,
+    dist: PatternCost | None = None,
     *,
     measures: Mapping[int, PatternDistribution] | None = None,
 ) -> list[PatternDistribution]:
     """Greedy cluster representatives of the empirical measures along n_list.
 
     A new empirical measure joins an existing cluster when its Prokhorov
-    distance to the representative (the cluster's first member) is at most
-    merge_tol; otherwise it opens a new cluster.  `measures` may hold some
-    of the empirical measures, already read, by n; the others are read here.
+    distance under `dist` to the representative (the cluster's first member)
+    is at most merge_tol; otherwise it opens a new cluster.  `measures` may
+    hold some of the empirical measures, already read, by n.
     """
     if not n_list:
         raise ValueError("n_list must be non-empty")
@@ -465,7 +437,7 @@ def omega_hat_approx(
     reps: list[PatternDistribution] = []
     for n in n_list:
         emp = measures[n] if n in measures else empirical_measure(x, F.set_at(n), W)
-        if all(prokhorov_distance(emp, rep, metric) > merge_tol for rep in reps):
+        if all(prokhorov_distance(emp, rep, dist) > merge_tol for rep in reps):
             reps.append(emp)
     return reps
 
@@ -485,10 +457,10 @@ def genericity_check(
     W: FiniteSubset,
     n_list: Sequence[int],
     tol: Fraction | float,
-    metric: AdmissibleMetric | None = None,
+    dist: PatternCost | None = None,
 ) -> GenericityReport:
     """Empirical measures approach the target: final Prokhorov distance
-    <= tol and nonincreasing over the last three indices within tol/2."""
+    under `dist` <= tol and nonincreasing over the last three within tol/2."""
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -496,7 +468,7 @@ def genericity_check(
     if not ns:
         raise ValueError("n_list must be non-empty")
     distances = tuple(
-        prokhorov_distance(empirical_measure(x, F.set_at(n), W), target, metric)
+        prokhorov_distance(empirical_measure(x, F.set_at(n), W), target, dist)
         for n in ns
     )
     final = distances[-1]

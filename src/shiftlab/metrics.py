@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import truth, xor
+from operator import sub, truth, xor
 from typing import Callable, Sequence
 
 from .configs import (
@@ -41,6 +41,7 @@ from .configs import (
     _same_dimension,
     box_tiles,
     common_metric,
+    default_metric,
     integer_scale,
     lane_reader,
     lane_rows,
@@ -189,6 +190,37 @@ def _shell_numerators(metric: AdmissibleMetric, radius: int) -> tuple[list[int],
             f"shell weights within radius {radius} sum to {Fraction(mass, den)}, above 1"
         )
     return nums, den, mass
+
+
+@lru_cache(maxsize=64)
+def default_ball_bits(dim: int, radius: int) -> tuple[int, int]:
+    """Bits of the default metric's ball mass and largest coefficient at
+    this radius, as `_box_lower_sums` builds them; cached per radius."""
+    nums, _, mass = _shell_numerators(default_metric(dim), radius)
+    return mass.bit_length(), max(map(sub, nums, nums[1:] + [0])).bit_length()
+
+
+def lower_sum_work(
+    windows: Sequence[FiniteSubset], radius: int, mass_bits: int, coef_bits: int
+) -> int:
+    """64-bit word operations of `_box_lower_sums` over these box windows,
+    for a ball mass and largest coefficient of these bit lengths: on lane
+    rows of ceil((width + 1) L / 8) words, L the lane bytes of the widened
+    window's size and the mass, ceil(log2 width) + 1 shift-adds a widened
+    row and radius + 1 coefficient terms a window row; then log2 |window|
+    + 1 a site, to read the sums and, in D', sort them."""
+    total = 0
+    for window in windows:
+        lo, hi = window.bounds
+        rows = hi[0] - lo[0] + 1 if window.dim == 2 else 1
+        big_rows = rows + 2 * radius if window.dim == 2 else 1
+        width = hi[-1] - lo[-1] + 1 + 2 * radius
+        L = lane_size(max((big_rows * width).bit_length(), mass_bits))
+        row_ops = big_rows * ((width - 1).bit_length() + 1)
+        row_ops += rows * (radius + 1) * (1 + -(-coef_bits // 64))
+        sites = window.size()
+        total += -(-(width + 1) * L // 8) * row_ops + sites * sites.bit_length()
+    return total
 
 
 def _site_lower_sums(

@@ -42,7 +42,7 @@ from math import lcm
 from operator import add, gt, mul, ne, sub
 from typing import Callable, Mapping, Sequence
 
-from .configs import AdmissibleMetric, Configuration, Lattice, integer_scale, rows_available, shift
+from .configs import Configuration, Lattice, integer_scale, rows_available, shift
 from .errors import (
     IncompatibleMiddleError,
     IncompatibleWindowsError,
@@ -51,20 +51,16 @@ from .errors import (
 )
 from .groups import FiniteSubset, FolnerSequence, Point
 from .measures import (
+    Pattern,
+    PatternCost,
     PatternDistribution,
-    _as_cost_fn,
     _FractionView,
     _integer_problem,
     _lowest_terms,
     _pattern_counts,
     empirical_measure,
-    pattern_metric,
 )
 from .metrics import dbar_estimate, exact_mismatch_density, joint_period_box, mismatch_density
-
-Pattern = tuple[int, ...]
-CostFn = Callable[[Pattern, Pattern], Fraction]
-
 
 class Coupling:
     """Joint distribution over pattern pairs with prescribed marginals.
@@ -135,10 +131,9 @@ class Coupling:
         """Pair masses as Fractions: a read-only view of the counts."""
         return _FractionView(self.counts, self.den)
 
-    def cost(self, cost_fn: CostFn) -> Fraction:
-        fn = _as_cost_fn(cost_fn)
+    def cost(self, cost: PatternCost) -> Fraction:
         # exact in integers: counts over den, costs over the lcm S of theirs
-        S, costs = integer_scale([fn(p, q) for p, q in self.counts])
+        S, costs = integer_scale([cost(p, q) for p, q in self.counts])
         total = sum(n * c for n, c in zip(self.counts.values(), costs))
         return Fraction(total, self.den * S)
 
@@ -155,7 +150,7 @@ class Coupling:
         return f"Coupling({len(self.counts)} atoms)"
 
 
-def hamming_per_site_cost(sites: Sequence[Point]) -> CostFn:
+def hamming_per_site_cost(sites: Sequence[Point]) -> PatternCost:
     """Mismatch count divided by window size.  Patterns of another length
     than the window are refused."""
     size = len(sites)
@@ -307,7 +302,7 @@ def _simplex(
 def min_cost_transport(
     mu: PatternDistribution,
     nu: PatternDistribution,
-    cost: CostFn | Mapping[tuple[Pattern, Pattern], Fraction],
+    cost: PatternCost,
 ) -> TransportResult:
     """Exact optimal coupling and cost, with a dual certificate.
 
@@ -338,7 +333,7 @@ def min_cost_transport(
 
 def verify_transport_certificate(
     result: TransportResult,
-    cost: CostFn | Mapping[tuple[Pattern, Pattern], Fraction],
+    cost: PatternCost,
 ) -> bool:
     """Re-check the optimality certificate independently of the solver.
 
@@ -355,9 +350,8 @@ def verify_transport_certificate(
     u, v = result.row_potentials, result.col_potentials
     rows, cols = list(mu.counts), list(nu.counts)
     m, n = len(rows), len(cols)
-    fn = _as_cost_fn(cost)
     # the costs row by row, then the potentials: one scale S for all
-    values = [fn(p, q) for p in rows for q in cols]
+    values = [cost(p, q) for p in rows for q in cols]
     values += map(u.__getitem__, rows)
     values += map(v.__getitem__, cols)
     S, ints = integer_scale(values)
@@ -386,7 +380,7 @@ def verify_transport_certificate(
 def brute_force_min_cost(
     mu: PatternDistribution,
     nu: PatternDistribution,
-    cost: CostFn | Mapping[tuple[Pattern, Pattern], Fraction],
+    cost: PatternCost,
 ) -> Fraction:
     """Exhaustive minimum over integer contingency tables, by branch and bound.
 
@@ -505,15 +499,16 @@ def pair_empirical_joining(
     return Coupling.from_counts(mu, nu, counts)
 
 
-# the per-site periodicity check runs up to this lattice index; binary 1-D
-# and 2-D configurations are checked on bulk rows of the fundamental domain
-# and its translates, up to the larger limit.  Beyond its limit a lattice is
-# refused, never left unchecked.
+# the per-site periodicity check runs up to this lattice index; a
+# configuration with a bulk rows rule (`Configuration.has_row_rule`) is
+# checked on rows of the fundamental domain and its translates, up to the
+# larger limit.  Beyond its limit a lattice is refused, never left unchecked.
 PERIOD_CHECK_SITES = 100_000
 PERIOD_ROW_CHECK_SITES = 1 << 25
 # the orbit oracle compares every shift with every site of a joint period:
 # up to this many (shift, site) pairs when the configurations are read site
-# by site (about 5 us a pair), up to the larger limit when read as rows
+# by site (about 5 us a pair), up to the larger limit when both have a bulk
+# rows rule
 ORACLE_SITE_PAIRS = 10**6
 ORACLE_ROW_PAIRS = 10**8
 
@@ -531,9 +526,7 @@ class PeriodicOrbitMeasure:
         # spot-check periodicity on the fundamental domain, one generator at a time
         domain = self.lattice.fundamental_domain()
         index = self.lattice.index
-        limit = (
-            PERIOD_ROW_CHECK_SITES if rows_available(domain, self.config) else PERIOD_CHECK_SITES
-        )
+        limit = PERIOD_ROW_CHECK_SITES if self.config.has_row_rule() else PERIOD_CHECK_SITES
         if index > limit:
             raise ValueError(
                 f"cannot check periodicity under {self.lattice}: index {index} exceeds {limit}"
@@ -568,7 +561,8 @@ def oracle_box(a: PeriodicOrbitMeasure, b: PeriodicOrbitMeasure) -> FiniteSubset
     if a.lattice.dim != b.lattice.dim:
         raise InvalidDimensionError("orbit measures in different dimensions")
     box = joint_period_box(a.lattice, b.lattice)
-    limit = ORACLE_ROW_PAIRS if rows_available(box, a.config, b.config) else ORACLE_SITE_PAIRS
+    bulk = a.config.has_row_rule() and b.config.has_row_rule()
+    limit = ORACLE_ROW_PAIRS if bulk else ORACLE_SITE_PAIRS
     if box.size() ** 2 > limit:
         raise ValueError(f"joint period {box.size()} too large for shift enumeration")
     return box
@@ -615,15 +609,15 @@ def periodic_rho_oracle(a: PeriodicOrbitMeasure, b: PeriodicOrbitMeasure) -> Fra
 def rho_bar_lower(
     mu_family: Sequence[PatternDistribution],
     nu_family: Sequence[PatternDistribution],
-    cost_kind: str = "hamming-per-site",
-    metric: AdmissibleMetric | None = None,
+    cost: Callable[[Sequence[Point]], PatternCost] = hamming_per_site_cost,
 ) -> list[Fraction]:
     """Lower-bound chain for the joining infimum from nested block marginals.
 
     Any joining's W_k-marginal is a feasible coupling of the W_k block
     marginals, so each window's optimal transport value bounds the joining
-    infimum from below.  cost_kind "hamming-per-site" averages mismatches
-    over the window (dbar flavor); "admissible" sums the metric's absolute
+    infimum from below.  `cost` makes each window's pattern cost from its
+    sites: `hamming_per_site_cost` averages mismatches over the window
+    (dbar flavor); `measures.pattern_metric` sums the default metric's
     site weights (rho flavor, window read as centered at the origin).
     """
     if len(mu_family) != len(nu_family):
@@ -635,22 +629,13 @@ def rho_bar_lower(
             raise IncompatibleWindowsError(f"window mismatch at stage {k}")
     for fam in (mu_family, nu_family):
         for prev, cur in zip(fam, fam[1:]):
-            prev_sites = set(prev.sites)
-            cur_sites = set(cur.sites)
-            if not prev_sites < cur_sites:
+            if not set(prev.sites) < set(cur.sites):
                 raise InvalidFamilyError("windows must be strictly nested")
             if cur.marginal(prev.sites) != prev:
                 raise InvalidFamilyError("marginal family is inconsistent")
-    values = []
-    for mu, nu in zip(mu_family, nu_family):
-        if cost_kind == "hamming-per-site":
-            cost = hamming_per_site_cost(mu.sites)
-        elif cost_kind == "admissible":
-            cost = pattern_metric(mu.sites, metric)
-        else:
-            raise ValueError(f"unknown cost kind {cost_kind!r}")
-        values.append(min_cost_transport(mu, nu, cost).value)
-    return values
+    return [
+        min_cost_transport(mu, nu, cost(mu.sites)).value for mu, nu in zip(mu_family, nu_family)
+    ]
 
 
 @dataclass(frozen=True)
@@ -726,15 +711,13 @@ def rho_triangle_check(
     mu: PatternDistribution,
     eta: PatternDistribution,
     nu: PatternDistribution,
-    cost: CostFn | Mapping[tuple[Pattern, Pattern], Fraction],
+    cost: PatternCost,
 ) -> TriangleReport:
     """Exact triangle inequality check, with the glued coupling as witness."""
-    cost_fn = _as_cost_fn(cost)
-    r12 = min_cost_transport(mu, eta, cost_fn)
-    r23 = min_cost_transport(eta, nu, cost_fn)
-    r13 = min_cost_transport(mu, nu, cost_fn)
-    glued = glue_couplings(r12.coupling, r23.coupling)
-    glued_cost = glued.cost(cost_fn)
+    r12 = min_cost_transport(mu, eta, cost)
+    r23 = min_cost_transport(eta, nu, cost)
+    r13 = min_cost_transport(mu, nu, cost)
+    glued_cost = glue_couplings(r12.coupling, r23.coupling).cost(cost)
     passed = r13.value <= r12.value + r23.value and r13.value <= glued_cost
     return TriangleReport(
         d12=r12.value, d23=r23.value, d13=r13.value, glued_cost=glued_cost, passed=passed

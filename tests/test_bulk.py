@@ -7,6 +7,7 @@ explicit point set (not a box).  Its configurations are rows-free twins
 configuration's own `value` reads chunks of the very rows under test.
 """
 
+import ast
 import hashlib
 import itertools
 import random
@@ -37,6 +38,7 @@ from shiftlab.configs import (
     rows_available,
     shell_size,
     shift,
+    word_config,
 )
 from shiftlab.examples import random_config, resolve_example_name
 from shiftlab.groups import FiniteSubset, box_set, custom_folner, make_box_folner
@@ -53,7 +55,12 @@ from shiftlab.metrics import (
     joint_period_box,
     upper_density,
 )
-from shiftlab.transport import PeriodicOrbitMeasure, pair_empirical_joining, periodic_rho_oracle
+from shiftlab.transport import (
+    PeriodicOrbitMeasure,
+    oracle_box,
+    pair_empirical_joining,
+    periodic_rho_oracle,
+)
 
 NAMES = {
     1: [f"rf-sub:{k}" for k in range(1, 7)] + ["constant", "periodic", "random", "patched"],
@@ -287,6 +294,34 @@ def test_besicovitch_estimates_match_per_site(data, radius):
     assert got == besicovitch_estimate(rx, rz, ref, 1, radius=radius)
     dp = besicovitch_prime_estimate(x, z, F, n, radius=radius)
     assert dp == besicovitch_prime_estimate(rx, rz, ref, 1, radius=radius)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), radius=st.integers(0, 12))
+def test_lower_sums_stay_near_the_ball_mass_times_dbar(data, radius):
+    """The Besicovitch lower sums over a box F are sum_h w(h) M(F + h) / |F|,
+    M the mismatch count, so they are W_R dbar(F) = sum_h w(h) M(F) / |F| up
+    to sum_h w(h) |F sym-diff (F + h)| / (2 |F|): each |M(F + h) - M(F)| is
+    at most |(F + h) minus F|.  Checked in integers over the shell
+    denominator, this ties the lane-packed summed-area sums to the XORed,
+    popcounted dbar rows, which share no code with them."""
+    dim, x, z = data.draw(pairs())
+    F, n = data.draw(windows(dim, 200 if dim == 1 else 40))
+    window = F.set_at(n)
+    sums, den = _box_lower_sums(x, z, window, default_metric(dim), radius)
+    nums, shell_den, mass = metrics._shell_numerators(default_metric(dim), radius)
+    assert den == shell_den
+    size = len(window)
+    mismatches = int(dbar_estimate(x, z, F, n) * size)
+    sides = [b - a + 1 for a, b in zip(*window.bounds)]
+    slack = 0
+    for h in box_set(dim, radius, centered=True):
+        overlap = 1
+        for side, step in zip(sides, h):
+            overlap *= max(0, side - abs(step))
+        # |F sym-diff (F + h)| / 2 = |F| - |F and (F + h)|
+        slack += nums[max(map(abs, h))] * (size - overlap)
+    assert abs(sum(sums) - mass * mismatches) <= slack
 
 
 def uneven_metric(dim):
@@ -795,9 +830,17 @@ def test_orbit_check_rejects_a_period_broken_along_one_axis(axis, gen):
         PeriodicOrbitMeasure.from_config(stripes)
 
 
+def _sevens(lo, hi):
+    """Rows of (g0 + g1) % 7 == 0."""
+    cols = range(hi[1] - lo[1] + 1)
+    return [sum(1 << j for j in cols if (a + lo[1] + j) % 7 == 0) for a in range(lo[0], hi[0] + 1)]
+
+
 def test_orbit_check_rejects_false_period_of_large_index():
+    # past the per-site limit, so it is checked on its rows rule's rows
     x = predicate_config(
-        2, lambda g: (g[0] + g[1]) % 7 == 0, period_lattice=Lattice.diagonal(317, dim=2)
+        2, lambda g: (g[0] + g[1]) % 7 == 0, period_lattice=Lattice.diagonal(317, dim=2),
+        rows=_sevens,
     )
     assert x.period_lattice.index > 100_000
     with pytest.raises(ValueError, match="not periodic"):
@@ -868,16 +911,43 @@ def test_periodic_oracle_refuses_a_large_site_by_site_pair_up_front():
             periodic_rho_oracle(*orbits)
 
 
+def _all_ones(lo, hi):
+    return [(1 << hi[1] - lo[1] + 1) - 1] * (hi[0] - lo[0] + 1)
+
+
 def test_orbit_check_refuses_large_non_diagonal_lattices():
     # beyond the row limit: index 5793^2 > 2^25
-    x = predicate_config(2, lambda g: True, period_lattice=Lattice([[5793, 1], [0, 5793]]))
-    with pytest.raises(ValueError, match="cannot check"):
+    x = predicate_config(2, lambda g: True, period_lattice=Lattice([[5793, 1], [0, 5793]]),
+                         rows=_all_ones)
+    with pytest.raises(ValueError, match="index 33558849 exceeds 33554432$"):
         PeriodicOrbitMeasure.from_config(x)
     # beyond the per-site limit: three symbols cannot be read as rows
     lat = Lattice([[317, 1], [0, 317]])
     y = Configuration(2, 3, lambda g: 0, period_lattice=lat)
     with pytest.raises(ValueError, match="cannot check"):
         PeriodicOrbitMeasure.from_config(y)
+
+
+def test_row_limits_need_a_bulk_rows_rule():
+    # a binary rule without a rows rule packs its rows from one site read
+    # each, so it gets the per-site limits: index 1,000,003 is refused before
+    # any read (the row limit admitted it, and its check took 1.41 s)
+    reads = []
+    x = predicate_config(1, lambda g: reads.append(g) or g[0] % 1_000_003 == 0,
+                         period_lattice=Lattice.diagonal([1_000_003]))
+    assert x.has_row_rule() is False
+    with pytest.raises(ValueError, match="index 1000003 exceeds 100000$"):
+        PeriodicOrbitMeasure.from_config(x)
+    assert reads == []
+    # so does the oracle: periods 40 and 41 give 1640^2 (shift, site) pairs,
+    # within the row limit for words and over the site limit for rules
+    words = [word_config((1,) + (0,) * (p - 1)) for p in (40, 41)]
+    rules = [predicate_config(1, lambda g, p=p: g[0] % p == 0, period_lattice=Lattice.diagonal([p]))
+             for p in (40, 41)]
+    assert all(w.has_row_rule() for w in words)
+    assert len(oracle_box(*map(PeriodicOrbitMeasure.from_config, words))) == 1640
+    with pytest.raises(ValueError, match="joint period 1640 too large"):
+        oracle_box(*map(PeriodicOrbitMeasure.from_config, rules))
 
 
 # --- window pattern codes at lane boundaries ---------------------------------
@@ -1018,6 +1088,30 @@ def test_only_configs_builds_a_common_denominator():
     named = [p.name for p in sorted(package.glob("*.py"))
              if re.search(r"lcm\(.*\.denominator|//\s*(math\.)?gcd\(", p.read_text())]
     assert named == ["configs.py"]
+
+
+def test_the_package_imports_only_the_standard_library():
+    """The runtime is standard-library only, as the README promises: every
+    import in a module of the package names a standard module or the
+    package itself (relative imports are the package's)."""
+    package = Path(configs.__file__).parent
+    seen, outside = set(), []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                seen.add(top)
+                if top not in sys.stdlib_module_names and top != "shiftlab":
+                    outside.append(f"{path.name}: {name}")
+    assert outside == []
+    # the walk sees the imports it checks
+    assert {"fractions", "math", "argparse"} <= seen
 
 
 def lane_reads():

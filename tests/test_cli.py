@@ -19,6 +19,8 @@ import pytest
 from conftest import eager_parser
 from shiftlab import cli
 from shiftlab.cli import _atomic_write, main
+from shiftlab.groups import make_box_folner
+from shiftlab.metrics import default_ball_bits, lower_sum_work
 
 
 def run(capsys, *argv):
@@ -105,7 +107,7 @@ def test_rho_chain_admissible_is_bounded_by_the_best_shift(capsys):
 
 
 def test_rho_chain_admissible_above_the_shift_bound_exits_two(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "rho_bar_lower", lambda mus, nus, kind: [Fraction(1, 2)] * len(mus))
+    monkeypatch.setattr(cli, "rho_bar_lower", lambda mus, nus, cost: [Fraction(1, 2)] * len(mus))
     code, out, _ = run(
         capsys, "rho-chain", "--x", "rf-sub:2", "--z", "rf-sub:3",
         "--k-max", "2", "--cost", "admissible",
@@ -508,11 +510,18 @@ _BUDGET_JOBS = [
     (["density", "--set", "visible", "--n-list", "9,19"], 10**2 + 20**2),
     (["dbar", "--x", "visible", "--z", "prime-approx:1", "--kind", "centered", "--n-list", "4"],
      9**2),
-    # Besicovitch and D': 2R+1 per site of each window widened by R
-    (["besicovitch", *_RF_PAIR, "--n-list", "9,19", "--radius", "2"], 5 * (14 + 24)),
-    (["dprime", *_RF_PAIR, "--N", "19", "--radius", "3"], 7 * 26),
-    # times the 64-bit words of a lane: R + 1 = 65 bits take 2
-    (["dprime", *_RF_PAIR, "--N", "1", "--radius", "64"], 129 * 2 * 130),
+    # Besicovitch and D': the word operations of the lower sums, per window
+    # words · (ceil(log2 width) + 1 + (R + 1) · (1 + coefficient words)) for
+    # the one row of a 1-D window widened by R, plus sites · bits(sites) for
+    # reading and sorting the sums.  The sums fit 1-byte lanes, so a row of
+    # width w takes ceil((w + 1) / 8) words: 2 and 4 at widths 14 and 24 ...
+    (["besicovitch", *_RF_PAIR, "--n-list", "9,19", "--radius", "2"],
+     2 * (5 + 3 * 2) + 10 * 4 + 4 * (6 + 3 * 2) + 20 * 5),
+    (["dprime", *_RF_PAIR, "--N", "19", "--radius", "3"], 4 * (6 + 4 * 2) + 20 * 5),
+    # ... and at R = 64 the ball's mass has 66 bits, so 9-byte lanes and
+    # ceil(131 * 9 / 8) = 148 words a row, and a coefficient of 65 bits
+    # takes 2 words
+    (["dprime", *_RF_PAIR, "--N", "1", "--radius", "64"], 148 * (9 + 65 * 3) + 2 * 2),
     (["empirical", "--set", "visible", "--N", "9", "--window", "3"], 10**2 * 9),
     (["prokhorov", *_RF_PAIR, "--N", "9", "--window", "2"], 10 * 2 * 2),
     (["transport", "--x", "visible", "--z", "prime-approx:1", "--N", "9", "--window", "2"],
@@ -542,16 +551,49 @@ def test_site_budget_is_checked_against_the_estimate(monkeypatch, capsys, argv, 
 
 
 def test_lower_sum_jobs_are_charged_for_the_widened_window(monkeypatch, capsys):
-    # 2R+1 = 25 reads per site of {0..500}^2 widened by R = 12, where
-    # (2R+1)^2 per site of {0..500}^2 would be 156,875,625
+    # {0..500}^2 widened by R = 12 has 525 rows of width 525 in 4-byte lanes,
+    # 263 words a row: 11 shift-adds on each widened row and 13 two-word
+    # terms on each of the 501 window rows, plus 18 a window site
     argv = ("dprime", "--x", "visible", "--z", "prime-approx:2", "--N", "500")
-    estimate = 25 * 525**2
+    estimate = 263 * (525 * 11 + 501 * 13 * 2) + 501**2 * 18
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == "" and json.loads(out)["value"]["fraction"] == "2/25"
     monkeypatch.setattr(cli, "SITE_BUDGET", estimate - 1)
     assert run(capsys, *argv) == (
         1, "", f"error: job would read about {estimate} sites, over the limit of {estimate - 1}\n"
     )
+
+
+def test_lower_sum_charge_follows_the_lanes_not_the_radius(capsys):
+    # a 2-D radius whose lanes are narrow for its window runs in about 0.13 s
+    code, out, err = run(capsys, "dprime", "--x", "visible", "--z", "prime-approx:2",
+                         "--N", "1", "--radius", "231")
+    assert (code, err) == (0, "") and json.loads(out)["saturated"] is False
+    # the centered F_50 at that radius (4.5 s) and a 1-D radius of 1151,
+    # whose 1153-bit lanes and 18-word coefficients took 1.4 s, are refused
+    # by the first charge, at R + 1 bits, before the numerators are built
+    for argv, estimate in (
+        (("dprime", "--x", "visible", "--z", "prime-approx:2", "--kind", "centered",
+          "--N", "50", "--radius", "231"), 252399699),
+        (("dprime", *_RF_PAIR, "--N", "1", "--radius", "1151"), 908672494),
+    ):
+        assert run(capsys, *argv) == (
+            1, "", f"error: job would read about {estimate} sites, over the limit of "
+            f"{cli.SITE_BUDGET}\n"
+        )
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_the_first_lower_sum_charge_is_a_lower_bound(dim):
+    # `_window_inputs` charges R + 1 bits before it builds the metric's
+    # numerators; that charge must never pass the real one
+    F = make_box_folner(dim)
+    for R in range(0, 160, 7):
+        mass_bits, coef_bits = default_ball_bits(dim, R)
+        assert min(mass_bits, coef_bits) >= R + 1
+        windows = [F.set_at(n) for n in (1, 9, 40)]
+        assert lower_sum_work(windows, R, R + 1, R + 1) <= lower_sum_work(
+            windows, R, mass_bits, coef_bits)
 
 
 _CELL_JOBS = [

@@ -150,8 +150,11 @@ def test_check_tempered_agrees_with_selection():
     chosen = tempered_subsequence(F1, C, 10)
     assert check_tempered([F1.set_at(k) for k in chosen], C)
     assert not check_tempered([F1.set_at(k) for k in range(1, 11)], C)
-    # a float constant is read as the same Fraction; short lists hold vacuously
-    assert tempered_subsequence(F1, 1.2, 10) == chosen
+    # a float constant is read as its exact binary value: 1.2 is just below
+    # 6/5, so it refuses index 4; short lists hold vacuously
+    assert Fraction(1.2) < C
+    assert tempered_subsequence(F1, 1.2, 10) == tempered_subsequence(F1, Fraction(1.2), 10)
+    assert tempered_subsequence(F1, 1.2, 10) == [1, 5] != chosen
     assert check_tempered([], C) and check_tempered([F1.set_at(3)], C)
 
 

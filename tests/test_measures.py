@@ -199,14 +199,14 @@ def test_prokhorov_of_diracs_matches_pattern_distance():
     mu = PatternDistribution(W0, {(0,): ONE})
     nu = PatternDistribution(W0, {(1,): ONE})
     quarter = lambda p, q: Fraction(0) if p == q else Fraction(1, 4)
-    val = prokhorov_distance(mu, nu, dist_fn=quarter)
+    val = prokhorov_distance(mu, nu, quarter)
     assert val == Fraction(1, 4)
 
 
 def test_prokhorov_mass_split_example():
     mu = PatternDistribution(W0, {(0,): ONE})
     nu = PatternDistribution(W0, {(0,): Fraction(9, 10), (1,): Fraction(1, 10)})
-    val = prokhorov_distance(mu, nu, dist_fn=flat_cost)
+    val = prokhorov_distance(mu, nu, flat_cost)
     assert val == Fraction(1, 10)
 
 
@@ -224,12 +224,12 @@ def test_metric_of_the_wrong_dimension_is_refused():
         empirical_measure(resolve_example_name(name), F.set_at(30), W)
         for name in ("prime-approx:1", "prime-approx:2")
     )
-    assert prokhorov_distance(mu, nu) == prokhorov_distance(mu, nu, default_metric(2))
+    assert prokhorov_distance(mu, nu) == prokhorov_distance(
+        mu, nu, pattern_metric(mu.sites, default_metric(2))
+    )
     assert prokhorov_distance(mu, nu) == Fraction(85, 961)
     with pytest.raises(InvalidDimensionError):
-        prokhorov_distance(mu, nu, default_metric(1))
-    with pytest.raises(InvalidDimensionError):
-        rho_bar_lower([mu], [nu], "admissible", default_metric(1))
+        pattern_metric(W, default_metric(1))
     with pytest.raises(InvalidDimensionError):
         pattern_metric(W, default_metric(3))
 
@@ -288,7 +288,7 @@ def test_prokhorov_shift_consistency_bound():
 
 def pinned_prokhorov_values():
     """sha256 of seeded Prokhorov distances on windows of 1-3 sites under
-    the default metric, a random table of twelfths, and a float dist_fn."""
+    the default metric, a random table of twelfths, and a float distance."""
     rng = random.Random(1611)
     digest = hashlib.sha256()
     for trial in range(240):
@@ -302,10 +302,9 @@ def pinned_prokhorov_values():
             value = prokhorov_distance(mu, nu)
         elif kind == 1:
             table = {(p, q): Fraction(rng.randint(0, 14), 12) for p in patterns for q in patterns}
-            value = prokhorov_distance(mu, nu, dist_fn=lambda p, q: table[p, q])
+            value = prokhorov_distance(mu, nu, lambda p, q: table[p, q])
         else:
-            value = prokhorov_distance(
-                mu, nu, dist_fn=lambda p, q: 0.3 * sum(a != b for a, b in zip(p, q)))
+            value = prokhorov_distance(mu, nu, lambda p, q: 0.3 * sum(a != b for a, b in zip(p, q)))
         digest.update(repr(value).encode())
     return digest.hexdigest()
 
@@ -361,9 +360,9 @@ def prokhorov_cases(draw):
 @given(case=prokhorov_cases())
 def test_prokhorov_is_the_least_feasible_epsilon(case):
     mu, nu, dist = case
-    r = prokhorov_distance(mu, nu, dist_fn=dist)
+    r = prokhorov_distance(mu, nu, dist)
     assert 0 <= r <= 1
-    assert r == prokhorov_distance(nu, mu, dist_fn=dist)
+    assert r == prokhorov_distance(nu, mu, dist)
     assert _feasible(mu, nu, dist, r)
     below = {dist(p, q) for p in mu.support() for q in nu.support()}
     below = {d for d in below if 0 <= d < r}
@@ -474,3 +473,66 @@ def test_pattern_metric_truncated_weights():
     assert metric_fn((0, 1), (0, 1)) == 0
     # without a metric, the default one of the window's dimension
     assert pattern_metric(W2)((0, 0), (1, 1)) == HALF + Fraction(1, 8)
+
+
+def test_pattern_metric_refuses_patterns_of_another_length():
+    # zip would stop at the shorter pattern and read (0,) against (1,) as 1/2
+    metric_fn = pattern_metric(W2)
+    for p, q in (((0,), (1,)), ((0, 0), (1,)), ((0, 0, 1), (0, 0, 1))):
+        with pytest.raises(ValueError, match="on a window of 2$"):
+            metric_fn(p, q)
+
+
+# --- one form for each distance ----------------------------------------------
+
+def _quarter(p, q):
+    return Fraction(0) if p == q else Fraction(1, 4)
+
+
+def test_the_prokhorov_family_takes_one_distance():
+    F = make_box_folner(2)
+    W = FiniteSubset.box((0, 0), (1, 1))
+    mu, nu = (
+        empirical_measure(resolve_example_name(name), F.set_at(30), W)
+        for name in ("prime-approx:1", "prime-approx:2")
+    )
+    # a metric beside a distance function once let the function win, and a
+    # metric of dimension 7 on a 2-D window went unchecked
+    with pytest.raises(TypeError):
+        prokhorov_distance(mu, nu, default_metric(7), dist_fn=_quarter)
+    with pytest.raises(TypeError):
+        hausdorff_prokhorov([mu], [nu], default_metric(7), dist_fn=_quarter)
+    # a metric reaches the family only as its pattern metric, which checks it
+    with pytest.raises(InvalidDimensionError):
+        prokhorov_distance(mu, nu, pattern_metric(mu.sites, default_metric(7)))
+    assert prokhorov_distance(mu, nu, _quarter) == Fraction(1, 4)
+
+
+def test_every_member_of_the_family_reads_its_distance():
+    mu = PatternDistribution(W0, {(0,): ONE})
+    nu = PatternDistribution(W0, {(0,): HALF, (1,): HALF})
+    assert prokhorov_distance(mu, nu) == HALF
+    assert hausdorff_prokhorov([mu], [nu], _quarter) == Fraction(1, 4)
+    x = constant_config(1, 0)
+    report = genericity_check(x, F1, nu, W0, [3, 7, 11], Fraction(1, 4), _quarter)
+    assert report.passed and report.final_distance == Fraction(1, 4)
+
+    def osc(g):
+        return int(g[0] >= 1 and (g[0].bit_length() - 1) % 2 == 0)
+
+    # every pair is within 1/20 under a distance of 1/20, so one cluster
+    reps = omega_hat_approx(predicate_config(1, osc), F1, [2**j for j in range(2, 11)], W0,
+                            Fraction(1, 10), lambda p, q: Fraction(p != q, 20))
+    assert len(reps) == 1
+
+
+def test_the_chain_takes_a_cost_factory():
+    mu = PatternDistribution(W0, {(0,): ONE})
+    nu = PatternDistribution(W0, {(0,): HALF, (1,): HALF})
+    # a cost kind and a metric, which the Hamming kind ignored, are gone
+    with pytest.raises(TypeError):
+        rho_bar_lower([mu], [nu], "hamming-per-site", default_metric(7))
+    with pytest.raises(TypeError):
+        rho_bar_lower([mu], [nu], "hamming-per-site")
+    assert rho_bar_lower([mu], [nu]) == [HALF]
+    assert rho_bar_lower([mu], [nu], pattern_metric) == [Fraction(1, 4)]

@@ -26,7 +26,7 @@ from shiftlab.errors import (
 )
 from shiftlab.examples import random_periodic_pair
 from shiftlab.groups import FiniteSubset, custom_folner, make_box_folner
-from shiftlab.measures import PatternDistribution, empirical_measure
+from shiftlab.measures import PatternDistribution, empirical_measure, pattern_metric
 from shiftlab.metrics import joint_period_box, mismatch_density
 from shiftlab.transport import (
     Coupling,
@@ -253,6 +253,11 @@ def _tables(total, caps):
             yield (t,) + rest
 
 
+def _table_cost(table):
+    """A cost looked up in a table of pattern pairs."""
+    return lambda p, q: table[p, q]
+
+
 def _every_table_minimum(mu, nu, cost):
     """Unpruned reference: the least cost over every integer table at the
     common denominator, summed in Fractions."""
@@ -267,7 +272,7 @@ def _every_table_minimum(mu, nu, cost):
                 best = acc if best is None else min(best, acc)
             return
         for cells in _tables(int(mu.weights[rows[i]] * D), rem):
-            step = sum(Fraction(t, D) * cost[(rows[i], q)] for t, q in zip(cells, cols))
+            step = sum(Fraction(t, D) * cost(rows[i], q) for t, q in zip(cells, cols))
             fill(i + 1, [x - t for x, t in zip(rem, cells)], acc + step)
 
     fill(0, [int(nu.weights[q] * D) for q in cols], Fraction(0))
@@ -299,13 +304,13 @@ def test_brute_force_equals_every_table_minimum(data):
             max_size=5,
         )
     ) + [Fraction(0)]
-    cost = {
+    table = {
         (p, q): data.draw(st.sampled_from(palette)) for p in mu.support() for q in nu.support()
     }
+    cost = _table_cost(table)
     expected = _every_table_minimum(mu, nu, cost)
     assert brute_force_min_cost(mu, nu, cost) == expected
-    assert brute_force_min_cost(mu, nu, lambda p, q: cost[(p, q)]) == expected
-    if all(c >= 0 for c in cost.values()):
+    if all(c >= 0 for c in table.values()):
         # the simplex too, across mixed mass and cost denominators
         result = min_cost_transport(mu, nu, cost)
         assert result.value == expected
@@ -320,7 +325,7 @@ def test_brute_force_on_a_formerly_slow_four_by_four_instance():
     nu = dist({0: Fraction(1, 5), 2: Fraction(2, 5), 4: Fraction(1, 5), 5: Fraction(1, 5)})
     rng = random.Random(210)
     table = {(p, q): Fraction(rng.randint(0, 12), 12) for p in mu.support() for q in nu.support()}
-    for cost in (HAM0, table):
+    for cost in (HAM0, _table_cost(table)):
         assert brute_force_min_cost(mu, nu, cost) == min_cost_transport(mu, nu, cost).value
     assert brute_force_min_cost(mu, nu, HAM0) == Fraction(13, 30)
 
@@ -348,8 +353,8 @@ def _pinned_instance(name):
     if name == "table":
         mu = dist({0: F(2, 5), 1: F(1, 10), 2: F(1, 10), 3: F(1, 10), 4: F(3, 10)})
         nu = dist({0: F(1, 3), 1: F(1, 12), 2: F(1, 12), 3: F(1, 6), 4: F(1, 3)})
-        cost = {(p, q): F(c) for p, row in zip(SYMBOLS, COSTS) for q, c in zip(SYMBOLS, row)}
-        return mu, nu, cost
+        table = {(p, q): F(c) for p, row in zip(SYMBOLS, COSTS) for q, c in zip(SYMBOLS, row)}
+        return mu, nu, _table_cost(table)
     # every northwest-corner step exhausts a row and a column at once, so the
     # start carries zero-flow basic cells and the pivots are degenerate
     quarters = dist({s: F(1, 4) for s in range(4)})
@@ -429,14 +434,9 @@ def test_pinned_solves_are_unchanged(name):
     assert verify_transport_certificate(result, cost)
 
 
-def _cost_fn(cost):
-    return cost if callable(cost) else lambda p, q: cost[(p, q)]
-
-
 def _scales(mu, nu, cost):
     """The solver's mass scale D and cost scale E of one instance."""
-    fn = _cost_fn(cost)
-    E = lcm(*(fn(p, q).denominator for p in mu.support() for q in nu.support()))
+    E = lcm(*(cost(p, q).denominator for p in mu.support() for q in nu.support()))
     return lcm(mu.den, nu.den), E
 
 
@@ -459,21 +459,20 @@ def test_certificate_rejects_a_moved_value_or_a_raised_potential(name):
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_certificate_rejects_mass_on_a_cell_that_is_not_tight(name):
     mu, nu, cost = _pinned_instance(name)
-    fn = _cost_fn(cost)
     result = min_cost_transport(mu, nu, cost)
     u, v, w = result.row_potentials, result.col_potentials, result.coupling.weights
     exchanges = 0
     # move mass theta from (p, q2) and (p2, q) onto (p, q), which is not
     # tight, and (p2, q2): both marginals stay as they were
     for (p, q2), (p2, q) in ((a, b) for a in w for b in w):
-        if p == p2 or q == q2 or u[p] + v[q] == fn(p, q):
+        if p == p2 or q == q2 or u[p] + v[q] == cost(p, q):
             continue
         theta = min(w[(p, q2)], w[(p2, q)])
         moved = dict(w)
         for cell, sign in (((p, q), 1), ((p2, q2), 1), ((p, q2), -1), ((p2, q), -1)):
             moved[cell] = moved.get(cell, 0) + sign * theta
         coupling = Coupling(mu, nu, moved)
-        for value in (result.value, coupling.cost(fn)):
+        for value in (result.value, coupling.cost(cost)):
             forged = replace(result, coupling=coupling, value=value)
             assert not verify_transport_certificate(forged, cost)
         exchanges += 1
@@ -537,8 +536,8 @@ def _seeded_instances():
         mu, nu = _oracle_shaped(rng), _oracle_shaped(rng)
         cost = HAM0
         if trial % 2:
-            cost = {((a,), (b,)): F(0) if a == b else F(rng.randint(0, 12), 12)
-                    for a in range(6) for b in range(6)}
+            cost = _table_cost({((a,), (b,)): F(0) if a == b else F(rng.randint(0, 12), 12)
+                                for a in range(6) for b in range(6)})
         yield mu, nu, cost
 
 
@@ -557,10 +556,9 @@ def _moved_off_a_tight_cell(result, cost):
     """The optimal coupling with mass theta moved from (p, q2) and (p2, q)
     onto (p, q), a cell that is not tight, and (p2, q2): the first such
     exchange in sorted order, or None when there is none."""
-    fn = _cost_fn(cost)
     u, v, w = result.row_potentials, result.col_potentials, result.coupling.weights
     for (p, q2), (p2, q) in itertools.product(sorted(w), repeat=2):
-        if p == p2 or q == q2 or u[p] + v[q] == fn(p, q):
+        if p == p2 or q == q2 or u[p] + v[q] == cost(p, q):
             continue
         theta = min(w[(p, q2)], w[(p2, q)])
         moved = dict(w)
@@ -850,14 +848,10 @@ def test_chain_rejects_malformed_families():
 
 
 def test_chain_admissible_flavor_is_bounded():
-    from shiftlab.configs import default_metric
-
     mu = _orbit_family(constant_config(1, 0), (1, 2, 3))
     nu = _orbit_family(word_config((0, 1)), (1, 2, 3))
-    chain = rho_bar_lower(mu, nu, cost_kind="admissible", metric=default_metric(1))
+    chain = rho_bar_lower(mu, nu, pattern_metric)
     assert all(0 <= c <= 1 for c in chain)
-    with pytest.raises(ValueError):
-        rho_bar_lower(mu, nu, cost_kind="euclidean")
 
 
 # --- check_db_ge_rho --------------------------------------------------------
@@ -929,6 +923,25 @@ def test_triangle_report_values():
         Fraction(1, 2),
     )
     assert report.d13 <= report.glued_cost
+
+
+def test_every_solver_entry_takes_a_callable_cost_not_a_table():
+    # a table of pattern pairs was once a second form of cost, which no
+    # caller passed; every entry now calls its cost
+    mu = dist({0: Fraction(1, 2), 1: Fraction(1, 2)})
+    nu = dist({0: Fraction(1, 3), 1: Fraction(2, 3)})
+    table = {(p, q): HAM0(p, q) for p in mu.support() for q in nu.support()}
+    result = min_cost_transport(mu, nu, HAM0)
+    for call in (
+        lambda: min_cost_transport(mu, nu, table),
+        lambda: brute_force_min_cost(mu, nu, table),
+        lambda: verify_transport_certificate(result, table),
+        lambda: rho_triangle_check(mu, nu, nu, table),
+        lambda: result.coupling.cost(table),
+    ):
+        with pytest.raises(TypeError, match="'dict' object is not callable"):
+            call()
+    assert result.value == result.coupling.cost(_table_cost(table)) == Fraction(1, 6)
 
 
 def test_triangle_with_collinear_diracs():
