@@ -2,13 +2,13 @@
 
 Each subcommand's parameters are declared once, in `COMMANDS`; the parser
 adds one `--key` flag per parameter, and a flat key=value file given with
---config may set the same keys (and `out`).  A subcommand's flags are added
-when that subcommand is first parsed or shown, so a run pays only for the
-flags of the subcommand it names.  A value is taken from the flag,
-else from the file, else from the built-in default, and is cast and checked
-by `_resolve` whichever source it came from.  The resolved configuration is
-embedded in every JSON report so runs are reproducible from their own
-output.
+--config may set the same keys (and `out`).  The parser is built for the
+argv it will parse: flags are added at build time, to the subcommand that
+argv names alone, as argparse parses and shows no other.  A value is taken
+from the flag, else from the file, else from the built-in default, and is
+cast and checked by `_resolve` whichever source it came from.  The
+resolved configuration is embedded in every JSON report so runs are
+reproducible from their own output.
 
 A handler is a function of its resolved configuration alone: it returns the
 `EstimateTrace` it computed or the body of its JSON report.  `main` renders
@@ -42,6 +42,7 @@ from .examples import (
     rf_substitution,
     visible_points_config,
     prime_approx_config,
+    prime_approx_mismatch_bound,
 )
 from .groups import BOX_KINDS, FolnerSequence, box_set, make_box_folner, temperedness_ratio
 from .measures import (
@@ -77,18 +78,6 @@ from .transport import (
 )
 
 SCHEMA = "shiftlab-report/1"
-
-# Tail sums sum_{i>n} 1/p_i^2 over the primes, n = 1..5, precomputed to
-# ten places; consecutive values differ by exactly 1/p_{n+1}^2, which the
-# test suite re-checks.
-PRIME_SQUARE_TAILS = (
-    0.2022474200,
-    0.0911363089,
-    0.0511363089,
-    0.0307281457,
-    0.0224636829,
-)
-
 
 # A window job whose estimated site reads exceed this is refused before it
 # reads any: the sites of its Folner sets times the sites s^d summed over
@@ -127,12 +116,6 @@ def _within_cell_budget(mu: PatternDistribution, nu: PatternDistribution) -> Non
         )
 
 
-# A `tempered` job over this many box unions, n(n-1)/2 for ratios
-# j = 1..n-1, is refused before it starts: n = 400 (79,800 unions) took
-# 1.4-2.0 s in z:1, z:2 and z:3 (2 vCPU, Python 3.11.7), and the time grows
-# with the unions.
-UNION_BUDGET = 80_000
-
 # Upper bounds on the knobs that no budget charges, checked in their casts
 # (times on 2 vCPUs, Python 3.11.7).  `--trials` of `glue-check` and
 # `triangle-check`: 1000 trials took 0.20-0.24 s and, at `--support 8`,
@@ -141,14 +124,17 @@ UNION_BUDGET = 80_000
 # 0.47-0.83 s over seeds 1-7, and one pair of periods 24 and 23, the largest
 # joint period, 0.07 s, so 20 such pairs about 1.4 s; `rho-chain --k-max 16`
 # took up to 1.4 s (prime-approx:2 with itself) under CELL_BUDGET.
-# `tempered --group z:d`: d = 8 at n = 400, UNION_BUDGET's largest job,
-# took 2.5 s, against 1.4 s for d = 4.  `nowy-check --pairs random:COUNT`:
+# `tempered --n`: its ratios j = 1..n-1 take n(n-1)/2 box unions, and
+# n = 400 (79,800 unions) took 1.4-2.0 s in z:1, z:2 and z:3.
+# `tempered --group z:d`: d = 8 at n = TEMPERED_N_MAX took 2.5 s, against
+# 1.4 s for d = 4.  `nowy-check --pairs random:COUNT`:
 # each pair costs a chain of solves and an oracle whatever n is, so the site
 # budget cannot charge it; 50 pairs at k-max 16 and max-period 24 took
 # 1.3-2.3 s over seeds 1-7, and 0.06-0.09 s at the defaults and n = 1.
 TRIALS_MAX = 1000
 K_MAX = 16
 PERIOD_MAX = 24
+TEMPERED_N_MAX = 400
 GROUP_DIM_MAX = 8
 PAIRS_MAX = 50
 
@@ -559,9 +545,6 @@ def _cmd_triangle_check(cfg: dict) -> dict:
 
 
 def _cmd_tempered(cfg: dict) -> dict:
-    unions = cfg["n"] * (cfg["n"] - 1) // 2
-    if unions > UNION_BUDGET:
-        raise ValueError(f"job would take {unions} box unions, over the limit of {UNION_BUDGET}")
     F = make_box_folner(cfg["group"], cfg["kind"])
     ratios = [temperedness_ratio(F, j) for j in range(1, cfg["n"])]
     worst = max(ratios)
@@ -638,24 +621,21 @@ def _cmd_convergence(cfg: dict) -> dict:
 
     # prime approximants converge to the visible configuration
     window = Fc.set_at(cfg["N"])
-    ests = []
-    for n in range(1, cfg["n-max"] + 1):
-        xn = prime_approx_config(n)
-        ests.append(dbar_estimate(v, xn, Fc, cfg["N"]))
+    ns = range(1, cfg["n-max"] + 1)
+    ests = [dbar_estimate(v, prime_approx_config(n), Fc, cfg["N"]) for n in ns]
+    bounds = [Fraction(prime_approx_mismatch_bound(n, cfg["N"]), len(window)) for n in ns]
     # the mismatch set of visible and prime-approx:n (gcd > 1 with every
     # prime factor above p_n) shrinks as n grows, so dbar never rises
     mono = all(b <= a for a, b in zip(ests, ests[1:]))
-    bounded = all(
-        float(e) <= PRIME_SQUARE_TAILS[n - 1] + 0.01 for n, e in enumerate(ests, start=1)
-    )
+    bounded = all(e <= b for e, b in zip(ests, bounds))
     all_pass &= mono and bounded
     body["approximant_convergence"] = {
         "N": cfg["N"],
         "window_size": len(window),
         "dbar": [_frac(e) for e in ests],
-        "tail_bounds": list(PRIME_SQUARE_TAILS[: cfg["n-max"]]),
+        "mismatch_bounds": [_frac(b) for b in bounds],
         "nonincreasing": mono,
-        "bounded_by_tails": bounded,
+        "bounded": bounded,
         "passed": mono and bounded,
     }
 
@@ -767,7 +747,7 @@ COMMANDS: list[tuple[str, Callable[[dict], EstimateTrace | dict], str, list[Para
     ("tempered", _cmd_tempered, "temperedness ratios of a box Folner sequence (JSON)", [
         Param("group", _group, 1, "z:d"),
         _KIND,
-        Param("n", _at_least(int, 2), 100, "check the ratios for j = 1..n-1"),
+        Param("n", _at_least(int, 2, TEMPERED_N_MAX), 100, "check the ratios for j = 1..n-1"),
         Param("c", Fraction, Fraction(2), "tempering constant"),
     ]),
     ("examples", _cmd_examples, "list example families or inspect one (JSON)",
@@ -780,8 +760,7 @@ COMMANDS: list[tuple[str, Callable[[dict], EstimateTrace | dict], str, list[Para
     ]),
     ("convergence", _cmd_convergence, "end-to-end example pipelines (JSON)", [
         Param("N", _at_least(int, 1), 600, "window index for dbar estimates"),
-        Param("n-max", _at_least(int, 1, len(PRIME_SQUARE_TAILS)), 5,
-              "largest approximant stage"),
+        Param("n-max", _at_least(int, 1, 5), 5, "largest approximant stage"),
         Param("stages", _at_least(int, 2, SubstitutionStage().stages), 6,
               "substitution stages"),
         Param("entropy-sizes", _side_list, (1, 2, 3, 4, 5, 6), "block sides"),
@@ -792,44 +771,15 @@ COMMANDS: list[tuple[str, Callable[[dict], EstimateTrace | dict], str, list[Para
 # --- parser ----------------------------------------------------------------
 
 
-class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser, which adds --config, --out and one flag per
-    parameter the first time it parses, or formats its usage or help; every
-    parse, usage error and help text sees all of them."""
-
-    def __init__(self, *, params: Sequence[Param], **kwargs):
-        super().__init__(**kwargs)
-        self._unadded: Sequence[Param] | None = params
-
-    def _add_flags(self) -> None:
-        params, self._unadded = self._unadded, None
-        if params is None:
-            return
-        self.add_argument("--config", help="flat key=value parameter file")
-        self.add_argument("--out", help="output path (default: stdout)")
-        for param in params:
-            self.add_argument(f"--{param.key}", help=param.help)
-
-    def parse_known_args(self, args=None, namespace=None):
-        self._add_flags()
-        return super().parse_known_args(args, namespace)
-
-    def format_usage(self) -> str:
-        self._add_flags()
-        return super().format_usage()
-
-    def format_help(self) -> str:
-        self._add_flags()
-        return super().format_help()
-
-
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     # argparse makes a HelpFormatter for every add_argument, and each one
     # probes the terminal unless given a width; probe once per build and
     # pass argparse's own default, the columns less 2, to every parser.
-    # Every subparser is made here, so the top parser's help, usage and
-    # errors are whole, but a subcommand's flags are added only when it is
-    # first parsed or shown (see `_Subcommand`).
+    # Every subparser is made, so the top parser's help, usage and errors
+    # are whole, but flags are added at build time, to the subcommand that
+    # argv names alone: argparse parses and shows no other subparser, and
+    # as the top parser takes no option with a value, the first word of
+    # argv that names a subcommand is the one it parses.
     formatter = functools.partial(
         argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
     )
@@ -840,15 +790,24 @@ def _build_parser() -> argparse.ArgumentParser:
         "pseudometrics, empirical measures, exact transport, and example pipelines",
     )
     parser.add_argument("--version", action="version", version=f"shiftlab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, handler, help_text, params in COMMANDS:
-        p = sub.add_parser(name, help=help_text, formatter_class=formatter, params=params)
+        p = sub.add_parser(name, help=help_text, formatter_class=formatter)
         p.set_defaults(func=handler, params=params)
+    named = next((word for word in argv if word in sub.choices), None)
+    if named is not None:
+        p = sub.choices[named]
+        p.add_argument("--config", help="flat key=value parameter file")
+        p.add_argument("--out", help="output path (default: stdout)")
+        for param in p.get_default("params"):
+            p.add_argument(f"--{param.key}", help=param.help)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

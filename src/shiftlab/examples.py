@@ -188,6 +188,15 @@ def prime_approx_config(n: int) -> Configuration:
     )
 
 
+def prime_approx_mismatch_bound(n: int, N: int) -> int:
+    """An upper bound on the sites of the centered box {-N..N}^2 where the
+    visible points and prime-approx:n differ.  Both are 0 at the origin,
+    and elsewhere they differ only where every prime dividing both
+    coordinates exceeds p_n, so at nonzero points of pZ^2 for primes
+    p_n < p <= N, of which the box holds (2 floor(N/p) + 1)^2 - 1 each."""
+    return sum((2 * (N // p) + 1) ** 2 - 1 for p in _small_primes(N * N)[n:])
+
+
 @dataclass(frozen=True)
 class SubstitutionStage:
     """Stage data for the one-dimensional substitution sequence.

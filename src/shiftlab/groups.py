@@ -214,10 +214,17 @@ class FiniteSubset:
 
 
 def sorted_sites(window: FiniteSubset | Iterable[Point]) -> tuple[Point, ...]:
-    """The sites of a window as tuples, in ascending lexicographic order."""
+    """The sites of a window as tuples, in ascending lexicographic order.
+    A plain iterable that repeats a site or mixes dimensions is refused."""
     if isinstance(window, FiniteSubset):
         return window.sorted_points()
-    return tuple(sorted(tuple(p) for p in window))
+    sites = tuple(sorted(map(tuple, window)))
+    if len(set(map(len, sites))) > 1:
+        raise InvalidDimensionError("window points of mixed dimension")
+    if len(set(sites)) < len(sites):
+        repeated = next(p for p, q in zip(sites, sites[1:]) if p == q)
+        raise ValueError(f"window repeats site {repeated}")
+    return sites
 
 
 def box_set(dim: int, n: int, centered: bool = False) -> FiniteSubset:

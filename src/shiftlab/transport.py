@@ -49,7 +49,7 @@ from .errors import (
     InvalidDimensionError,
     InvalidFamilyError,
 )
-from .groups import FiniteSubset, FolnerSequence, Point
+from .groups import FiniteSubset, FolnerSequence, Point, sorted_sites
 from .measures import (
     Pattern,
     PatternCost,
@@ -151,9 +151,10 @@ class Coupling:
 
 
 def hamming_per_site_cost(sites: Sequence[Point]) -> PatternCost:
-    """Mismatch count divided by window size.  Patterns of another length
-    than the window are refused."""
-    size = len(sites)
+    """Mismatch count divided by window size.  A window that repeats a site
+    or mixes dimensions is refused (`groups.sorted_sites`), and so are
+    patterns of another length than the window."""
+    size = len(sorted_sites(sites))
     if size == 0:
         raise ValueError("empty window")
     # one Fraction per mismatch count, built with the cost, not per call

@@ -23,9 +23,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def eager_parser() -> argparse.ArgumentParser:
-    """The CLI parser with every subparser a plain ArgumentParser that
-    holds all its flags from the start, as `cli._build_parser` built it
-    before a subcommand's flags were added on its first parse or display."""
+    """The CLI parser with every subparser holding all its flags, which
+    `cli._build_parser` adds to the subparser its argv names alone."""
     formatter = functools.partial(
         argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
     )

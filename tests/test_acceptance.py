@@ -9,7 +9,6 @@ import random
 import time
 from fractions import Fraction
 
-from shiftlab import cli
 from shiftlab.configs import Lattice, periodic_config, word_config
 from shiftlab.examples import (
     PRIMES,
@@ -129,9 +128,8 @@ def test_prime_square_tails_match_the_prime_zeta_value():
     assert abs(zeta[0] - math.pi**2 / 6) < 1e-15
     p2 = sum(_mobius(k) / k * math.log(z) for k, z in enumerate(zeta, start=1))
     tails = [p2 - sum(1 / p**2 for p in PRIMES[:n]) for n in range(1, 6)]
-    for table in (PRIME_SQUARE_TAILS, cli.PRIME_SQUARE_TAILS):
-        assert len(table) == len(tails)
-        assert all(abs(a - b) < 1e-10 for a, b in zip(table, tails))
+    assert len(PRIME_SQUARE_TAILS) == len(tails)
+    assert all(abs(a - b) < 1e-10 for a, b in zip(PRIME_SQUARE_TAILS, tails))
 
 
 def test_criterion_03_exact_stage_distances():

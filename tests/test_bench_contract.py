@@ -95,7 +95,7 @@ def test_every_menu_and_readme_argv_parses_as_under_the_eager_parser():
     argvs = workloads.lattice_menu() + workloads.joining_menu() + _readme_argvs()
     assert len(argvs) > 100 and ["examples"] in argvs
     for argv in argvs:
-        ours = vars(shiftlab.cli._build_parser().parse_args(argv))
+        ours = vars(shiftlab.cli._build_parser(argv).parse_args(argv))
         assert ours == vars(eager_parser().parse_args(argv)), argv
 
 

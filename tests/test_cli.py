@@ -240,6 +240,23 @@ def test_convergence_reduced_run_passes(capsys):
     assert report["passed"] is True
     for section in ("visible_density", "approximant_convergence", "substitution", "entropy_decay"):
         assert report[section]["passed"] is True
+    # each dbar against its exact mismatch bound over the (2N+1)^2 window
+    conv = report["approximant_convergence"]
+    assert [b["fraction"] for b in conv["mismatch_bounds"]] == [
+        str(Fraction(b, 481**2)) for b in (47016, 21096, 11688)
+    ]
+    assert conv["bounded"] is True and "tail_bounds" not in conv
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--N", "120", "--n-max", "3", "--stages", "4", "--entropy-sizes", "1,2,3"],
+], ids=["defaults", "pinned"])
+def test_convergence_passes_by_exact_bounds(capsys, argv):
+    report = run_json(capsys, "convergence", *argv)
+    conv = report["approximant_convergence"]
+    assert report["passed"] is True and conv["bounded"] is True
+    for d, b in zip(conv["dbar"], conv["mismatch_bounds"], strict=True):
+        assert Fraction(d["fraction"]) <= Fraction(b["fraction"])
 
 
 # --- exit codes follow the report -------------------------------------------
@@ -499,7 +516,7 @@ def test_oversized_window_job_is_refused_before_reading(capsys):
     (["convergence", "--N", "20000"],
      f"error: job would read about 8004847503 sites, over the limit of {cli.SITE_BUDGET}\n"),
     (["tempered", "--group", "z:2", "--n", "20000"],
-     f"error: job would take 199990000 box unions, over the limit of {cli.UNION_BUDGET}\n"),
+     f"error: n: must be <= {cli.TEMPERED_N_MAX}, got 20000\n"),
 ], ids=["convergence", "tempered"])
 def test_oversized_pipeline_job_is_refused_at_once(capsys, argv, err):
     assert run(capsys, *argv) == (1, "", err)
@@ -618,18 +635,19 @@ def test_cell_budget_is_checked_against_the_support_sizes(monkeypatch, capsys, a
     assert err == f"error: solve would have {cells} cells, over the limit of {cells - 1}\n"
 
 
-@pytest.mark.parametrize("argv, unions", [
-    # ratios j = 1..n-1 take j unions each
-    (["tempered", "--group", "z:2", "--n", "20", "--c", "4.5"], 20 * 19 // 2),
-    (["tempered", "--group", "z:1", "--n", "2"], 1),
-], ids=["z2", "z1"])
-def test_union_budget_is_checked_against_the_union_count(monkeypatch, capsys, argv, unions):
-    monkeypatch.setattr(cli, "UNION_BUDGET", unions)
-    assert run(capsys, *argv)[0] == 0
-    monkeypatch.setattr(cli, "UNION_BUDGET", unions - 1)
-    code, out, err = run(capsys, *argv)
-    assert code == 1 and out == ""
-    assert err == f"error: job would take {unions} box unions, over the limit of {unions - 1}\n"
+def test_tempered_n_is_capped_by_its_cast(capsys, monkeypatch):
+    # n = 400 takes 79,800 box unions, the largest job admitted; it is not run
+    params = next(params for name, _, _, params in cli.COMMANDS if name == "tempered")
+    cast = next(p.cast for p in params if p.key == "n")
+    assert cli.TEMPERED_N_MAX == 400 and cast("400") == 400
+    with pytest.raises(ValueError, match=r"^must be <= 400, got 401$"):
+        cast("401")
+
+    def no_ratio(*args):
+        raise AssertionError("the job computed a ratio")
+
+    monkeypatch.setattr(cli, "temperedness_ratio", no_ratio)
+    assert run(capsys, "tempered", "--n", "401") == (1, "", "error: n: must be <= 400, got 401\n")
 
 
 @pytest.mark.parametrize("symbol", ["5", "-1"])
@@ -784,19 +802,23 @@ def test_a_parser_build_probes_the_terminal_once(monkeypatch):
         return probe(*args, **kwargs)
 
     monkeypatch.setattr(shutil, "get_terminal_size", counted)
-    cli._build_parser()
+    cli._build_parser(["density"])
     assert len(calls) == 1
+
+
+_NAMES = [name for name, *_ in cli.COMMANDS]
 
 
 @pytest.mark.parametrize("columns", ["50", "150"])
 def test_help_and_usage_match_the_default_formatter(monkeypatch, columns):
     monkeypatch.setenv("COLUMNS", columns)
-    built = _parsers(cli._build_parser())
-    plain = _parsers(_with_plain_formatters(cli._build_parser()))
-    assert len(built) == len(cli.COMMANDS) + 1
-    for ours, theirs in zip(built, plain):
-        assert ours.format_help() == theirs.format_help()
-        assert ours.format_usage() == theirs.format_usage()
+    # the top parser, then each subcommand in a build whose argv names it
+    for i, argv in enumerate([[], *([name] for name in _NAMES)]):
+        built = _parsers(cli._build_parser(argv))
+        plain = _parsers(_with_plain_formatters(cli._build_parser(argv)))
+        assert len(built) == len(cli.COMMANDS) + 1
+        assert built[i].format_help() == plain[i].format_help()
+        assert built[i].format_usage() == plain[i].format_usage()
 
 
 @pytest.mark.parametrize("columns", ["50", "150"])
@@ -810,21 +832,20 @@ def test_usage_error_matches_the_default_formatter(monkeypatch, capsys, columns,
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == "" and err.endswith(message)
     build = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda: _with_plain_formatters(build()))
+    monkeypatch.setattr(cli, "_build_parser", lambda argv: _with_plain_formatters(build(argv)))
     assert run(capsys, *argv) == (code, out, err)
 
 
 @pytest.mark.parametrize("columns", ["50", "150"])
 def test_help_and_usage_match_the_eager_parser(monkeypatch, columns):
     monkeypatch.setenv("COLUMNS", columns)
-    built = _parsers(cli._build_parser())
     eager = _parsers(eager_parser())
-    assert [p.prog for p in built] == [p.prog for p in eager]
-    for ours, theirs in zip(built, eager):
-        assert ours.format_help() == theirs.format_help()
-    # usage on fresh parsers, so no subparser has been shown before
-    for ours, theirs in zip(_parsers(cli._build_parser()), eager):
-        assert ours.format_usage() == theirs.format_usage()
+    assert [p.prog for p in _parsers(cli._build_parser([]))] == [p.prog for p in eager]
+    # the top parser, then each subcommand in a build whose argv names it
+    for i, argv in enumerate([[], *([name] for name in _NAMES)]):
+        ours = _parsers(cli._build_parser(argv))[i]
+        assert ours.format_help() == eager[i].format_help()
+        assert ours.format_usage() == eager[i].format_usage()
 
 
 @pytest.mark.parametrize("columns", ["50", "150"])
@@ -836,7 +857,7 @@ def test_help_and_usage_match_the_eager_parser(monkeypatch, columns):
 def test_main_matches_the_eager_parser(monkeypatch, capsys, columns, argv):
     monkeypatch.setenv("COLUMNS", columns)
     ours = run(capsys, *argv)
-    monkeypatch.setattr(cli, "_build_parser", eager_parser)
+    monkeypatch.setattr(cli, "_build_parser", lambda argv: eager_parser())
     assert run(capsys, *argv) == ours
 
 
@@ -844,15 +865,17 @@ def _flags(parser) -> list[str]:
     return [s for a in parser._actions for s in a.option_strings]
 
 
-def test_a_subcommand_gets_its_flags_only_when_parsed():
-    names = [name for name, *_ in cli.COMMANDS]
-    eager = dict(zip(names, _parsers(eager_parser())[1:]))
-    parser = cli._build_parser()
-    subs = dict(zip(names, _parsers(parser)[1:]))
-    assert all(_flags(p) == ["-h", "--help"] for p in subs.values())
-    parser.parse_args(["density", "--set", "visible"])
+@pytest.mark.parametrize("argv, named", [
+    ([], None), (["--version"], None), (["bogus"], None),
+    (["density", "--set", "visible"], "density"),
+    (["--", "density", "--set", "dbar"], "density"),
+    (["-h", "tempered", "density"], "tempered"),
+], ids=["empty", "version", "bogus", "density", "after-dashes", "help-first"])
+def test_a_build_adds_flags_to_the_subcommand_argv_names_alone(argv, named):
+    eager = dict(zip(_NAMES, _parsers(eager_parser())[1:]))
+    subs = dict(zip(_NAMES, _parsers(cli._build_parser(argv))[1:]))
     for name, p in subs.items():
-        want = _flags(eager[name]) if name == "density" else ["-h", "--help"]
+        want = _flags(eager[name]) if name == named else ["-h", "--help"]
         assert _flags(p) == want, name
 
 

@@ -14,6 +14,7 @@ from shiftlab.examples import (
     block_entropy,
     cortez_petite_check,
     prime_approx_config,
+    prime_approx_mismatch_bound,
     random_config,
     random_periodic_pair,
     resolve_example_name,
@@ -21,7 +22,7 @@ from shiftlab.examples import (
     visible_points_config,
 )
 from shiftlab.groups import box_set, make_box_folner
-from shiftlab.metrics import exact_mismatch_density, upper_density
+from shiftlab.metrics import dbar_estimate, exact_mismatch_density, upper_density
 
 
 def test_prime_table():
@@ -31,6 +32,28 @@ def test_prime_table():
 
 
 # --- visible points ---------------------------------------------------------
+
+def test_mismatch_bound_sums_the_prime_lattices_in_the_box():
+    # brute force at N = 30: for each prime p_n < p <= N, the nonzero
+    # points of the box {-30..30}^2 with p dividing both coordinates
+    N = 30
+    box = [(a, b) for a in range(-N, N + 1) for b in range(-N, N + 1) if (a, b) != (0, 0)]
+    primes = [p for p in range(2, N + 1) if all(p % q for q in range(2, p))]
+    for n in range(1, 6):
+        want = sum(1 for p in primes[n:] for a, b in box if a % p == 0 and b % p == 0)
+        assert prime_approx_mismatch_bound(n, N) == want
+
+
+def test_mismatch_bound_holds_for_the_first_five_approximants():
+    v = visible_points_config()
+    F = make_box_folner(2, "centered")
+    N = 120
+    size = len(F.set_at(N))
+    bounds = [prime_approx_mismatch_bound(n, N) for n in range(1, 6)]
+    assert bounds == [11896, 5336, 2936, 1712, 1272]
+    for n, bound in enumerate(bounds, start=1):
+        assert dbar_estimate(v, prime_approx_config(n), F, N) * size <= bound
+
 
 def test_visible_point_values():
     v = visible_points_config()
@@ -136,6 +159,17 @@ def test_tiling_check_flags_duplicate_coset():
     bad2 = SubstitutionStage(domain_override={2: (0, 3, 1, 2)})
     report2 = cortez_petite_check(bad2, 2)
     assert not report2.passed and "coset" in report2.witness
+
+
+@pytest.mark.parametrize("override, k, witness", [
+    # m_2 = 3 has three cosets; a domain of two points misses one
+    ({2: (0, 1)}, 2, "coset 2 mod 3 has no representative"),
+    # m_3 = 15: the tiles at 0, 3, ..., 12 cover 0..14, and 16 is no anchor
+    ({3: (*range(15), 16)}, 2, "point 16 not covered by any tile"),
+], ids=["no-representative", "not-covered"])
+def test_tiling_check_names_each_witness(override, k, witness):
+    report = cortez_petite_check(SubstitutionStage(domain_override=override), k)
+    assert not report.passed and report.witness == witness
 
 
 def test_tiling_check_flags_coverage_defect():
