@@ -57,7 +57,6 @@ from .metrics import (
     besicovitch_trace,
     dbar_estimate,
     dbar_trace,
-    default_delta_grid,
     exact_mismatch_density,
     upper_density,
 )

@@ -44,7 +44,15 @@ from .examples import (
     prime_approx_config,
     prime_approx_mismatch_bound,
 )
-from .groups import BOX_KINDS, FolnerSequence, box_set, make_box_folner, temperedness_ratio
+from .groups import (
+    BOX_KINDS,
+    FolnerSequence,
+    # the library's one cast of a tempering constant, so `--c` refuses what it refuses
+    _tempering_constant,
+    box_set,
+    make_box_folner,
+    temperedness_ratio,
+)
 from .measures import (
     PatternDistribution,
     empirical_measure,
@@ -59,7 +67,6 @@ from .metrics import (
     dbar_estimate,
     dbar_trace,
     default_ball_bits,
-    default_delta_grid,
     exact_mismatch_density,
     lower_sum_work,
     upper_density,
@@ -390,11 +397,7 @@ def _cmd_dbar(cfg: dict) -> EstimateTrace:
 
 def _cmd_dprime(cfg: dict) -> dict:
     x, z, F = _window_inputs(cfg, [cfg["N"]])
-    # None is the default grid, whose integer scaling metrics caches
-    grid = None
-    if cfg["grid-cap"] is not None:
-        grid = tuple(d for d in default_delta_grid() if d <= cfg["grid-cap"])
-    est = besicovitch_prime_estimate(x, z, F, cfg["N"], radius=cfg["radius"], delta_grid=grid)
+    est = besicovitch_prime_estimate(x, z, F, cfg["N"], radius=cfg["radius"])
     return {"value": _frac(est.value), "saturated": est.saturated}
 
 
@@ -714,7 +717,6 @@ COMMANDS: list[tuple[str, Callable[[dict], EstimateTrace | dict], str, list[Para
         _X, _Z,
         Param("N", _at_least(int, 1), 500, "window index"),
         _KIND, _RADIUS,
-        Param("grid-cap", Fraction, None, "drop grid deltas above this"),
     ]),
     ("empirical", _cmd_empirical, "empirical pattern distribution (JSON)",
      [_SET, _N, _KIND, _WINDOW]),
@@ -748,7 +750,7 @@ COMMANDS: list[tuple[str, Callable[[dict], EstimateTrace | dict], str, list[Para
         Param("group", _group, 1, "z:d"),
         _KIND,
         Param("n", _at_least(int, 2, TEMPERED_N_MAX), 100, "check the ratios for j = 1..n-1"),
-        Param("c", Fraction, Fraction(2), "tempering constant"),
+        Param("c", _tempering_constant, Fraction(2), "tempering constant"),
     ]),
     ("examples", _cmd_examples, "list example families or inspect one (JSON)",
      [Param("name", str, None, "example name to inspect")]),

@@ -11,13 +11,13 @@ On box windows over binary configurations the estimators read bulk rows
 `int.bit_count`, and the metric's shell counts are summed from a
 summed-area table whose rows are lane rows of `configs` (one lane per
 column), so each big-int operation serves a whole window row.  Bulk and
-per-site lower sums weigh the shells by the same integer numerators, and
-D' decides each delta of its grid in integers; `configs.integer_scale`
-puts both over one denominator.  Other inputs take the per-site loops,
-which remain the reference the bulk path must match exactly.  The
-density loop reads nested box windows once: each window adds the count
-of its shell outside the previous one.  A window of another dimension
-than the configurations' is refused before any read.
+per-site lower sums weigh the shells by the same integer numerators,
+over one denominator from `configs.integer_scale`, and D' decides each
+of its steps j/200 against them in integers.  Other inputs take the
+per-site loops, which remain the reference the bulk path must match
+exactly.  The density loop reads nested box windows once: each window
+adds the count of its shell outside the previous one.  A window of
+another dimension than the configurations' is refused before any read.
 """
 
 from __future__ import annotations
@@ -374,31 +374,17 @@ def besicovitch_trace(
 
 @dataclass(frozen=True)
 class DPrimeEstimate:
+    """`saturated` is always False, since the top value 10001/10000 is
+    feasible on every window.  It stays while `bench/workloads.py` and
+    `bench/pins.json` read it, and goes with the bench change that makes
+    D' exact (ROADMAP item 5)."""
+
     value: Fraction
     saturated: bool
 
 
-@lru_cache(maxsize=1)
-def default_delta_grid() -> tuple[Fraction, ...]:
-    """{1.0001} followed by {k/200}, descending."""
-    return (Fraction(10001, 10000),) + tuple(Fraction(k, 200) for k in range(200, 0, -1))
-
-
-def _grid_numerators(delta_grid: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
-    """(G, ascending numerators over G) of a grid of positive rationals,
-    G the lcm of their denominators, by `configs.integer_scale`."""
-    G, nums = integer_scale(delta_grid)
-    if not nums:
-        raise ValueError("delta grid must be non-empty")
-    nums.sort()
-    if nums[0] <= 0:
-        raise ValueError("delta grid values must be positive")
-    return G, tuple(nums)
-
-
-@lru_cache(maxsize=1)
-def _default_grid_numerators() -> tuple[int, tuple[int, ...]]:
-    return _grid_numerators(default_delta_grid())
+# D' decides the steps j / 200, j = 1..200
+_DPRIME_STEPS = 200
 
 
 def besicovitch_prime_estimate(
@@ -408,32 +394,27 @@ def besicovitch_prime_estimate(
     n: int,
     metric: AdmissibleMetric | None = None,
     radius: int = DEFAULT_RADIUS,
-    delta_grid: Sequence[Fraction] | None = None,
 ) -> DPrimeEstimate:
-    """Smallest grid delta with density{g : d_lo(g x, g z) >= delta} < delta.
+    """Smallest step delta = j/200 with density{g : d_lo(g x, g z) >= delta} < delta.
 
     A site counts toward the density only when the truncation LOWER bound
     already clears delta.  Feasibility is monotone in delta, so the minimum
-    is well defined; when no grid value is feasible the grid maximum comes
-    back with saturated=True.  The grid is scaled once to integers g over
-    one denominator G, and each delta = g / G is decided in integers.
+    is well defined; each step is decided in integers.  When no step is
+    feasible the value is 10001/10000, which always is: no lower sum
+    exceeds its denominator, so no site clears it.
     """
     metric = common_metric(x, z, metric)
-    if delta_grid is None:
-        G, grid = _default_grid_numerators()
-    else:
-        G, grid = _grid_numerators(delta_grid)
     window = F.set_at(n)
     nums, den = _lower_sums(x, z, window, metric, radius)
     nums.sort()
     count = len(nums)
-    for g in grid:
-        # k / den >= g / G exactly when the integer k >= ceil(g * den / G),
-        # and the density above / count < g / G when above * G < g * count
-        above = count - bisect_left(nums, -(-g * den // G))
-        if above * G < g * count:
-            return DPrimeEstimate(Fraction(g, G), False)
-    return DPrimeEstimate(Fraction(grid[-1], G), True)
+    for j in range(1, _DPRIME_STEPS + 1):
+        # k / den >= j / 200 exactly when the integer k >= ceil(j * den / 200),
+        # and the density above / count < j / 200 when 200 * above < j * count
+        above = count - bisect_left(nums, -(-j * den // _DPRIME_STEPS))
+        if _DPRIME_STEPS * above < j * count:
+            return DPrimeEstimate(Fraction(j, _DPRIME_STEPS), False)
+    return DPrimeEstimate(Fraction(10001, 10000), False)
 
 
 def mismatch_density(x: Configuration, z: Configuration, window: FiniteSubset) -> Fraction:

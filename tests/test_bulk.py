@@ -50,7 +50,6 @@ from shiftlab.metrics import (
     besicovitch_estimate,
     besicovitch_prime_estimate,
     dbar_estimate,
-    default_delta_grid,
     exact_mismatch_density,
     joint_period_box,
     upper_density,
@@ -406,44 +405,57 @@ def test_lower_sums_refuse_a_ball_heavier_than_1():
             besicovitch_estimate(x, z, F, n, metric=metric, radius=4)
 
 
-def dprime_by_fractions(nums, den, delta_grid):
-    """besicovitch_prime_estimate's grid walk as it stood in Fractions: a
-    site clears delta when k >= ceil(delta * den)."""
-    grid = sorted(Fraction(d) for d in delta_grid)
+# D''s grid, written out as the reference: the steps j/200, then 10001/10000
+DPRIME_GRID = [Fraction(j, 200) for j in range(1, 201)] + [Fraction(10001, 10000)]
+
+
+def dprime_by_fractions(nums, den):
+    """The least delta of DPRIME_GRID whose density of clearing sites is
+    below delta, walked in Fractions: a site clears delta when
+    k >= ceil(delta * den)."""
     nums, count = sorted(nums), len(nums)
-    for delta in grid:
-        dens = Fraction(count - bisect_left(nums, ceil(delta * den)), count)
-        if dens < delta:
+    for delta in DPRIME_GRID:
+        if Fraction(count - bisect_left(nums, ceil(delta * den)), count) < delta:
             return DPrimeEstimate(delta, False)
-    return DPrimeEstimate(grid[-1], True)
+    return DPrimeEstimate(DPRIME_GRID[-1], False)
+
+
+@st.composite
+def step_metrics(draw):
+    """(metric, radius) in 1-D with shell weights that are multiples of
+    1/200 and a ball of mass at most 1: on a 200-site window every lower
+    sum and every density is then a multiple of 1/200, so both sides of a
+    step's test can tie with the step."""
+    radius = draw(st.integers(0, 5))
+    room, units = 200, []
+    for r in range(radius + 1):
+        units.append(draw(st.integers(0, room // shell_size(1, r))))
+        room -= units[-1] * shell_size(1, r)
+    units += [0]
+    return AdmissibleMetric(1, lambda r: Fraction(units[min(r, radius + 1)], 200),
+                            lambda R: Fraction(0)), radius
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), radius=st.integers(0, 6))
-def test_dprime_ties_and_odd_grids_match_the_fraction_walk(data, radius):
-    """Grids drawn from the window's own thresholds k / den and densities
-    a / count, so deltas tie exactly with both sides of each test, shuffled,
-    with duplicates, as ints, Fractions and floats; and the capped default
-    grid the CLI passes."""
-    dim, x, z = data.draw(pairs())
-    F, n = data.draw(windows(dim, 50 if dim == 1 else 6))
-    nums, den = _site_lower_sums(twin(x), twin(z), F.set_at(n), default_metric(dim), radius)
-    count = len(nums)
-    ties = [Fraction(k, den) for k in nums if k] + [Fraction(a, count) for a in range(1, count + 1)]
-    grid = data.draw(st.lists(st.sampled_from(ties), min_size=1, max_size=12))
-    grid += data.draw(st.lists(st.sampled_from([1, 2, 0.5, 0.1, 0.375, 1e-3, Fraction(7, 3)]),
-                               max_size=4))
-    grid += grid[: data.draw(st.integers(0, len(grid)))]
-    data.draw(st.randoms()).shuffle(grid)
-    cap = data.draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(1, 200)]))
-    capped = tuple(d for d in default_delta_grid() if d <= cap)
-    for g in (grid, capped, default_delta_grid()):
-        assert besicovitch_prime_estimate(x, z, F, n, radius=radius, delta_grid=g) == (
-            dprime_by_fractions(nums, den, g)
-        )
-    assert besicovitch_prime_estimate(x, z, F, n, radius=radius) == (
-        dprime_by_fractions(nums, den, default_delta_grid())
-    )
+@given(data=st.data(), tied=st.booleans())
+def test_dprime_ties_match_the_fraction_walk(data, tied):
+    """D' equals the Fraction walk over its grid, in bulk and per site: on
+    the default metric over 1-D and 2-D windows, and on step metrics over
+    200-site 1-D windows, where sums and densities tie with the steps."""
+    if tied:
+        metric, radius = data.draw(step_metrics())
+        x, z = (make(data.draw(st.sampled_from(NAMES[1])), 1, data.draw(st.integers(0, 2**16)))
+                for _ in range(2))
+        lo = data.draw(st.integers(-15, 15))
+        F, n = custom_folner([FiniteSubset.box((lo,), (lo + 199,))]), 1
+    else:
+        dim, x, z = data.draw(pairs())
+        F, n = data.draw(windows(dim, 50 if dim == 1 else 6))
+        metric, radius = default_metric(dim), data.draw(st.integers(0, 6))
+    nums, den = _site_lower_sums(twin(x), twin(z), F.set_at(n), metric, radius)
+    want = dprime_by_fractions(nums, den)
+    assert besicovitch_prime_estimate(x, z, F, n, metric, radius) == want
+    assert besicovitch_prime_estimate(x, z, per_site(F, n), 1, metric, radius) == want
 
 
 @settings(max_examples=60, deadline=None)

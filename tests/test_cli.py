@@ -422,8 +422,8 @@ def test_config_file_out_is_honoured_and_the_flag_wins(tmp_path, capsys):
 @pytest.mark.parametrize("argv, cfg_text", [
     (["omega", "--set", "rf-sub:3", "--n-list", "8,64,512", "--merge-tol", "0.05"],
      "set = rf-sub:3\nn-list = 8,64,512\nmerge-tol = 0.05\n"),
-    (["dprime", "--x", "rf-sub:1", "--z", "rf-sub:2", "--N", "99", "--grid-cap", "1/4"],
-     "x = rf-sub:1\nz = rf-sub:2\nN = 99\ngrid-cap = 1/4\n"),
+    (["dprime", "--x", "rf-sub:1", "--z", "rf-sub:2", "--N", "99"],
+     "x = rf-sub:1\nz = rf-sub:2\nN = 99\n"),
 ])
 def test_flags_and_config_file_give_the_same_report(tmp_path, capsys, argv, cfg_text):
     from_flags = run_json(capsys, *argv)
@@ -447,6 +447,7 @@ _RF_PAIR = ["--x", "rf-sub:1", "--z", "rf-sub:2"]
         (["besicovitch", *_RF_PAIR], "radius", "-1"),
         (["rho-chain", *_RF_PAIR], "k-max", "0"),
         (["tempered"], "n", "1"),
+        (["tempered"], "c", "1"),
         (["triangle-check"], "support", "1"),
         (["triangle-check"], "support", "9"),
         (["convergence"], "n-max", "0"),
@@ -470,8 +471,8 @@ def test_bad_values_fail_alike_from_flag_and_file(tmp_path, capsys, base, key, v
 
 
 def test_fraction_with_zero_denominator_is_a_usage_error(capsys):
-    code, _, err = run(capsys, "dprime", "--x", "rf-sub:1", "--z", "rf-sub:2", "--grid-cap", "1/0")
-    assert code == 1 and err.startswith("error: grid-cap: ")
+    code, _, err = run(capsys, "tempered", "--c", "1/0")
+    assert code == 1 and err.startswith("error: c: ")
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
@@ -696,6 +697,15 @@ def test_tempered_refuses_fewer_than_two_windows(capsys, n):
     assert err == f"error: n: must be >= 2, got {n}\n"
 
 
+@pytest.mark.parametrize("c", ["1", "0", "1/2", "-3"])
+def test_tempered_refuses_a_constant_that_cannot_pass(capsys, c):
+    """Every temperedness ratio exceeds 1: `--c` is cast as the library
+    reads a tempering constant, and refused before any ratio is taken."""
+    code, out, err = run(capsys, "tempered", "--c", c)
+    assert code == 1 and out == ""
+    assert err == f"error: c: tempering constant must exceed 1, got {c}\n"
+
+
 # --- refusal sweep ------------------------------------------------------------
 # Every parameter of every command is either sized, so that values which
 # must be refused are fed to it below, or has no size to refuse; a new
@@ -710,8 +720,10 @@ _REFUSED = {
     **{key: ("0", "-3000", "3000,-3000", _HUGE[0]) for key in ("sizes", "entropy-sizes")},
     "pairs": tuple(f"random:{v}" for v in _HUGE),
     "group": tuple(f"z:{v}" for v in _HUGE),
+    # every temperedness ratio exceeds 1, so no such constant can pass
+    "c": ("1", "0", "1/2"),
 }
-_UNSIZED = {"x", "z", "set", "kind", "cost", "seed", "c", "merge-tol", "grid-cap", "name"}
+_UNSIZED = {"x", "z", "set", "kind", "cost", "seed", "merge-tol", "name"}
 # the examples a command reads: 2-D ones, then 1-D ones, whose boxes reach
 # 10^20 sites in one dimension
 _EXAMPLES = ({"x": "visible", "z": "prime-approx:2", "set": "visible"},

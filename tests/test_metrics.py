@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab.configs import (
+    AdmissibleMetric,
     Lattice,
     constant_config,
     patched_config,
@@ -36,7 +37,6 @@ from shiftlab.metrics import (
     besicovitch_trace,
     dbar_estimate,
     dbar_trace,
-    default_delta_grid,
     exact_mismatch_density,
     joint_period_box,
     mismatch_density,
@@ -187,14 +187,6 @@ def test_besicovitch_trace_rows_are_intervals():
 
 # --- besicovitch_prime_estimate ---------------------------------------------
 
-def test_dprime_default_grid_shape():
-    grid = default_delta_grid()
-    assert len(grid) == 201
-    assert grid[0] == Fraction(10001, 10000)
-    assert grid[1] == 1 and grid[-1] == Fraction(1, 200)
-    assert all(b < a for a, b in zip(grid[1:], grid[2:]))
-
-
 def test_dprime_of_equal_configs_hits_grid_minimum():
     x = word_config((0, 1))
     assert besicovitch_prime_estimate(x, x, F1, 100) == DPrimeEstimate(Fraction(1, 200), False)
@@ -204,9 +196,16 @@ def test_dprime_of_constant_mismatch():
     zero, one = constant_config(1, 0), constant_config(1, 1)
     # Truncated lower distances sit just below 1, so delta = 1 is feasible.
     assert besicovitch_prime_estimate(zero, one, F1, 50) == DPrimeEstimate(Fraction(1), False)
-    capped = [d for d in default_delta_grid() if d <= Fraction(1, 2)]
-    assert besicovitch_prime_estimate(zero, one, F1, 50, delta_grid=capped) == DPrimeEstimate(
-        Fraction(1, 2), True
+
+
+def test_dprime_above_every_step_when_each_site_reaches_distance_one():
+    """All the mass on the site itself: each mismatched site's lower sum is
+    exactly its denominator, so it clears every step j/200, delta = 1
+    included, and the value is the one above them, 10001/10000."""
+    metric = AdmissibleMetric(1, lambda r: Fraction(int(r == 0)), lambda R: Fraction(0))
+    zero, one = constant_config(1, 0), constant_config(1, 1)
+    assert besicovitch_prime_estimate(zero, one, F1, 20, metric, radius=2) == (
+        DPrimeEstimate(Fraction(10001, 10000), False)
     )
 
 
@@ -215,14 +214,6 @@ def test_dprime_of_sparse_mismatch_lattice():
     tens = predicate_config(1, lambda g: g[0] % 10 == 0)
     est = besicovitch_prime_estimate(zero, tens, F1, 1999)
     assert est == DPrimeEstimate(Fraction(13, 100), False)
-
-
-def test_dprime_rejects_bad_grids():
-    x = word_config((0, 1))
-    with pytest.raises(ValueError):
-        besicovitch_prime_estimate(x, x, F1, 10, delta_grid=[])
-    with pytest.raises(ValueError):
-        besicovitch_prime_estimate(x, x, F1, 10, delta_grid=[Fraction(0)])
 
 
 def test_dprime_dominates_besicovitch_midpoint():

@@ -33,15 +33,6 @@ F1 = make_box_folner(1)
 W1 = box_set(1, 0)
 
 
-class _Unreduced(Lattice):
-    """A lattice whose `reduce` leaves a point as it is: `periodic_config`
-    reduces every key into the fundamental domain, so only a key that
-    `reduce` leaves outside it reaches the extra-coset check."""
-
-    def reduce(self, p):
-        return p
-
-
 _REFUSALS = [
     ("negative-cost", lambda: min_cost_transport(HALVES, HALVES, lambda p, q: -1),
      ValueError, "costs must be nonnegative"),
@@ -84,9 +75,6 @@ _REFUSALS = [
      ValueError, "moduli must be >= 1, got (2, 0)"),
     ("periodic-missing-coset", lambda: periodic_config(Lattice.diagonal([3]), {(0,): 1}),
      ValueError, "table misses 2 cosets, e.g. (1,)"),
-    ("periodic-extra-coset",
-     lambda: periodic_config(_Unreduced([[2]]), {(0,): 1, (1,): 0, (2,): 0}),
-     ValueError, "table has entries outside the fundamental domain"),
     ("patch-dimension", lambda: patched_config(ALTERNATING, {(0, 0): 1}),
      InvalidDimensionError, "patch key of wrong dimension"),
     ("shift-dimension", lambda: shift((0, 0), ALTERNATING),
