@@ -472,11 +472,18 @@ def periodic_config(lattice: Lattice, table: Mapping[Point, int], alphabet: int 
 
     The table must assign a symbol to every coset; keys are canonicalized
     through lattice.reduce, so any coset representatives are accepted.
+    Two keys of one coset must give it the same symbol.
     """
     a = Alphabet(alphabet)
     canon: dict[Point, int] = {}
+    first: dict[Point, Point] = {}
     for k, v in table.items():
-        canon[lattice.reduce(tuple(k))] = a.check(v)
+        k, v = tuple(k), a.check(v)
+        coset = lattice.reduce(k)
+        if canon.setdefault(coset, v) != v:
+            raise ValueError(f"table gives one coset two symbols: {first[coset]} -> "
+                             f"{canon[coset]}, {k} -> {v}")
+        first.setdefault(coset, k)
     domain = lattice.fundamental_domain()
     missing = [p for p in domain if p not in canon]
     if missing:

@@ -448,6 +448,9 @@ def brute_force_min_cost(
             rem[j] += t
 
     fill(0, 0)
+    # fill and place hold each other through their cells: a cycle that
+    # only the cyclic collector would free
+    del fill, place
     if best == unset:
         raise AssertionError("no feasible table; marginals inconsistent")
     return Fraction(best, D * E)

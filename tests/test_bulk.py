@@ -965,13 +965,21 @@ def test_row_limits_need_a_bulk_rows_rule():
 # --- window pattern codes at lane boundaries ---------------------------------
 # One configuration's code takes 1-, 2-, 4- and 8-byte lanes up to 8, 16, 32
 # and 64 sites of W, and a lane of exactly ceil(|W| / 8) bytes beyond; a
-# pair's takes them at half those sizes.
+# pair's takes them at half those sizes.  Codes of at most
+# measures.FEW_CODE_BITS bits (W of up to 4 sites, a pair's W of up to 2)
+# are counted per code over a tile, wider ones per band: the windows of 1-5
+# sites and FEW_PAIR_WINDOWS lie on both sides of that bound.
 
-LANE_WINDOWS = [((-3,), (a - 4,)) for a in (8, 9, 16, 17, 32, 33, 64, 65)] + [
-    ((-1, 2), (h - 2, w + 1)) for h, w in ((2, 4), (3, 3), (4, 4), (4, 8), (8, 8), (9, 8))
+LANE_WINDOWS = [((-3,), (a - 4,)) for a in (1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65)] + [
+    ((-1, 2), (h - 2, w + 1))
+    for h, w in ((1, 1), (1, 2), (2, 2), (1, 5), (2, 4), (3, 3), (4, 4), (4, 8), (8, 8), (9, 8))
 ]
 PAIR_WINDOWS = [((-3,), (a - 4,)) for a in (16, 17, 32, 33)] + [
     ((-1, 2), (h - 2, w + 1)) for h, w in ((4, 4), (3, 6), (4, 8), (3, 11))
+]
+# joint codes of 2, 4 and 6 bits
+FEW_PAIR_WINDOWS = [((-3,), (a - 4,)) for a in (1, 2, 3)] + [
+    ((-1, 2), (h - 2, w + 1)) for h, w in ((1, 1), (1, 2), (1, 3))
 ]
 LANE_BOXES = {1: FiniteSubset.box((-23,), (97,)), 2: FiniteSubset.box((-6, -5), (8, 9))}
 
@@ -988,7 +996,7 @@ def test_pattern_codes_match_per_site_across_lanes(corners, monkeypatch):
         ), name
 
 
-@pytest.mark.parametrize("corners", PAIR_WINDOWS)
+@pytest.mark.parametrize("corners", FEW_PAIR_WINDOWS + PAIR_WINDOWS)
 def test_pair_joining_codes_match_per_site_across_lanes(corners, monkeypatch):
     W = FiniteSubset.box(*corners)
     window = LANE_BOXES[W.dim]
@@ -1000,6 +1008,27 @@ def test_pair_joining_codes_match_per_site_across_lanes(corners, monkeypatch):
         assert joint.to_dict() == pair_empirical_joining(
             twin(x), twin(z), FiniteSubset(window.points()), W
         ).to_dict(), name
+
+
+def test_few_codes_come_in_the_order_the_band_count_gives(monkeypatch):
+    """Counted per code over a tile, few-valued codes give the Counter that
+    counting each band gives, key order included: a float sum over the
+    counts, such as a block entropy, reads them in that order."""
+    monkeypatch.setattr(configs, "TILE_SITES", 64)
+    cases = [(corners, 1) for corners in LANE_WINDOWS] + [
+        (corners, 2) for corners in FEW_PAIR_WINDOWS]
+    for corners, k in cases:
+        W = FiniteSubset.box(*corners)
+        if k * len(W) > measures.FEW_CODE_BITS:
+            continue
+        names = NAMES[W.dim]
+        for i, name in enumerate(names):
+            xs = [make(names[(i + 3 * j) % len(names)], W.dim, 7 + j) for j in range(k)]
+            few = list(measures._box_pattern_codes(xs, LANE_BOXES[W.dim], W).items())
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(measures, "FEW_CODE_BITS", 0)
+                assert few == list(
+                    measures._box_pattern_codes(xs, LANE_BOXES[W.dim], W).items()), name
 
 
 def test_pair_joining_reads_rows_without_site_calls():

@@ -184,6 +184,19 @@ def test_periodic_config_depends_only_on_coset():
     assert x.period_lattice is lat
 
 
+def test_periodic_config_refuses_a_coset_given_two_symbols_in_either_order():
+    lat = Lattice.diagonal([2])
+    with pytest.raises(ValueError, match=re.escape("symbols: (0,) -> 1, (2,) -> 0")):
+        periodic_config(lat, {(0,): 1, (1,): 0, (2,): 0})
+    with pytest.raises(ValueError, match=re.escape("symbols: (2,) -> 0, (0,) -> 1")):
+        periodic_config(lat, {(2,): 0, (1,): 0, (0,): 1})
+
+
+def test_periodic_config_accepts_keys_of_one_coset_that_agree():
+    x = periodic_config(Lattice.diagonal([2]), {(0,): 1, (1,): 0, (2,): 1, (-1,): 0})
+    assert [x.value((i,)) for i in range(-2, 3)] == [1, 0, 1, 0, 1]
+
+
 def test_restrict_examples():
     x = word_config((0, 1, 0))
     W = FiniteSubset.box((0,), (2,))

@@ -75,6 +75,9 @@ _REFUSALS = [
      ValueError, "moduli must be >= 1, got (2, 0)"),
     ("periodic-missing-coset", lambda: periodic_config(Lattice.diagonal([3]), {(0,): 1}),
      ValueError, "table misses 2 cosets, e.g. (1,)"),
+    ("periodic-conflicting-coset",
+     lambda: periodic_config(Lattice.diagonal([2]), {(0,): 1, (1,): 0, (2,): 0}),
+     ValueError, "table gives one coset two symbols: (0,) -> 1, (2,) -> 0"),
     ("patch-dimension", lambda: patched_config(ALTERNATING, {(0, 0): 1}),
      InvalidDimensionError, "patch key of wrong dimension"),
     ("shift-dimension", lambda: shift((0, 0), ALTERNATING),

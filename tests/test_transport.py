@@ -1,5 +1,6 @@
 """Exact couplings: simplex solver, brute-force oracle, gluing, orbit chains."""
 
+import gc
 import hashlib
 import itertools
 import random
@@ -26,7 +27,12 @@ from shiftlab.errors import (
 )
 from shiftlab.examples import random_periodic_pair
 from shiftlab.groups import FiniteSubset, custom_folner, make_box_folner
-from shiftlab.measures import PatternDistribution, empirical_measure, pattern_metric
+from shiftlab.measures import (
+    PatternDistribution,
+    empirical_measure,
+    pattern_metric,
+    prokhorov_distance,
+)
 from shiftlab.metrics import joint_period_box, mismatch_density
 from shiftlab.transport import (
     Coupling,
@@ -164,6 +170,33 @@ def test_transport_one_site_hamming():
     assert coupling.cost(HAM0) == value
     assert verify_transport_certificate(result, HAM0)
     assert brute_force_min_cost(mu, nu, HAM0) == Fraction(1, 2)
+
+
+def solver_calls():
+    """One small call of each solver and reader that builds closures."""
+    W2 = FiniteSubset.box((0,), (1,))
+    ham = hamming_per_site_cost(W2.sorted_points())
+    x, z = word_config((0, 1, 1)), word_config((1, 0, 0, 1))
+    window = FiniteSubset.box((-3,), (20,))
+    mu, nu = empirical_measure(x, window, W2), empirical_measure(z, window, W2)
+    result = min_cost_transport(mu, nu, ham)
+    assert verify_transport_certificate(result, ham)
+    assert brute_force_min_cost(mu, nu, ham) == result.value
+    prokhorov_distance(mu, nu)
+    pair_empirical_joining(x, z, window, W2)
+
+
+def test_solvers_leave_no_reference_cycles():
+    """Each call frees what it made by reference counting alone, so none
+    of them adds work for the cyclic garbage collector."""
+    solver_calls()
+    gc.collect()
+    gc.disable()
+    try:
+        solver_calls()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_transport_identical_marginals_cost_zero():

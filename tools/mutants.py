@@ -95,6 +95,50 @@ MUTANTS = [
         ("tests/test_measures.py::test_prokhorov_is_the_least_feasible_epsilon",
          "tests/test_measures.py::test_prokhorov_distances_are_pinned"),
     ),
+    # few-valued window codes are counted one possible code at a time
+    Mutant(
+        "few-codes-skip-0",
+        "measures.py",
+        "for code in range(1 << bits)",
+        "for code in range(1, 1 << bits)",
+        ("tests/test_bulk.py::test_pattern_codes_match_per_site_across_lanes",
+         "tests/test_bulk.py::test_pair_joining_codes_match_per_site_across_lanes"),
+    ),
+    # and added in the order the per-band count would add them
+    Mutant(
+        "few-codes-order",
+        "measures.py",
+        "for pos, code in sorted((joined.find(code), code) for code in range(1 << bits)):",
+        "for pos, code in ((joined.find(code), code) for code in range(1 << bits)):",
+        ("tests/test_bulk.py::test_few_codes_come_in_the_order_the_band_count_gives",),
+    ),
+    # the brute-force oracle's last column takes what is left when it can
+    Mutant(
+        "brute-last-column",
+        "transport.py",
+        "if rem[j] >= left:",
+        "if rem[j] > left:",
+        ("tests/test_transport.py::test_brute_force_equals_every_table_minimum",
+         "tests/test_transport.py::test_transport_matches_brute_force_on_seeded_instances"),
+    ),
+    # a certificate's potentials may be tight, u_p + v_q = c_pq
+    Mutant(
+        "certificate-dual-ge",
+        "transport.py",
+        "if any(map(gt, map(add,",
+        "if any(map(lambda s, c: s >= c, map(add,",
+        ("tests/test_transport.py::test_transport_certificate_is_strong_duality",
+         "tests/test_transport.py::test_transport_one_site_hamming"),
+    ),
+    # Bland's rule: the lexicographically smallest leaving cell
+    Mutant(
+        "simplex-leaving-max",
+        "transport.py",
+        "leaving = min(cell for cell in minus_cells if flows[cell] == theta)",
+        "leaving = max(cell for cell in minus_cells if flows[cell] == theta)",
+        ("tests/test_transport.py::test_pinned_solves_are_unchanged",
+         "tests/test_transport.py::test_seeded_solves_hash_is_unchanged"),
+    ),
 ]
 
 
